@@ -9,6 +9,7 @@ and exit with a contractual code:
        counterexample found)
     2  inconclusive: a budget was exhausted before an answer
     3  input error (syntax, missing precondition, bad arguments)
+    4  internal error: a bug to report (one line on stderr, no traceback)
 
 Manifests carry input digests, artifact names, counts, certificates and
 budgets; they contain nothing time- or path-dependent, so re-running a
@@ -29,26 +30,29 @@ import click
 from .constructions import (
     conjugacy_gadget,
     fibre_generators,
+    free_product_of_copies,
     kill_finite_quotients,
     rips_wise,
     super_perfectify,
 )
-from .freewords import WordError, parse_word, render_word
+from .freewords import parse_word, render_word
 from .homology import AsphericityRequired, h1, h2_aspherical
 from .presentations import (
     FinitePresentation,
     PresentationError,
+    direct_product_presentation,
     parse_presentation,
     render_presentation,
 )
-from .quotients import hom_search, todd_coxeter
-from .smallcancel import CertificateRequired, DehnSolver, metric_certificate
+from .quotients import finite_quotient_certificate, todd_coxeter
+from .smallcancel import DehnSolver, metric_certificate
 from .uce import BudgetExhausted, miller_uce
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _env_int(name: str, default: int) -> int:
@@ -72,39 +76,62 @@ def _read_presentation(path: str) -> tuple[FinitePresentation, str, str]:
     return parse_presentation(text), text, name
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        click.echo(canonical_json(report), nl=False)
-    else:
-        for line in text_lines:
-            click.echo(line)
+class _Artifacts:
+    """Writes `<stem>.<suffix>` files into --outdir, where the stem is the
+    input file's ("pipeline" for stdin); each write returns the file name."""
+
+    def __init__(self, outdir: str, file: str):
+        self.dir = Path(outdir)
+        self.stem = "pipeline" if file == "-" else Path(file).stem
+
+    def text(self, suffix: str, content: str) -> str:
+        name = f"{self.stem}.{suffix}"
+        self.dir.mkdir(parents=True, exist_ok=True)
+        (self.dir / name).write_text(content)
+        return name
+
+    def pres(self, suffix: str, P: FinitePresentation) -> str:
+        return self.text(suffix, render_presentation(P) + "\n")
+
+    def json(self, suffix: str, obj) -> str:
+        return self.text(suffix, canonical_json(obj))
 
 
-def _write_artifact(outdir: str, name: str, content: str) -> str:
-    path = Path(outdir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content)
-    return name
+def _pair(pw) -> dict:
+    return {"left": render_word(pw.left), "right": render_word(pw.right)}
 
 
-def _stem(path: str) -> str:
-    return "pipeline" if path == "-" else Path(path).stem
+def _factors(factors) -> list:
+    return [[render_word(c), i, s] for c, i, s in factors]
 
 
-def _fail_input(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_INPUT)
+class _Main(click.Group):
+    def main(self, args=None, standalone_mode=True, **extra):
+        """Run one subcommand and map its outcome to the exit-code contract;
+        the one place where exceptions become exit codes."""
+        message = None
+        try:
+            code = super().main(args, standalone_mode=False, **extra)
+        except BudgetExhausted as e:
+            code, message = EXIT_INCONCLUSIVE, f"inconclusive: {e}"
+        except click.UsageError as e:
+            code, message = EXIT_INPUT, f"error: {e.format_message()}"
+        except (ValueError, OSError) as e:
+            code, message = EXIT_INPUT, f"error: {e}"
+        except Exception as e:
+            code, message = EXIT_INTERNAL, f"internal error (please report): {e!r}"
+        if message is not None:
+            click.echo(message, err=True)
+        if standalone_mode:
+            sys.exit(code)
+        return code
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Group-presentation constructions with homological and
     finite-quotient certificates."""
@@ -112,34 +139,57 @@ def main():
 
 def run_command(argv: list[str]) -> int:
     """Programmatic entry point: run one subcommand, return its exit code."""
+    return main.main(args=list(argv), standalone_mode=False)
+
+
+def _command(manifest: str | None = None):
+    """Register a subcommand taking FILE and --format, plus --outdir when it
+    writes a `manifest` (a file suffix formatted with the options).
+
+    The body gets the parsed presentation, its own options and, with
+    --outdir, an `_Artifacts` writer `out`; it returns (report, text lines,
+    exit code).  The `command` and `input` keys, the manifest and the output
+    are added here."""
+    def register(body):
+        cmd_name = body.__name__.replace("_", "-")
+
+        def run(file, fmt, outdir=None, **options):
+            P, text, input_name = _read_presentation(file)
+            if manifest is not None:
+                options["out"] = _Artifacts(outdir, file)
+            report, lines, code = body(P, **options)
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            report = {"command": cmd_name, "input": {input_name: digest}, **report}
+            if manifest is not None:
+                options["out"].json(f"{manifest.format(**options)}.manifest.json", report)
+            if fmt == "json":
+                click.echo(canonical_json(report), nl=False)
+            else:
+                for line in lines:
+                    click.echo(line)
+            return code
+
+        params = [click.Argument(["file"]), *reversed(getattr(body, "__click_params__", []))]
+        if manifest is not None:
+            params.append(click.Option(["--outdir"], default=".", show_default=True))
+        params.append(click.Option(["--format", "fmt"], type=click.Choice(["text", "json"]),
+                                   default="text", show_default=True))
+        return main.command(cmd_name, params=params, help=body.__doc__)(run)
+    return register
+
+
+def _fraction(ctx, param, value: str) -> Fraction:
     try:
-        main.main(args=list(argv), standalone_mode=False)
-    except SystemExit as e:
-        code = e.code
-        return int(code) if code is not None else EXIT_OK
-    except click.UsageError as e:
-        click.echo(f"error: {e.format_message()}", err=True)
-        return EXIT_INPUT
-    return EXIT_OK
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as e:
+        raise click.BadParameter(str(e)) from None
 
 
-_format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-                              default="text", show_default=True)
-
-
-@main.command()
-@click.argument("file")
-@_format_option
-def homology(file, fmt):
+@_command()
+def homology(P):
     """First and second homology of a presentation."""
-    try:
-        P, text, name = _read_presentation(file)
-    except (WordError, PresentationError, OSError) as e:
-        _fail_input(str(e))
     res = h1(P)
     report = {
-        "command": "homology",
-        "input": {name: _digest(text)},
         "h1": {
             "rank": res.group.rank,
             "torsion": list(res.group.torsion),
@@ -156,49 +206,29 @@ def homology(file, fmt):
     except AsphericityRequired:
         report["h2"] = "unavailable: not flagged aspherical"
         lines.append("h2 unavailable: presentation not flagged aspherical")
-    _emit(report, fmt, lines)
-    sys.exit(EXIT_OK)
+    return report, lines, EXIT_OK
 
 
-@main.command()
-@click.argument("file")
+@_command(manifest="uce")
 @click.option("--search", is_flag=True,
               help="use the blind diagonal enumeration instead of the integer solve")
 @click.option("--budget", type=int, default=None, help="pair-check budget for --search")
-@click.option("--outdir", default=".", show_default=True)
-@_format_option
-def uce(file, search, budget, outdir, fmt):
+def uce(P, search, budget, out):
     """Universal central extension of a perfect presentation."""
     budget = budget if budget is not None else _env_int("PRESFORGE_BUDGET_STEPS", 10**6)
-    try:
-        P, text, name = _read_presentation(file)
-    except (WordError, PresentationError, OSError) as e:
-        _fail_input(str(e))
-    try:
-        U = miller_uce(P, strategy="search" if search else "constructive", budget=budget)
-    except BudgetExhausted as e:
-        click.echo(f"inconclusive: {e}", err=True)
-        sys.exit(EXIT_INCONCLUSIVE)
-    except PresentationError as e:
-        _fail_input(str(e))
-    stem = _stem(file)
-    pres_art = _write_artifact(outdir, f"{stem}.uce.pres",
-                               render_presentation(U.result) + "\n")
-    witnesses = []
-    for w in U.witnesses:
-        witnesses.append({
-            "generator": w.generator,
-            "c": render_word(w.c),
-            "rho_factors": [[render_word(c), i, s] for c, i, s in w.rho.factors],
-            "rho_expanded": render_word(w.rho.expanded),
-            "verified": w.verify(P),
-        })
-    wit_art = _write_artifact(outdir, f"{stem}.uce.witnesses.json",
-                              canonical_json(witnesses))
+    strategy = "search" if search else "constructive"
+    U = miller_uce(P, strategy=strategy, budget=budget)
+    pres_art = out.pres("uce.pres", U.result)
+    witnesses = [{
+        "generator": w.generator,
+        "c": render_word(w.c),
+        "rho_factors": _factors(w.rho.factors),
+        "rho_expanded": render_word(w.rho.expanded),
+        "verified": w.verify(P),
+    } for w in U.witnesses]
+    wit_art = out.json("uce.witnesses.json", witnesses)
     manifest = {
-        "command": "uce",
-        "strategy": "search" if search else "constructive",
-        "input": {name: _digest(text)},
+        "strategy": strategy,
         "artifacts": {"presentation": pres_art, "witnesses": wit_art},
         "counts": {
             "generators": U.result.alphabet.rank,
@@ -211,68 +241,41 @@ def uce(file, search, budget, outdir, fmt):
                   "relator conjugates, plus all generator/relator commutators; "
                   "kernel generators are the images of the input relators"],
     }
-    _write_artifact(outdir, f"{stem}.uce.manifest.json", canonical_json(manifest))
-    _emit(manifest, fmt, [f"wrote {pres_art} ({U.result.alphabet.rank} generators, "
-                          f"{len(U.result.relators)} relators)", f"wrote {wit_art}"])
-    sys.exit(EXIT_OK)
+    return manifest, [f"wrote {pres_art} ({U.result.alphabet.rank} generators, "
+                      f"{len(U.result.relators)} relators)", f"wrote {wit_art}"], EXIT_OK
 
 
-@main.command()
-@click.argument("file")
-@click.option("--outdir", default=".", show_default=True)
-@_format_option
-def rips(file, outdir, fmt):
+@_command(manifest="rips")
+def rips(P, out):
     """Small-cancellation transform with C'(1/6) certificate."""
-    try:
-        P, text, name = _read_presentation(file)
-    except (WordError, PresentationError, OSError) as e:
-        _fail_input(str(e))
-    out = rips_wise(P)
-    stem = _stem(file)
-    art = _write_artifact(outdir, f"{stem}.gamma.pres",
-                          render_presentation(out.gamma) + "\n")
+    res = rips_wise(P)
+    art = out.pres("gamma.pres", res.gamma)
     manifest = {
-        "command": "rips",
-        "input": {name: _digest(text)},
         "artifacts": {"gamma": art},
         "counts": {
-            "generators": out.gamma.alphabet.rank,
-            "relators": len(out.gamma.relators),
+            "generators": res.gamma.alphabet.rank,
+            "relators": len(res.gamma.relators),
             "expected_relators": len(P.relators) + 6 * P.alphabet.rank,
-            "padding_blocks": out.blocks,
+            "padding_blocks": res.blocks,
         },
         "certificates": {
-            "metric": {"lambda": str(out.certificate.lam), "passed": out.certificate.passed},
+            "metric": {"lambda": str(res.certificate.lam), "passed": res.certificate.passed},
         },
-        "kernel_generators": list(out.kernel_generators),
+        "kernel_generators": list(res.kernel_generators),
         "notes": ["quotient map sends every original generator to itself and "
                   "kills the three padding generators"],
     }
-    _write_artifact(outdir, f"{stem}.rips.manifest.json", canonical_json(manifest))
-    _emit(manifest, fmt, [f"wrote {art}: {out.gamma.alphabet.rank} generators, "
-                          f"{len(out.gamma.relators)} relators, certificate pass"])
-    sys.exit(EXIT_OK)
+    return manifest, [f"wrote {art}: {res.gamma.alphabet.rank} generators, "
+                      f"{len(res.gamma.relators)} relators, certificate pass"], EXIT_OK
 
 
-@main.command()
-@click.argument("file")
-@click.option("--outdir", default=".", show_default=True)
-@_format_option
-def killfq(file, outdir, fmt):
+@_command(manifest="killfq")
+def killfq(P, out):
     """Attach quotient-killing copies to every generator."""
-    try:
-        P, text, name = _read_presentation(file)
-    except (WordError, PresentationError, OSError) as e:
-        _fail_input(str(e))
     kr = kill_finite_quotients(P)
-    stem = _stem(file)
-    raw = _write_artifact(outdir, f"{stem}.killfq.pres",
-                          render_presentation(kr.pi_prime) + "\n")
-    simp = _write_artifact(outdir, f"{stem}.killfq.simplified.pres",
-                           render_presentation(kr.simplified) + "\n")
+    raw = out.pres("killfq.pres", kr.pi_prime)
+    simp = out.pres("killfq.simplified.pres", kr.simplified)
     manifest = {
-        "command": "killfq",
-        "input": {name: _digest(text)},
         "artifacts": {"raw": raw, "simplified": simp},
         "counts": {
             "raw_generators": kr.pi_prime.alphabet.rank,
@@ -285,34 +288,18 @@ def killfq(file, outdir, fmt):
                   "distinguished element; simplified form eliminates the "
                   "original generators against the gluing relators"],
     }
-    _write_artifact(outdir, f"{stem}.killfq.manifest.json", canonical_json(manifest))
-    _emit(manifest, fmt, [f"wrote {raw} and {simp}"])
-    sys.exit(EXIT_OK)
+    return manifest, [f"wrote {raw} and {simp}"], EXIT_OK
 
 
-@main.command()
-@click.argument("file")
-@click.option("--outdir", default=".", show_default=True)
-@_format_option
-def superperfectify(file, outdir, fmt):
+@_command(manifest="superperfect")
+def superperfectify(P, out):
     """Quotient-killing attachment followed by the universal central
     extension; output has trivial first homology."""
-    try:
-        P, text, name = _read_presentation(file)
-    except (WordError, PresentationError, OSError) as e:
-        _fail_input(str(e))
-    try:
-        res = super_perfectify(P)
-    except PresentationError as e:
-        _fail_input(str(e))
-    stem = _stem(file)
-    art = _write_artifact(outdir, f"{stem}.superperfect.pres",
-                          render_presentation(res.presentation) + "\n")
+    res = super_perfectify(P)
+    art = out.pres("superperfect.pres", res.presentation)
     expected, actual = res.relator_count_formula
     h = h1(res.presentation)
     manifest = {
-        "command": "superperfectify",
-        "input": {name: _digest(text)},
         "artifacts": {"presentation": art},
         "counts": {
             "generators": res.presentation.alphabet.rank,
@@ -323,23 +310,14 @@ def superperfectify(file, outdir, fmt):
         "notes": ["generator count is fixed across any input family with a "
                   "fixed generator count"],
     }
-    _write_artifact(outdir, f"{stem}.superperfect.manifest.json", canonical_json(manifest))
-    _emit(manifest, fmt, [f"wrote {art}: h1 = {h.group}"])
-    sys.exit(EXIT_OK)
+    return manifest, [f"wrote {art}: h1 = {h.group}"], EXIT_OK
 
 
-@main.command()
-@click.argument("file")
+@_command(manifest="{kind}")
 @click.option("--kind", type=click.Choice(["S", "U", "theta", "theta-tilde"]),
               required=True)
-@click.option("--outdir", default=".", show_default=True)
-@_format_option
-def fibre(file, kind, outdir, fmt):
+def fibre(P, kind, out):
     """Fibre-product generating sets over the appropriate ambient product."""
-    try:
-        P, text, name = _read_presentation(file)
-    except (WordError, PresentationError, OSError) as e:
-        _fail_input(str(e))
     if kind == "S":
         gs = fibre_generators("S", quotient=P)
     elif kind == "U":
@@ -348,116 +326,75 @@ def fibre(file, kind, outdir, fmt):
         gs = fibre_generators("theta", kill=kill_finite_quotients(P))
     else:
         kr = kill_finite_quotients(P)
-        from .constructions import free_product_of_copies
         H = free_product_of_copies(kr)
         gs = fibre_generators("theta_tilde", kill=kr, rips=rips_wise(H))
-    stem = _stem(file)
-    amb = _write_artifact(outdir, f"{stem}.{kind}.ambient.pres",
-                          render_presentation(gs.ambient) + "\n")
-    elements = [{"left": render_word(pw.left), "right": render_word(pw.right)}
-                for pw in gs.elements]
-    gen_art = _write_artifact(outdir, f"{stem}.{kind}.generators.json",
-                              canonical_json(elements))
+    amb = out.pres(f"{kind}.ambient.pres", gs.ambient)
+    gen_art = out.json(f"{kind}.generators.json", [_pair(pw) for pw in gs.elements])
     manifest = {
-        "command": "fibre",
         "kind": kind,
-        "input": {name: _digest(text)},
         "artifacts": {"ambient": amb, "generators": gen_art},
         "counts": {"elements": len(gs.elements)},
         "notes": [gs.notes],
     }
-    _write_artifact(outdir, f"{stem}.{kind}.manifest.json", canonical_json(manifest))
-    _emit(manifest, fmt, [f"wrote {gen_art}: {len(gs.elements)} generators"])
-    sys.exit(EXIT_OK)
+    return manifest, [f"wrote {gen_art}: {len(gs.elements)} generators"], EXIT_OK
 
 
-@main.command()
-@click.argument("file")
+@_command()
 @click.option("--word", "word_text", required=True)
 @click.option("--kernel", "kernel_text", default=None,
               help="kernel element (default: the first relator)")
-@_format_option
-def gadget(file, word_text, kernel_text, fmt):
+def gadget(P, word_text, kernel_text):
     """Conjugacy gadget pairs for a word and a kernel element."""
-    try:
-        P, text, name = _read_presentation(file)
-        w = parse_word(P.alphabet, word_text)
-        if kernel_text is not None:
-            a = parse_word(P.alphabet, kernel_text)
-        elif P.relators:
-            a = P.relators[0]
-        else:
-            raise PresentationError("no relators; supply --kernel explicitly")
-        first, second = conjugacy_gadget(w, a)
-    except (WordError, PresentationError, OSError) as e:
-        _fail_input(str(e))
+    w = parse_word(P.alphabet, word_text)
+    if kernel_text is not None:
+        a = parse_word(P.alphabet, kernel_text)
+    elif P.relators:
+        a = P.relators[0]
+    else:
+        raise PresentationError("no relators; supply --kernel explicitly")
+    first, second = conjugacy_gadget(w, a)
     report = {
-        "command": "gadget",
-        "input": {name: _digest(text)},
         "word": render_word(w),
         "kernel": render_word(a),
-        "pair": {"left": render_word(first.left), "right": render_word(first.right)},
-        "base_pair": {"left": render_word(second.left), "right": render_word(second.right)},
+        "pair": _pair(first),
+        "base_pair": _pair(second),
         "identity_verified": True,
         "notes": ["conjugating the base pair by (word, 1) under the right "
                   "action yields the first pair; conjugacy inside the fibre "
                   "product is equivalent to triviality of the word in the quotient"],
     }
-    _emit(report, fmt, [f"({report['pair']['left']}, {report['pair']['right']})  ~  "
-                        f"({report['base_pair']['left']}, {report['base_pair']['right']})"])
-    sys.exit(EXIT_OK)
+    return report, [f"({report['pair']['left']}, {report['pair']['right']})  ~  "
+                    f"({report['base_pair']['left']}, {report['base_pair']['right']})"], EXIT_OK
 
 
-@main.command()
-@click.argument("file")
+@_command()
 @click.argument("word_text", metavar="WORD")
-@_format_option
-def word(file, word_text, fmt):
+def word(P, word_text):
     """Dehn word-problem verdict on a certified presentation
     (exit 0 trivial, 1 nontrivial)."""
-    try:
-        P, text, name = _read_presentation(file)
-        w = parse_word(P.alphabet, word_text)
-    except (WordError, PresentationError, OSError) as e:
-        _fail_input(str(e))
-    try:
-        solver = DehnSolver(P)
-    except CertificateRequired as e:
-        _fail_input(str(e))
-    res = solver.solve(w, collect_trace=True)
+    w = parse_word(P.alphabet, word_text)
+    res = DehnSolver(P).solve(w, collect_trace=True)
     report = {
-        "command": "word",
-        "input": {name: _digest(text)},
         "word": render_word(w),
         "verdict": "trivial" if res.trivial else "nontrivial",
         "replacements": res.replacements,
         "residual": render_word(res.residual),
         "trace": list(res.trace),
-        "certificate_factors": [[render_word(c), i, s] for c, i, s in res.factors],
+        "certificate_factors": _factors(res.factors),
     }
     lines = [f"{report['verdict']} (after {res.replacements} replacements)"]
     lines += [f"  {t}" for t in res.trace]
     if not res.trivial:
         lines.append(f"  residual: {report['residual']}")
-    _emit(report, fmt, lines)
-    sys.exit(EXIT_OK if res.trivial else EXIT_NEGATIVE)
+    return report, lines, EXIT_OK if res.trivial else EXIT_NEGATIVE
 
 
-@main.command("verify-sc")
-@click.argument("file")
-@click.option("--lam", default="1/6", show_default=True, metavar="P/Q")
-@_format_option
-def verify_sc(file, lam, fmt):
+@_command()
+@click.option("--lam", default="1/6", show_default=True, metavar="P/Q", callback=_fraction)
+def verify_sc(P, lam):
     """Metric small-cancellation certificate (exit 0 pass, 1 fail)."""
-    try:
-        P, text, name = _read_presentation(file)
-        frac = Fraction(lam)
-    except (WordError, PresentationError, OSError, ValueError, ZeroDivisionError) as e:
-        _fail_input(str(e))
-    cert = metric_certificate(P, frac)
+    cert = metric_certificate(P, lam)
     report = {
-        "command": "verify-sc",
-        "input": {name: _digest(text)},
         "lambda": str(cert.lam),
         "passed": cert.passed,
         "relator_lengths": list(cert.relator_lengths),
@@ -470,79 +407,37 @@ def verify_sc(file, lam, fmt):
             "piece": render_word(cert.offending.piece),
             "length": cert.offending.length,
         }
-    _emit(report, fmt, [cert.describe()])
-    sys.exit(EXIT_OK if cert.passed else EXIT_NEGATIVE)
+    return report, [cert.describe()], EXIT_OK if cert.passed else EXIT_NEGATIVE
 
 
-@main.command()
-@click.argument("file")
+@_command()
 @click.option("--max-degree", type=int, default=None)
 @click.option("--no-prune", is_flag=True)
-@click.option("--shards", type=int, default=1, show_default=True)
-@_format_option
-def homsearch(file, max_degree, no_prune, shards, fmt):
+def homsearch(P, max_degree, no_prune):
     """Finite-quotient certificate by exhaustive search into S_k, k <= K
     (exit 0 certified, 1 counterexample)."""
     K = max_degree if max_degree is not None else _env_int("PRESFORGE_MAX_DEGREE", 6)
-    try:
-        P, text, name = _read_presentation(file)
-    except (WordError, PresentationError, OSError) as e:
-        _fail_input(str(e))
-    prune = not no_prune
-    counterexample = None
-    for k in range(2, K + 1):
-        if shards > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=shards) as pool:
-                found = []
-                for part in pool.map(
-                        lambda s: hom_search(P, k, mode="first_nontrivial",
-                                             prune=prune, shard=(s, shards)),
-                        range(shards)):
-                    found.extend(part)
-        else:
-            found = hom_search(P, k, mode="first_nontrivial", prune=prune)
-        nontrivial = [h for h in found if not h.is_trivial]
-        if nontrivial:
-            counterexample = nontrivial[0]
-            break
-    report = {
-        "command": "homsearch",
-        "input": {name: _digest(text)},
-        "max_degree": K,
-        "pruned": prune,
-        "certified": counterexample is None,
-    }
-    if counterexample is not None:
-        report["counterexample"] = {
-            "degree": counterexample.degree,
-            "images": {g: list(p) for g, p in counterexample.images},
-        }
-        _emit(report, fmt, [f"counterexample found in S_{counterexample.degree}"])
-        sys.exit(EXIT_NEGATIVE)
-    _emit(report, fmt, [f"certified: no nontrivial homomorphism to any S_k, k <= {K} "
-                        "(bounded certificate)"])
-    sys.exit(EXIT_OK)
+    cert = finite_quotient_certificate(P, K, prune=not no_prune)
+    report = {"max_degree": K, "pruned": not no_prune, "certified": cert.certified}
+    if cert.certified:
+        return report, [f"certified: no nontrivial homomorphism to any S_k, k <= {K} "
+                        "(bounded certificate)"], EXIT_OK
+    hom = cert.counterexample
+    report["counterexample"] = {"degree": hom.degree,
+                                "images": {g: list(p) for g, p in hom.images}}
+    return report, [f"counterexample found in S_{hom.degree}"], EXIT_NEGATIVE
 
 
-@main.command()
-@click.argument("file")
+@_command()
 @click.option("--max-cosets", type=int, default=None)
 @click.option("--subgroup", "subgroup_words", multiple=True,
               help="subgroup generator word (repeatable)")
-@_format_option
-def order(file, max_cosets, subgroup_words, fmt):
+def order(P, max_cosets, subgroup_words):
     """Coset enumeration (exit 0 complete, 2 budget overflow)."""
     budget = max_cosets if max_cosets is not None else _env_int("PRESFORGE_MAX_COSETS", 10**5)
-    try:
-        P, text, name = _read_presentation(file)
-        subs = [parse_word(P.alphabet, s) for s in subgroup_words]
-    except (WordError, PresentationError, OSError) as e:
-        _fail_input(str(e))
+    subs = [parse_word(P.alphabet, s) for s in subgroup_words]
     table = todd_coxeter(P, subs, max_cosets=budget)
     report = {
-        "command": "order",
-        "input": {name: _digest(text)},
         "status": table.status,
         "index": table.index,
         "cosets_defined": table.cosets_defined,
@@ -550,59 +445,39 @@ def order(file, max_cosets, subgroup_words, fmt):
         "subgroup": list(subgroup_words),
     }
     if table.complete:
-        _emit(report, fmt, [f"index {table.index} ({table.cosets_defined} cosets defined)"])
-        sys.exit(EXIT_OK)
-    _emit(report, fmt, [f"overflow after defining {table.cosets_defined} cosets "
-                        f"(budget {budget})"])
-    sys.exit(EXIT_INCONCLUSIVE)
+        return report, [f"index {table.index} ({table.cosets_defined} cosets defined)"], EXIT_OK
+    return report, [f"overflow after defining {table.cosets_defined} cosets "
+                    f"(budget {budget})"], EXIT_INCONCLUSIVE
 
 
-@main.command("bg-pipeline")
-@click.argument("file")
-@click.option("--outdir", default=".", show_default=True)
-@_format_option
-def bg_pipeline(file, outdir, fmt):
+@_command(manifest="bg-pipeline")
+def bg_pipeline(P, out):
     """Full pipeline bundle: transform the input, form the ambient direct
     product and the fibre generating set, and certify everything."""
-    try:
-        P, text, name = _read_presentation(file)
-    except (WordError, PresentationError, OSError) as e:
-        _fail_input(str(e))
-    from .presentations import direct_product_presentation
-    out = rips_wise(P)
-    gs = fibre_generators("U", rips=out)
-    product = direct_product_presentation(out.gamma, out.gamma)
+    res = rips_wise(P)
+    gs = fibre_generators("U", rips=res)
+    product = direct_product_presentation(res.gamma, res.gamma)
     hh = h1(P)
-    stem = _stem(file)
-    gamma_art = _write_artifact(outdir, f"{stem}.gamma.pres",
-                                render_presentation(out.gamma) + "\n")
-    prod_art = _write_artifact(outdir, f"{stem}.product.pres",
-                               render_presentation(product) + "\n")
-    gens_art = _write_artifact(
-        outdir, f"{stem}.U.generators.json",
-        canonical_json([{"left": render_word(pw.left), "right": render_word(pw.right)}
-                        for pw in gs.elements]))
+    gamma_art = out.pres("gamma.pres", res.gamma)
+    prod_art = out.pres("product.pres", product)
+    gens_art = out.json("U.generators.json", [_pair(pw) for pw in gs.elements])
     manifest = {
-        "command": "bg-pipeline",
-        "input": {name: _digest(text)},
         "artifacts": {"gamma": gamma_art, "product": prod_art, "generators": gens_art},
         "counts": {
-            "gamma_generators": out.gamma.alphabet.rank,
-            "gamma_relators": len(out.gamma.relators),
+            "gamma_generators": res.gamma.alphabet.rank,
+            "gamma_relators": len(res.gamma.relators),
             "product_relators": len(product.relators),
             "fibre_generators": len(gs.elements),
         },
         "certificates": {
-            "metric": {"lambda": str(out.certificate.lam), "passed": out.certificate.passed},
+            "metric": {"lambda": str(res.certificate.lam), "passed": res.certificate.passed},
             "input_h1": {"rank": hh.group.rank, "torsion": list(hh.group.torsion)},
         },
         "notes": ["fibre generators project onto each factor and contain the "
                   "diagonal; their image generates the fibre product of the "
                   "transform's quotient map"],
     }
-    _write_artifact(outdir, f"{stem}.bg-pipeline.manifest.json", canonical_json(manifest))
-    _emit(manifest, fmt, [f"wrote {gamma_art}, {prod_art}, {gens_art}"])
-    sys.exit(EXIT_OK)
+    return manifest, [f"wrote {gamma_art}, {prod_art}, {gens_art}"], EXIT_OK
 
 
 if __name__ == "__main__":

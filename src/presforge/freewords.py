@@ -231,9 +231,17 @@ def _rotation(core: Word, j: int) -> Word:
     return Word(core.alphabet, ls[j:] + ls[:j])
 
 
-def _letters_str(letters) -> str:
-    # compact injective encoding; used for substring searches at C speed
+def encode_letters(letters: Iterable[Letter]) -> str:
+    """Compact injective string encoding of a letter sequence, for substring
+    searches and sorting at C speed: letter (i, s) becomes
+    chr(256 + 2*i + (s < 0)), exact for any rank."""
     return "".join(chr(256 + 2 * i + (0 if s > 0 else 1)) for i, s in letters)
+
+
+def decode_letters(alphabet: Alphabet, s: str) -> Word:
+    """Inverse of `encode_letters`."""
+    codes = [ord(ch) - 256 for ch in s]
+    return Word(alphabet, tuple((c // 2, 1 if c % 2 == 0 else -1) for c in codes))
 
 
 def _find_rotation(cu: Word, cv: Word) -> int | None:
@@ -242,8 +250,8 @@ def _find_rotation(cu: Word, cv: Word) -> int | None:
         return None
     if not cu.letters:
         return 0
-    s = _letters_str(cu.letters)
-    idx = (s + s).find(_letters_str(cv.letters))
+    s = encode_letters(cu.letters)
+    idx = (s + s).find(encode_letters(cv.letters))
     return idx if 0 <= idx < len(s) else None
 
 
@@ -284,8 +292,6 @@ def conjugacy_test(
         x = Word(cu.alphabet, cu.letters[:found])
         w = free_reduce(gu.concat(x).concat(gv.inverse()))
         witnesses.append(w)
-    if factors == 1 and isinstance(u, Word):
-        return True, tuple(witnesses)
     return True, tuple(witnesses)
 
 

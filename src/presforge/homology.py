@@ -354,7 +354,9 @@ def solve_row_lattice(M: IntegerMatrix, target: list[int],
             norm = sum(x * x for x in kv)
             if norm == 0:
                 continue
-            t = round(sum(a * b for a, b in zip(y, kv)) / norm)
+            t, rem = divmod(sum(a * b for a, b in zip(y, kv)), norm)
+            if 2 * rem > norm or (2 * rem == norm and t % 2):
+                t += 1  # exact round-half-to-even of dot / norm
             if t:
                 y = [a - t * b for a, b in zip(y, kv)]
                 changed = True

@@ -41,16 +41,6 @@ def inverse_perm(p: Perm) -> Perm:
     return tuple(out)
 
 
-def perm_order(p: Perm) -> int:
-    order = 1
-    q = p
-    ident = identity_perm(len(p))
-    while q != ident:
-        q = compose(q, p)
-        order += 1
-    return order
-
-
 def group_order(perms: Sequence[Perm], k: int) -> int:
     """Order of the permutation group generated by `perms` (orbit closure)."""
     ident = identity_perm(k)

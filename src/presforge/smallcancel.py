@@ -27,29 +27,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .freewords import Word, cyclically_reduce, free_reduce, render_word
+from .freewords import (
+    Word,
+    cyclically_reduce,
+    decode_letters,
+    encode_letters,
+    free_reduce,
+    render_word,
+)
 from .presentations import FinitePresentation
 from .uce import NormalClosureElement
 
-_CHAR_BASE = 256  # letters encode as chr(256 + 2*idx + (sign<0)); exact, any rank
 _HASH_MOD = (1 << 61) - 1
 _HASH_BASE = 1_000_003
 
 
 class CertificateRequired(ValueError):
     """Dehn's algorithm demands a passing metric certificate."""
-
-
-def _encode(w: Word) -> str:
-    return "".join(chr(_CHAR_BASE + 2 * i + (0 if s > 0 else 1)) for i, s in w.letters)
-
-
-def _decode(s: str, alphabet) -> Word:
-    letters = []
-    for ch in s:
-        code = ord(ch) - _CHAR_BASE
-        letters.append((code // 2, 1 if code % 2 == 0 else -1))
-    return Word(alphabet, tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ def _slots_sorted(cores: Sequence[Word]) -> tuple[list[_Slot], list[int]]:
     slots: list[_Slot] = []
     for t, core in enumerate(cores):
         for sign in (1, -1):
-            s = _encode(core if sign > 0 else core.inverse())
+            s = encode_letters((core if sign > 0 else core.inverse()).letters)
             double = s + s
             for o in range(len(s)):
                 slots.append(_Slot(double[o:o + len(s)], t, sign, o))
@@ -148,7 +142,7 @@ def metric_certificate(P: FinitePresentation,
             passed = False
             ka, kb = witness_for[t]
             a, b = slots[ka], slots[kb]
-            piece = _decode(a.text[:lcp[ka]], P.alphabet)
+            piece = decode_letters(P.alphabet, a.text[:lcp[ka]])
             offending = PieceWitness(min(a.rel, b.rel), max(a.rel, b.rel),
                                      piece, maxes[t])
             break
@@ -192,7 +186,7 @@ def piece_table(P: FinitePresentation) -> PieceTable:
                 last_pos, last_rel, running = k, sl.rel, len(sl.text)
             table[(i, j)] = best
     return PieceTable(
-        symmetrized=tuple(_decode(sl.text, P.alphabet) for sl in slots),
+        symmetrized=tuple(decode_letters(P.alphabet, sl.text) for sl in slots),
         pair_max=table,
         relator_lengths=tuple(len(c) for c in cores),
         min_relator_length=min(len(c) for c in cores),
@@ -211,7 +205,7 @@ def threshold_scan(P: FinitePresentation,
     texts: list[tuple[str, int, int]] = []  # (doubled text, rel, sign)
     for t, core in enumerate(cores):
         for sign in (1, -1):
-            s = _encode(core if sign > 0 else core.inverse())
+            s = encode_letters((core if sign > 0 else core.inverse()).letters)
             texts.append((s + s, t, sign))
     lengths = [len(c) for c in cores]
     thresholds = {}

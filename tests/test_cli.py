@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from presforge.cli import main
 
@@ -98,7 +100,7 @@ class TestSearchAndOrder:
 
     def test_homsearch_shards_and_noprune(self, runner, workdir):
         res = runner.invoke(main, ["homsearch", str(workdir / "ico.pres"),
-                                   "--max-degree", "4", "--no-prune", "--shards", "2"])
+                                   "--max-degree", "4", "--no-prune"])
         assert res.exit_code == 0
 
     def test_order(self, runner, workdir):
@@ -138,6 +140,68 @@ class TestRunCommand:
         assert run_command(["homology", str(workdir / "missing.pres")]) == 3
         assert run_command(["no-such-command"]) == 3
         capsys.readouterr()
+
+    def test_out_of_range_budgets_are_input_errors(self, workdir, capsys):
+        from presforge.cli import run_command
+        ico = str(workdir / "ico.pres")
+        assert run_command(["order", ico, "--max-cosets", "0"]) == 3
+        for k in ("0", "1"):
+            assert run_command(["homsearch", ico, "--max-degree", k]) == 3
+        out = capsys.readouterr()
+        assert "certified" not in out.out and "Traceback" not in out.err
+
+    def test_internal_error_exit_4(self, workdir, capsys, monkeypatch):
+        import presforge.cli as cli
+
+        def broken(P):
+            raise AssertionError("invariant violated")
+
+        monkeypatch.setattr(cli, "h1", broken)
+        assert cli.run_command(["homology", str(workdir / "J.pres")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+_FUZZ_TEXTS = {
+    "ico": ICO_TEXT,
+    "free": "< a, b | >\n",
+    "triv": TRIV_TEXT,
+    "malformed": "< a, a | a^ >\n",
+}
+
+
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["homology", "uce", "rips", "killfq", "superperfectify",
+                                "fibre", "gadget", "word", "verify-sc", "homsearch",
+                                "order", "bg-pipeline"]),
+       source=st.sampled_from([*_FUZZ_TEXTS, "missing"]),
+       max_degree=st.integers(-2, 4), max_cosets=st.integers(-2, 200),
+       budget=st.integers(-2, 500), search=st.booleans(),
+       lam=st.sampled_from(["1/6", "0", "1/0", "abc"]),
+       kind=st.sampled_from(["S", "U", "theta", "theta-tilde"]),
+       word=st.sampled_from(["a", "x", "a*b^-1", "zz", "(a"]),
+       fmt=st.sampled_from(["text", "json"]))
+def test_fuzz_exit_codes_in_contract(tmp_path, command, source, max_degree, max_cosets,
+                                     budget, search, lam, kind, word, fmt):
+    from presforge.cli import run_command
+    path = tmp_path / f"{source}.pres"
+    if source in _FUZZ_TEXTS:
+        path.write_text(_FUZZ_TEXTS[source])
+    argv = [command, str(path)]
+    argv += {
+        "uce": ["--budget", str(budget)] + (["--search"] if search else []),
+        "fibre": ["--kind", kind],
+        "gadget": ["--word", word],
+        "word": [word],
+        "verify-sc": ["--lam", lam],
+        "homsearch": ["--max-degree", str(max_degree)],
+        "order": ["--max-cosets", str(max_cosets)],
+    }.get(command, [])
+    if command in ("uce", "rips", "killfq", "superperfectify", "fibre", "bg-pipeline"):
+        argv += ["--outdir", str(tmp_path / "out")]
+    assert run_command(argv + ["--format", fmt]) in (0, 1, 2, 3)
 
 
 class TestPipelines:

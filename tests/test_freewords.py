@@ -12,6 +12,8 @@ from presforge.freewords import (
     commutator,
     conjugacy_test,
     cyclically_reduce,
+    decode_letters,
+    encode_letters,
     exponent_vector,
     free_reduce,
     identity_images,
@@ -201,6 +203,18 @@ class TestExponentVector:
             combined = exponent_vector(u.concat(v))
             assert combined == tuple(x + y for x, y in
                                      zip(exponent_vector(u), exponent_vector(v)))
+
+
+
+class TestLetterEncoding:
+    def test_round_trip_any_rank(self):
+        rng = random.Random(10)
+        big = Alphabet([f"g{i}" for i in range(300)])
+        for alph in (AB, big):
+            for _ in range(100):
+                w = rand_word(alph, rng.randrange(12), rng)
+                s = encode_letters(w.letters)
+                assert len(s) == len(w) and decode_letters(alph, s) == w
 
 
 class TestConjugacy:

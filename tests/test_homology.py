@@ -160,6 +160,11 @@ class TestSolveRowLattice:
         assert solve_row_lattice([[2, 0], [0, 2]], [1, 0]) is None
         assert solve_row_lattice([[1, 1]], [1, 0]) is None
 
+    def test_huge_target_rounds_exactly(self):
+        # a float quotient of these integers overflows; size reduction
+        # against the kernel row (1, -1) must still be exact
+        assert solve_row_lattice([[1], [1]], [10**400]) == [5 * 10**399] * 2
+
 
 class TestDescriptor:
     def test_direct_sum(self):
