@@ -146,10 +146,6 @@ class Word:
         return render_word(self)
 
 
-def word_from_letters(alphabet: Alphabet, letters: Iterable[Letter]) -> Word:
-    return Word(alphabet, tuple(letters))
-
-
 def commutator(u: Word, v: Word) -> Word:
     """[u,v] = u v u^-1 v^-1, freely reduced."""
     return free_reduce(u.concat(v).concat(u.inverse()).concat(v.inverse()))
@@ -226,11 +222,6 @@ def exponent_vector(w: Word) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _rotation(core: Word, j: int) -> Word:
-    ls = core.letters
-    return Word(core.alphabet, ls[j:] + ls[:j])
-
-
 def encode_letters(letters: Iterable[Letter]) -> str:
     """Compact injective string encoding of a letter sequence, for substring
     searches and sorting at C speed: letter (i, s) becomes
@@ -242,6 +233,16 @@ def decode_letters(alphabet: Alphabet, s: str) -> Word:
     """Inverse of `encode_letters`."""
     codes = [ord(ch) - 256 for ch in s]
     return Word(alphabet, tuple((c // 2, 1 if c % 2 == 0 else -1) for c in codes))
+
+
+def reduce_join(u: str, v: str) -> tuple[str, int]:
+    """Free reduction of u + v for freely reduced `encode_letters` texts,
+    with the number of letters cancelled on each side of the join (the
+    codes of a letter and of its inverse differ in the lowest bit)."""
+    j, n = 0, min(len(u), len(v))
+    while j < n and ord(u[-1 - j]) ^ 1 == ord(v[j]):
+        j += 1
+    return u[:len(u) - j] + v[j:], j
 
 
 def _find_rotation(cu: Word, cv: Word) -> int | None:

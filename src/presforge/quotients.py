@@ -9,8 +9,9 @@ beyond the swept range.
 
 `todd_coxeter` enumerates cosets with relator scanning and immediate
 coincidence handling (union-find on coset labels).  A completed table is
-re-verified before being returned: the action must be transitive, satisfy
-every relator, and fix coset 0 under the subgroup generators.
+re-verified (`CosetTable.verify`) before being returned: the generators
+must act by permutations, transitively, satisfying every relator and
+fixing coset 0 under the subgroup generators.
 """
 
 from __future__ import annotations
@@ -285,6 +286,41 @@ class CosetTable:
         subgroup this decides the word problem (regular action)."""
         return self.evaluate(w) == identity_perm(self.index or 0)
 
+    def verify(self, P: FinitePresentation, subgroup_gens: Sequence[Word] = ()) -> bool:
+        """Check a complete table against the presentation: every generator
+        image is a permutation of range(index), every relator acts as the
+        identity, every subgroup generator fixes coset 0, and the action is
+        transitive.  Each image is inverted once, so this costs
+        O(index * (gens + relator letters))."""
+        if not self.complete:
+            return False
+        ident = identity_perm(self.index or 0)
+        points = set(ident)
+        act: dict[tuple[int, int], Perm] = {}  # letter -> its permutation
+        for idx, name in enumerate(P.alphabet.symbols):
+            p = (self.generator_perms or {}).get(name)
+            if p is None or len(p) != len(ident) or set(p) != points:
+                return False
+            act[idx, 1], act[idx, -1] = p, inverse_perm(p)
+
+        def image(w: Word, coset: int) -> int:
+            for letter in w.letters:
+                coset = act[letter][coset]
+            return coset
+
+        if any(image(r, c) != c for r in P.relators for c in ident):
+            return False
+        if any(image(w, 0) != 0 for w in subgroup_gens):
+            return False
+        reached, todo = {0}, [0]
+        while todo:
+            c = todo.pop()
+            for p in act.values():
+                if p[c] not in reached:
+                    reached.add(p[c])
+                    todo.append(p[c])
+        return len(reached) == len(ident)
+
 
 def todd_coxeter(
     P: FinitePresentation,
@@ -416,28 +452,8 @@ def todd_coxeter(
         status="complete", index=len(live), generator_perms=perms,
         cosets_defined=len(labels), max_cosets=max_cosets,
         subgroup_generators=tuple(render_word(w) for w in subgroup_gens))
-
-    # post-hoc verification: permutation action, relators, subgroup, transitivity
-    ident = identity_perm(len(live))
-    for r in P.relators:
-        if table.evaluate(r) != ident:
-            raise AssertionError("coset table violates a relator (internal error)")
-    for w in subgroup_gens:
-        if table.evaluate(w)[0] != 0:
-            raise AssertionError("subgroup generator moves coset 0 (internal error)")
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for p in perms.values():
-                for d in (p[c], inverse_perm(p)[c]):
-                    if d not in reached:
-                        reached.add(d)
-                        nxt.append(d)
-        frontier = nxt
-    if len(reached) != len(live):
-        raise AssertionError("coset action not transitive (internal error)")
+    if not table.verify(P, subgroup_gens):
+        raise AssertionError("coset table failed verification (internal error)")
     return table
 
 

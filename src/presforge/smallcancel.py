@@ -33,13 +33,11 @@ from .freewords import (
     decode_letters,
     encode_letters,
     free_reduce,
+    reduce_join,
     render_word,
 )
 from .presentations import FinitePresentation
 from .uce import NormalClosureElement
-
-_HASH_MOD = (1 << 61) - 1
-_HASH_BASE = 1_000_003
 
 
 class CertificateRequired(ValueError):
@@ -48,29 +46,31 @@ class CertificateRequired(ValueError):
 
 @dataclass(frozen=True)
 class _Slot:
-    """One occurrence slot: rotation `offset` of relator `rel` (or of its
-    inverse when sign < 0), as an encoded string."""
+    """One occurrence slot: a rotation of relator `rel` or of its inverse,
+    as an encoded string."""
 
     text: str
     rel: int
-    sign: int
-    offset: int
 
 
 def _cores(P: FinitePresentation) -> list[Word]:
     return [cyclically_reduce(r)[0] for r in P.relators]
 
 
+def _doubled_texts(cores: Sequence[Word]) -> list[str]:
+    """Entries 2t and 2t + 1: the encoded core of relator t and of its
+    inverse, each written twice so that every rotation is a substring."""
+    return [s + s for core in cores
+            for s in (encode_letters(core.letters), encode_letters(core.inverse().letters))]
+
+
 def _slots_sorted(cores: Sequence[Word]) -> tuple[list[_Slot], list[int]]:
     """All rotation slots sorted by text, plus adjacent common-prefix
     lengths (lcp[k] between sorted slot k and k+1)."""
     slots: list[_Slot] = []
-    for t, core in enumerate(cores):
-        for sign in (1, -1):
-            s = encode_letters((core if sign > 0 else core.inverse()).letters)
-            double = s + s
-            for o in range(len(s)):
-                slots.append(_Slot(double[o:o + len(s)], t, sign, o))
+    for tid, double in enumerate(_doubled_texts(cores)):
+        L = len(double) // 2
+        slots += (_Slot(double[o:o + L], tid // 2) for o in range(L))
     slots.sort(key=lambda sl: sl.text)
     lcp: list[int] = []
     for k in range(len(slots) - 1):
@@ -202,19 +202,15 @@ def threshold_scan(P: FinitePresentation,
     cores = _cores(P)
     if not cores:
         return True
-    texts: list[tuple[str, int, int]] = []  # (doubled text, rel, sign)
-    for t, core in enumerate(cores):
-        for sign in (1, -1):
-            s = encode_letters((core if sign > 0 else core.inverse()).letters)
-            texts.append((s + s, t, sign))
+    texts = _doubled_texts(cores)
     lengths = [len(c) for c in cores]
     thresholds = {}
     for t, L in enumerate(lengths):
         m = -(-(lam.numerator * L) // lam.denominator)  # ceil(lam * L)
         thresholds[t] = max(1, m)
     for m in sorted(set(thresholds.values())):
-        windows: dict[str, list[tuple[int, int, int]]] = {}
-        for double, t, sign in texts:
+        windows: dict[str, list[tuple[int, int]]] = {}  # window -> (text id, offset)
+        for tid, double in enumerate(texts):
             L = len(double) // 2
             if m > L:
                 continue
@@ -222,16 +218,14 @@ def threshold_scan(P: FinitePresentation,
                 win = double[o:o + m]
                 bucket = windows.setdefault(win, [])
                 if len(bucket) < 2:
-                    bucket.append((t, sign, o))
+                    bucket.append((tid, o))
         for t, L in enumerate(lengths):
             if thresholds[t] != m or m > L:
                 continue
-            for double, tt, sign in texts:
-                if tt != t:
-                    continue
+            for tid in (2 * t, 2 * t + 1):
                 for o in range(L):
-                    bucket = windows[double[o:o + m]]
-                    if len(bucket) > 1 or bucket[0] != (t, sign, o):
+                    bucket = windows[texts[tid][o:o + m]]
+                    if len(bucket) > 1 or bucket[0] != (tid, o):
                         return False
     return True
 
@@ -260,11 +254,14 @@ class DehnResult:
 
 
 class DehnSolver:
-    """Reusable Dehn reducer for one certified presentation.
+    """Reusable Dehn reducer for one certified presentation, on
+    `encode_letters` text.
 
-    Precomputes, for every rotation slot of every symmetrized relator, the
-    hash of its minimal more-than-half prefix; scanning a word is then one
-    hash probe per (position, relator-length class).
+    A slot is a rotation of a symmetrized relator (an offset into its
+    doubled text); a rotation word seen at an earlier slot is dropped.  One
+    dict maps the first k letters of each slot to slot ids, k the shortest
+    more-than-half length, so a scan makes one probe per position and then
+    compares each candidate's more-than-half prefix and extension.
     """
 
     def __init__(self, P: FinitePresentation,
@@ -276,155 +273,85 @@ class DehnSolver:
             raise CertificateRequired(certificate.describe())
         self.presentation = P
         self.certificate = certificate
-        # bases: one per (relator, sign): the doubled letter sequence of the
-        # cyclic core plus its rolling prefix hashes; slots reference a base
-        # and an offset, so nothing quadratic is materialized up front
-        self.bases: list[dict] = []
-        self.slots: list[dict] = []
-        self.by_h: dict[int, dict[int, list[int]]] = {}
-        seen: dict[tuple[int, int], int] = {}  # (full-rotation hash, L) -> slot id
-        for t, r in enumerate(P.relators):
-            core, conj = cyclically_reduce(r)
-            for sign in (1, -1):
-                base = core if sign > 0 else core.inverse()
-                L = len(base)
-                doubled = base.letters + base.letters
-                H = [0] * (2 * L + 1)
-                for k, (ii, ss) in enumerate(doubled):
-                    H[k + 1] = (H[k] * _HASH_BASE + 2 * ii + (0 if ss > 0 else 1) + 1) % _HASH_MOD
-                bid = len(self.bases)
-                self.bases.append(dict(doubled=doubled, H=H, L=L, rel=t,
-                                       sign=sign, conj=conj))
-                h = L // 2 + 1
-                for o in range(L):
-                    full = self._window(bid, o, L)
-                    prev = seen.get((full, L))
-                    if prev is not None and self._same_rotation(prev, bid, o):
-                        continue  # identical slot word: same replacement effect
-                    sid = len(self.slots)
-                    seen[(full, L)] = sid
-                    self.slots.append(dict(base=bid, offset=o, rel=t,
-                                           sign=sign, L=L, h=h))
-                    self.by_h.setdefault(h, {}).setdefault(
-                        self._window(bid, o, h), []).append(sid)
-        self.max_h = max((h for h in self.by_h), default=1)
-
-    def _window(self, bid: int, o: int, ln: int) -> int:
-        base = self.bases[bid]
-        H = base["H"]
-        return (H[o + ln] - H[o] * pow(_HASH_BASE, ln, _HASH_MOD)) % _HASH_MOD
-
-    def _same_rotation(self, sid: int, bid: int, o: int) -> bool:
-        slot = self.slots[sid]
-        sb = self.bases[slot["base"]]
-        nb = self.bases[bid]
-        if slot["L"] != nb["L"]:
-            return False
-        so = slot["offset"]
-        return sb["doubled"][so:so + slot["L"]] == nb["doubled"][o:o + nb["L"]]
-
-    def _slot_conjugator(self, sid: int) -> Word:
-        """B with slot = B r^sign B^-1: inverse of (cyclic conjugator times
-        the rotation prefix); computed on demand."""
-        slot = self.slots[sid]
-        base = self.bases[slot["base"]]
-        prefix = Word(self.presentation.alphabet,
-                      base["doubled"][:slot["offset"]])
-        return free_reduce(base["conj"].concat(prefix)).inverse()
+        cores = _cores(P)
+        # a subword of texts[tid] is inverted by slicing texts[tid ^ 1]
+        self.texts = _doubled_texts(cores)
+        # per relator: the inverse of its cyclic conjugator
+        self.conj_inv = [encode_letters(cyclically_reduce(r)[1].inverse().letters)
+                         for r in P.relators]
+        halves = [len(c) // 2 + 1 for c in cores if c]  # more-than-half lengths
+        self.k = min(halves, default=1)
+        self.max_h = max(halves, default=1)
+        self.slots: list[tuple[int, int, int]] = []  # (text id, offset, length)
+        self.by_prefix: dict[str, list[int]] = {}
+        for tid, D in enumerate(self.texts):
+            L = len(D) // 2
+            for o in range(L):
+                bucket = self.by_prefix.setdefault(D[o:o + self.k], [])
+                if any(self.texts[t][p:p + n] == D[o:o + L]
+                       for t, p, n in (self.slots[s] for s in bucket)):
+                    continue  # identical slot word: same replacement effect
+                bucket.append(len(self.slots))
+                self.slots.append((tid, o, L))
 
     def solve(self, w: Word, collect_trace: bool = False) -> DehnResult:
         P = self.presentation
-        cur = list(free_reduce(w).letters)
+        cur = encode_letters(free_reduce(w).letters)
         factors: list[tuple[Word, int, int]] = []
         trace: list[str] = []
-        replacements = 0
         scan_from = 0
-        while True:
-            found = self._find(cur, scan_from)
-            if found is None:
-                break
+        while (found := self._find(cur, scan_from)) is not None:
             i, m, sid = found
-            slot = self.slots[sid]
-            u = Word(P.alphabet, tuple(cur[:i]))
-            g = free_reduce(u.concat(self._slot_conjugator(sid)))
-            factors.append((g, slot["rel"], slot["sign"]))
+            tid, o, L = self.slots[sid]
+            D_inv = self.texts[tid ^ 1]
+            rel, sign = tid // 2, -1 if tid & 1 else 1
+            # r^sign = c p R p^-1 c^-1 for the slot's rotation R and its
+            # prefix p = D[:o]; the factor's conjugator is left * (c p)^-1
+            left = cur[:i]
+            g, _ = reduce_join(left, D_inv[2 * L - o:] + self.conj_inv[rel])
+            factors.append((decode_letters(P.alphabet, g), rel, sign))
             if collect_trace:
                 trace.append(
-                    f"pos {i}: matched {m}/{slot['L']} letters of relator "
-                    f"{slot['rel']}{'' if slot['sign'] > 0 else '^-1'}; "
-                    f"replaced by complement of length {slot['L'] - m}")
-            base = self.bases[slot["base"]]
-            o = slot["offset"]
-            rest = base["doubled"][o + m:o + slot["L"]]
-            replacement = Word(P.alphabet, rest).inverse().letters
-            merged, first_change = _splice_reduce(cur, i, i + m, list(replacement))
-            cur = merged
-            replacements += 1
+                    f"pos {i}: matched {m}/{L} letters of relator "
+                    f"{rel}{'' if sign > 0 else '^-1'}; "
+                    f"replaced by complement of length {L - m}")
+            # the match becomes the inverse of the unmatched rest D[o + m:o + L]
+            mid, a = reduce_join(left, D_inv[L - o:2 * L - o - m])
+            cur, b = reduce_join(mid, cur[i + m:])
+            # one before the deepest cancellation, else the match position
+            first_change = min(i - a - 1 if a else i, len(mid) - b - 1 if b else i)
             scan_from = max(0, first_change - self.max_h + 1)
-        residual = Word(P.alphabet, tuple(cur))
         result = DehnResult(
             trivial=not cur,
-            residual=residual,
+            residual=decode_letters(P.alphabet, cur),
             factors=tuple(factors),
-            replacements=replacements,
+            replacements=len(factors),
             trace=tuple(trace),
         )
         if result.trivial and not result.verify_certificate(P, w):
             raise AssertionError("Dehn certificate failed to re-expand (internal error)")
         return result
 
-    def _find(self, cur: list, start: int) -> tuple[int, int, int] | None:
-        n = len(cur)
-        if n == 0:
-            return None
-        H = [0] * (n + 1)
-        for k, (ii, ss) in enumerate(cur):
-            H[k + 1] = (H[k] * _HASH_BASE + 2 * ii + (0 if ss > 0 else 1) + 1) % _HASH_MOD
-        pw = [1] * (n + 1)
-        for k in range(n):
-            pw[k + 1] = (pw[k] * _HASH_BASE) % _HASH_MOD
-        classes = sorted(self.by_h.items())
-        for i in range(start, n):
+    def _find(self, cur: str, start: int) -> tuple[int, int, int] | None:
+        """(position, match length, slot id): the leftmost position where
+        more than half of a slot starts, its longest match there and, on
+        ties, the lowest slot id."""
+        k, n = self.k, len(cur)
+        for i in range(start, n - k + 1):
             best: tuple[int, int] | None = None  # (match length, slot id)
-            for h, table in classes:
-                if i + h > n:
+            for sid in self.by_prefix.get(cur[i:i + k], ()):
+                tid, o, L = self.slots[sid]
+                D, h = self.texts[tid], L // 2 + 1
+                if cur[i + k:i + h] != D[o + k:o + h]:
                     continue
-                key = (H[i + h] - H[i] * pw[h]) % _HASH_MOD
-                for sid in table.get(key, ()):
-                    slot = self.slots[sid]
-                    D = self.bases[slot["base"]]["doubled"]
-                    o = slot["offset"]
-                    if cur[i:i + h] != list(D[o:o + h]):
-                        continue  # hash collision
-                    m = h
-                    L = slot["L"]
-                    while m < L and i + m < n and cur[i + m] == D[o + m]:
-                        m += 1
-                    if best is None or m > best[0] or (m == best[0] and sid < best[1]):
-                        best = (m, sid)
+                m = h
+                while m < L and i + m < n and cur[i + m] == D[o + m]:
+                    m += 1
+                if best is None or m > best[0]:  # bucket ids ascend
+                    best = (m, sid)
             if best is not None:
-                return (i, best[0], best[1])
+                return (i, *best)
         return None
-
-
-def _splice_reduce(cur: list, lo: int, hi: int, replacement: list) -> tuple[list, int]:
-    """cur[:lo] + replacement + cur[hi:], freely reduced; also returns the
-    first index whose content may differ from `cur` (for rescan locality)."""
-    out = cur[:lo]
-    first_change = lo
-    for letter in replacement:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-        first_change = min(first_change, len(out) - 1 if out else 0)
-    for letter in cur[hi:]:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-        first_change = min(first_change, len(out) - 1 if out else 0)
-    return out, max(0, first_change)
 
 
 def dehn_word_problem(P: FinitePresentation, w: Word,

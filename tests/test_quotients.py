@@ -5,6 +5,7 @@ import pytest
 from presforge.freewords import parse_word
 from presforge.presentations import presentation
 from presforge.quotients import (
+    CosetTable,
     brute_force_homs,
     compose,
     conjugacy_class_reps,
@@ -150,3 +151,42 @@ class TestToddCoxeter:
         t2 = todd_coxeter(icosahedral, ())
         assert t1.generator_perms == t2.generator_perms
         assert t1.cosets_defined == t2.cosets_defined
+
+
+def _table(index, perms):
+    return CosetTable("complete", index, perms, cosets_defined=index, max_cosets=index)
+
+
+class TestCosetTableVerify:
+    def test_enumerated_tables_verify(self, icosahedral):
+        for subgroup in ((), [icosahedral.word("a")], [icosahedral.word("a*b")]):
+            assert todd_coxeter(icosahedral, subgroup).verify(icosahedral, subgroup)
+
+    def test_incomplete_table_fails(self):
+        P = presentation(["a", "b"], [])
+        assert not todd_coxeter(P, (), max_cosets=50).verify(P)
+
+    def test_non_bijective_image(self):
+        for rels in (["a^2"], []):
+            # with no relator to violate, (0, 0) "reaches" coset 1 through
+            # its unchecked inverse, so only the bijectivity check rejects it
+            assert not _table(2, {"a": (0, 0)}).verify(presentation(["a"], rels))
+
+    def test_relator_violation(self):
+        P = presentation(["a"], ["a^3"])
+        assert _table(2, {"a": (1, 0)}).verify(presentation(["a"], ["a^2"]))
+        assert not _table(2, {"a": (1, 0)}).verify(P)
+
+    def test_intransitive_identity_action(self):
+        P = presentation(["a"], ["a^2"])
+        assert _table(1, {"a": (0,)}).verify(P)
+        assert not _table(2, {"a": (0, 1)}).verify(P)
+
+    def test_subgroup_must_fix_coset_0(self):
+        P = presentation(["a"], ["a^2"])
+        table = _table(2, {"a": (1, 0)})
+        assert table.verify(P, [P.word("a^2")])
+        assert not table.verify(P, [P.word("a")])
+
+    def test_missing_generator_image(self):
+        assert not _table(1, {}).verify(presentation(["a"], []))

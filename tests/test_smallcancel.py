@@ -1,7 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presforge.freewords import Word, free_reduce, render_word
 from presforge.presentations import presentation
@@ -214,3 +217,97 @@ class TestDehn:
         r1 = solver.solve(w)
         r2 = solver.solve(w)
         assert r1.factors == r2.factors and r1.residual == r2.residual
+
+
+def nested_product(P, count, rng, conj_len=3):
+    """Like `conjugate_product`, but each conjugate is inserted at a seeded
+    position of the word built so far, so relators nest inside each other
+    and a replacement can complete a match that starts before it."""
+    acc = ()
+    for _ in range(count):
+        c = conjugate_product(P, 1, rng, conj_len).letters
+        k = rng.randrange(len(acc) + 1)
+        acc = acc[:k] + c + acc[k:]
+    return free_reduce(Word(P.alphabet, acc))
+
+
+def spliced(w, rng):
+    """w with one generator letter (either sign) inserted at a seeded
+    position, freely reduced."""
+    k = rng.randrange(len(w) + 1)
+    letter = (rng.randrange(w.alphabet.rank), rng.choice((1, -1)))
+    return free_reduce(Word(w.alphabet, w.letters[:k] + (letter,) + w.letters[k:]))
+
+
+def dehn_digest(solver, words):
+    """sha256 over everything the replacement rule decides: trace, rendered
+    certificate factors, residual and replacement count, word by word."""
+    h = hashlib.sha256()
+    for w in words:
+        res = solver.solve(w, collect_trace=True)
+        factors = [(render_word(g), t, s) for g, t, s in res.factors]
+        h.update(repr((res.trace, factors, render_word(res.residual),
+                       res.replacements)).encode())
+    return h.hexdigest()
+
+
+# recorded with the rolling-hash solver this rule was first written for;
+# a change to where a match starts or ends, to the rescan point or to the
+# certificate factors changes a digest (on C'(1/6) input no two slots
+# share a more-than-half prefix, so each position has at most one
+# candidate and the tie-breaks never fire)
+DEHN_GOLDEN = {
+    "rips_trivial": "cb026b91225ded9838cf2e224c7ad3702825d68d83eefa022156fc825b450181",
+    "rips_higman": "d36257fb597f30dc564115511f7dd03c80274924bc8fe3fb307b600611f11cf9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEHN_GOLDEN))
+def test_dehn_replacement_rule_golden(name, request):
+    out = request.getfixturevalue(name)
+    G = out.gamma
+    rng = random.Random(4711)
+    words = []
+    while len(words) < 40:
+        for make in (conjugate_product, nested_product):
+            w = make(G, rng.randint(2, 6), rng, conj_len=6)
+            if w.letters:
+                words += [w, spliced(w, rng)]
+    solver = DehnSolver(G, certificate=out.certificate)
+    assert dehn_digest(solver, words) == DEHN_GOLDEN[name]
+
+
+@pytest.fixture(scope="module")
+def trivial_solver(rips_trivial):
+    return DehnSolver(rips_trivial.gamma, certificate=rips_trivial.certificate)
+
+
+_letters = st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=4)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(conjugates=st.lists(st.tuples(st.integers(0, 6), st.booleans(), _letters),
+                           min_size=1, max_size=6),
+       splice_at=st.integers(0, 10**6), generator=st.integers(0, 3),
+       inverse=st.booleans())
+def test_fuzz_dehn_certificate_checks(trivial_solver, conjugates, splice_at, generator,
+                                      inverse):
+    """Products of relator conjugates reduce to 1 with a certificate that
+    re-expands to the word; splicing in one generator letter gives a
+    conjugate of that generator, which is nontrivial because a single
+    letter is never more than half of a relator."""
+    G = trivial_solver.presentation
+    acc = G.alphabet.identity()
+    for t, inv, conj in conjugates:
+        r = G.relators[t % len(G.relators)]
+        c = Word(G.alphabet, tuple(conj))
+        acc = acc.concat(c).concat(r.inverse() if inv else r).concat(c.inverse())
+    w = free_reduce(acc)
+    res = trivial_solver.solve(w)
+    assert res.trivial and res.verify_certificate(G, w)
+    assert len(res.factors) == res.replacements
+    k = splice_at % (len(w) + 1)
+    letter = (generator, -1 if inverse else 1)
+    twin = free_reduce(Word(G.alphabet, w.letters[:k] + (letter,) + w.letters[k:]))
+    res = trivial_solver.solve(twin)
+    assert not res.trivial
