@@ -31,7 +31,7 @@ from .freewords import (
     free_reduce,
     render_word,
 )
-from .homology import AbelianGroupDescriptor, h1
+from .homology import AbelianGroupDescriptor
 from .presentations import (
     FinitePresentation,
     PresentationError,
@@ -43,7 +43,7 @@ from .presentations import (
     tietze_eliminate_generator,
 )
 from .smallcancel import MetricCertificate, metric_certificate
-from .uce import UcePresentation, miller_uce
+from .uce import PerfectionRequired, UcePresentation, miller_uce
 
 
 class ConstructionError(PresentationError):
@@ -325,15 +325,16 @@ def super_perfectify(
     """Kill all finite quotients by attachment, then present the universal
     central extension of the result: the output has H1 = 0, no finite
     quotients detectable at any bounded degree, and a fixed generator set
-    across any input family with a fixed generator count.
+    across any input family with a fixed generator count.  Raises
+    ConstructionError, naming its H1, when the attachment stage is not perfect.
     """
     kill = kill_finite_quotients(P, attach=attach)
-    result = h1(kill.pi_prime)
-    if not result.group.is_trivial:
+    try:
+        uce = miller_uce(kill.pi_prime)
+    except PerfectionRequired as e:
         raise ConstructionError(
-            f"attachment stage is not perfect (H1 = {result.group}); "
-            "the attachment group must have perfect quotient-killing copies")
-    uce = miller_uce(kill.pi_prime)
+            f"attachment stage is not perfect ({e}); "
+            "the attachment group must have perfect quotient-killing copies") from None
     return SuperPerfectResult(presentation=uce.result, kill=kill, uce=uce)
 
 

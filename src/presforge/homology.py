@@ -343,7 +343,7 @@ def solve_row_lattice(M: IntegerMatrix, target: list[int],
             return None
         z[i] = tR[i] // diag[i]
     # y = z * L
-    y = [sum(z[i] * form.left[i][j] for i in range(m)) for j in range(m)]
+    y = [sum(z[i] * form.left[i][j] for i in range(r)) for j in range(m)]
     # size-reduce against the kernel lattice (rows r..m-1 of L) to keep the
     # resulting relator powers short
     kernel = [form.left[i] for i in range(r, m)]

@@ -137,8 +137,8 @@ def metric_certificate(P: FinitePresentation,
     passed = True
     offending = None
     for t, L in enumerate(lengths):
-        # fail iff max piece length >= lam * L, i.e. len * q >= p * L
-        if maxes[t] * lam.denominator >= lam.numerator * L:
+        # fail iff some piece has length >= lam * L, i.e. len * q >= p * L
+        if maxes[t] and maxes[t] * lam.denominator >= lam.numerator * L:
             passed = False
             ka, kb = witness_for[t]
             a, b = slots[ka], slots[kb]

@@ -31,7 +31,7 @@ from .freewords import (
     free_reduce,
     render_word,
 )
-from .homology import h1, is_perfect, relation_matrix, solve_row_lattice
+from .homology import SmithForm, h1, relation_matrix, solve_row_lattice
 from .presentations import FinitePresentation, PresentationError
 
 DEFAULT_BUDGET = 10**6
@@ -226,26 +226,24 @@ def find_commutator_witnesses(
     element) along finite diagonals; kept as a cross-validation oracle.
     Raises BudgetExhausted when the pair budget runs out.
     """
-    if not is_perfect(P):
+    H = h1(P)
+    if not H.group.is_trivial:
         raise PerfectionRequired(
-            f"input has H1 = {h1(P).group}; commutator witnesses require a perfect group")
+            f"input has H1 = {H.group}; commutator witnesses require a perfect group")
     if strategy == "constructive":
-        return _witnesses_constructive(P)
+        return _witnesses_constructive(P, H.smith)
     if strategy == "search":
         return _witnesses_search(P, budget)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _witnesses_constructive(P: FinitePresentation) -> list[CommutatorWitness]:
+def _witnesses_constructive(P: FinitePresentation, form: SmithForm) -> list[CommutatorWitness]:
     M = relation_matrix(P)
     out = []
     for j, name in enumerate(P.alphabet.symbols):
         target = [0] * P.alphabet.rank
         target[j] = 1
-        y = solve_row_lattice(M, target)
-        if y is None:
-            raise PerfectionRequired(
-                f"generator {name!r} not in the abelianized relation lattice")
+        y = solve_row_lattice(M, target, form)
         factors: list[tuple[Word, int, int]] = []
         empty = P.alphabet.identity()
         for i, yi in enumerate(y):
@@ -328,14 +326,15 @@ def miller_uce(P: FinitePresentation,
     same generator set: relators {x c_x} then {[x, r]} (x-major order).
 
     Commutator relators that are freely trivial (a relator that is a power
-    of the generator) are dropped; this does not change the group.  H1 of
-    the output is machine-checked to vanish.
+    of the generator) are dropped; this does not change the group.  The
+    output's H1 = 0 is machine-checked on its relators {x c_x} alone: each
+    [x, r] has zero exponent vector, and more relators only shrink H1.
     """
     witnesses = find_commutator_witnesses(P, strategy=strategy, budget=budget)
     alph = P.alphabet
-    rels: list[Word] = []
-    for w in witnesses:
-        rels.append(free_reduce(alph.gen(w.generator).concat(w.c)))
+    rels = [free_reduce(alph.gen(w.generator).concat(w.c)) for w in witnesses]
+    if not h1(FinitePresentation(alph, tuple(rels))).group.is_trivial:
+        raise AssertionError("UCE presentation is not perfect (internal error)")
     dropped = 0
     for name in alph.symbols:
         for r in P.relators:
@@ -345,8 +344,6 @@ def miller_uce(P: FinitePresentation,
             else:
                 dropped += 1
     result = FinitePresentation(alph, tuple(rels))
-    if not h1(result).group.is_trivial:
-        raise AssertionError("UCE presentation is not perfect (internal error)")
     return UcePresentation(
         base=P,
         result=result,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,7 +6,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from presforge.cli import main
+from presforge.cli import main, run_command
+from presforge.constructions import super_perfectify
+from presforge.presentations import parse_presentation, render_presentation
 
 J_TEXT = "< a, b, c, d | a*b*a^-1=b^2, b*c*b^-1=c^2, c*d*c^-1=d^2, d*a*d^-1=a^2 >\n"
 ICO_TEXT = "< a, b | a^2, b^3, (a*b)^5 >\n"
@@ -302,3 +305,41 @@ class TestPipelines:
                                  "--outdir", str(out)])
             outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert outs[0] == outs[1]
+
+
+# sha256 over (file name, bytes) of every artifact and manifest in the outdir.
+# The uce witnesses depend on the Smith form's left transform and on the
+# kernel size reduction in solve_row_lattice, so these pin both.  "spico" is
+# super_perfectify(icosahedral), 138 relators; superperfectify on it is left
+# out because the command's own H1 check of its 9,450-relator output costs
+# seconds and hundreds of MB.
+UCE_GOLDEN = {
+    ("uce", "ico"):
+        "4bb4de53162f992eb5c0deceda03a0cb331ac4562aec169003a63369a820c2a8",
+    ("uce", "J"):
+        "71b62db90878b6c590c5ea3630e698276ea14cd5a399e66a66a1977eb26d3c45",
+    ("uce", "triv"):
+        "3fb2400ecb2ddc60d12ecfdff0e3ee61b83f73f33c92cb388aa3f9b834f1016a",
+    ("uce", "spico"):
+        "471b38563e4e8732e8315c753df5978f8ac5807e0a3a1097ce4090fbc34eaed5",
+    ("superperfectify", "ico"):
+        "938168096ac130fabcecba97be6e96e3db684bc496f1f0d03f5ebe81a965ef65",
+    ("superperfectify", "J"):
+        "dfb0d53eb7f7e1b882d06eecb56e7da942ff184bedf7ff1067e2a0a977d495d9",
+    ("superperfectify", "triv"):
+        "6ef16da639f48320f68d74a3c9b0fed6745b5533f10bb7aea7702f6cd0605af9",
+}
+
+
+@pytest.mark.parametrize("command,source", sorted(UCE_GOLDEN))
+def test_uce_artifacts_golden(tmp_path, command, source):
+    texts = {"ico": ICO_TEXT, "J": J_TEXT, "triv": TRIV_TEXT}
+    path = tmp_path / f"{source}.pres"
+    path.write_text(texts.get(source) or render_presentation(
+        super_perfectify(parse_presentation(ICO_TEXT)).presentation))
+    out = tmp_path / "out"
+    assert run_command([command, str(path), "--outdir", str(out)]) == 0
+    digest = hashlib.sha256()
+    for p in sorted(out.iterdir()):
+        digest.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+    assert digest.hexdigest() == UCE_GOLDEN[command, source]

@@ -165,6 +165,12 @@ class TestSuperPerfectify:
         sp = super_perfectify(presentation(["x"], ["x^2"]))
         assert finite_quotient_certificate(sp.presentation, 4).certified
 
+    def test_nonperfect_attachment_rejected(self, higman_D):
+        # D has H1 = Z, generated by alpha; gluing <x | x> along beta leaves
+        # that Z in the attachment stage
+        with pytest.raises(ConstructionError, match="H1 = Z"):
+            super_perfectify(presentation(["x"], ["x"]), attach=(higman_D, "beta"))
+
 
 class TestFibreGenerators:
     def test_s_cardinality_and_membership(self, icosahedral):

@@ -105,6 +105,15 @@ class TestMetricCertificate:
         cert = metric_certificate(presentation(["a"], []))
         assert cert.passed and cert.min_relator_length is None
 
+    def test_nonpositive_lambda(self):
+        # C'(lam) bounds pieces only: a relator with none passes at any lam,
+        # and one with a piece fails at lam <= 0 with that piece as witness
+        for lam in (Fraction(0), Fraction(-1, 6)):
+            cert = metric_certificate(presentation(["x"], ["x"]), lam)
+            assert cert.passed and cert.offending is None
+            cert = metric_certificate(presentation(["a", "b"], ["a^2", "b^3", "(a*b)^5"]), lam)
+            assert not cert.passed and cert.offending.length == 2
+
     def test_relators_cyclically_reduced_first(self):
         # a b a^-1 has cyclic core b: certificate sees length-1 relators
         cert = metric_certificate(presentation(["a", "b"], ["a*b*a^-1"]))

@@ -158,6 +158,33 @@ class TestMillerUce:
                 x = P.alphabet.gen(w.generator)
                 assert free_reduce(x.concat(w.c)) == w.rho.expanded
 
+    @pytest.mark.parametrize("name", ["icosahedral", "higman_J"])
+    def test_smith_forms_once_per_checked_presentation(self, name, request, monkeypatch):
+        # one Smith form for the input (perfection and every witness solve),
+        # one for the output check, which reads only the relators x * c_x
+        import presforge.homology as homology
+        P = request.getfixturevalue(name)
+        rows = []
+        smith_normal_form = homology.smith_normal_form
+
+        def counting(M):
+            rows.append(len(M))
+            return smith_normal_form(M)
+
+        monkeypatch.setattr(homology, "smith_normal_form", counting)
+        miller_uce(P)
+        assert len(rows) == 2
+        assert max(rows) <= max(len(P.relators), P.alphabet.rank)
+
+    def test_output_check_rejects_nonperfect_result(self, monkeypatch):
+        import presforge.uce as uce
+        P = presentation(["x"], ["x"])
+        (w,) = find_commutator_witnesses(P)
+        bad = uce.CommutatorWitness(w.generator, P.alphabet.gen("x"), w.rho)
+        monkeypatch.setattr(uce, "find_commutator_witnesses", lambda *a, **k: [bad])
+        with pytest.raises(AssertionError, match="not perfect"):
+            miller_uce(P)
+
 
 class TestExpress:
     def test_power_in_cyclic_subgroup(self):
