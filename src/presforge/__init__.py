@@ -70,6 +70,7 @@ from .quotients import (
     PermAssignment,
     finite_quotient_certificate,
     hom_search,
+    low_index_subgroups,
     todd_coxeter,
 )
 

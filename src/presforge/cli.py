@@ -412,20 +412,23 @@ def verify_sc(P, lam):
 
 @_command()
 @click.option("--max-degree", type=int, default=None)
-@click.option("--no-prune", is_flag=True)
-def homsearch(P, max_degree, no_prune):
-    """Finite-quotient certificate by exhaustive search into S_k, k <= K
-    (exit 0 certified, 1 counterexample)."""
+def homsearch(P, max_degree):
+    """Finite-quotient certificate: a low-index subgroups search for a
+    proper subgroup of index k <= K, so for a nontrivial homomorphism into
+    some S_k (exit 0 certified, 1 counterexample: the action on the cosets
+    of a least-index proper subgroup)."""
     K = max_degree if max_degree is not None else _env_int("PRESFORGE_MAX_DEGREE", 6)
-    cert = finite_quotient_certificate(P, K, prune=not no_prune)
-    report = {"max_degree": K, "pruned": not no_prune, "certified": cert.certified}
+    cert = finite_quotient_certificate(P, K)
+    report = {"max_degree": K, "certified": cert.certified,
+              "search_nodes": cert.search_nodes}
+    nodes = f"{cert.search_nodes} search nodes"
     if cert.certified:
         return report, [f"certified: no nontrivial homomorphism to any S_k, k <= {K} "
-                        "(bounded certificate)"], EXIT_OK
+                        "(bounded certificate)", nodes], EXIT_OK
     hom = cert.counterexample
     report["counterexample"] = {"degree": hom.degree,
                                 "images": {g: list(p) for g, p in hom.images}}
-    return report, [f"counterexample found in S_{hom.degree}"], EXIT_NEGATIVE
+    return report, [f"counterexample found in S_{hom.degree}", nodes], EXIT_NEGATIVE
 
 
 @_command()

@@ -225,7 +225,8 @@ def exponent_vector(w: Word) -> tuple[int, ...]:
 def encode_letters(letters: Iterable[Letter]) -> str:
     """Compact injective string encoding of a letter sequence, for substring
     searches and sorting at C speed: letter (i, s) becomes
-    chr(256 + 2*i + (s < 0)), exact for any rank."""
+    chr(256 + 2*i + (s < 0)), exact for any rank.  The codes of a letter
+    and of its inverse differ in the lowest bit."""
     return "".join(chr(256 + 2 * i + (0 if s > 0 else 1)) for i, s in letters)
 
 

@@ -1,26 +1,31 @@
-"""Finite-quotient search and coset enumeration.
+"""Finite-quotient certificates and coset enumeration.
 
-`hom_search` does exhaustive backtracking over generator images in the
-symmetric group S_k, evaluating each relator as soon as all of its symbols
-are assigned.  A nontrivial finite quotient exists iff a nontrivial map to
-some S_k exists (act on cosets of a proper subgroup), so sweeping k <= K
-is the right bounded certificate; the certificate never claims anything
-beyond the swept range.
+`low_index_subgroups` is Sims' low-index subgroups search: a backtrack
+over standardized coset tables with relator deductions, which finds every
+subgroup of index <= n exactly once.  A nontrivial finite quotient acts
+nontrivially on some orbit, so it exists iff a proper subgroup of finite
+index does; `finite_quotient_certificate` sweeps the index bound k <= K and
+never claims anything beyond the swept range.  `hom_search` (backtracking
+over generator images in S_k) and `brute_force_homs` are the independent
+oracles the tests compare it against.
 
 `todd_coxeter` enumerates cosets with relator scanning and immediate
 coincidence handling (union-find on coset labels).  A completed table is
 re-verified (`CosetTable.verify`) before being returned: the generators
 must act by permutations, transitively, satisfying every relator and
 fixing coset 0 under the subgroup generators.
+
+Both coset tables have one column per letter, numbered by the
+`freewords.encode_letters` code.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .freewords import Word, render_word
+from .freewords import Letter, Word, encode_letters, render_word
 from .presentations import FinitePresentation
 
 Perm = tuple[int, ...]
@@ -137,7 +142,8 @@ def hom_search(
     prune: bool = True,
     shard: tuple[int, int] | None = None,
 ) -> list[PermAssignment]:
-    """All homomorphisms P -> S_k by backtracking.
+    """All homomorphisms P -> S_k by backtracking: the test oracle for
+    `low_index_subgroups` and `finite_quotient_certificate`.
 
     With prune=True the first generator ranges over conjugacy-class
     representatives only, so the result is complete up to conjugating the
@@ -218,16 +224,112 @@ def brute_force_homs(P: FinitePresentation, k: int) -> list[PermAssignment]:
     return out
 
 
+def _columns(letters: Iterable[Letter]) -> list[int]:
+    """Coset-table columns of a letter sequence: its `encode_letters` codes,
+    so a letter's inverse has column `col ^ 1`."""
+    return [ord(ch) - 256 for ch in encode_letters(letters)]
+
+
+def low_index_subgroups(P: FinitePresentation, n: int,
+                        nodes: list[int] | None = None) -> Iterator[PermAssignment]:
+    """Every subgroup of index <= n, each exactly once, as the action of the
+    generators on its cosets (coset 0 = the subgroup).
+
+    Backtrack (Sims, Computation with Finitely Presented Groups, 1994,
+    ch. 5): fill the first undefined entry (c, x) in row-major order with
+    each existing coset d whose (d, x^-1) is free, in increasing order,
+    then with a new coset while fewer than n exist.  New cosets are
+    numbered in order of first appearance, so every table is standardized
+    and no canonicity test is needed.  After each definition
+    the cyclic conjugates of the relators and their inverses that start
+    with the defined letter are scanned at the defined coset, and each
+    single-gap fill is deduced and scanned in turn; a scan that closes on
+    the wrong coset, or a fill whose inverse slot is taken, backs up.  A
+    complete table has scanned every relator at every coset.  Each search
+    node (the root and each definition that survives its deductions) adds
+    1 to nodes[0].
+    """
+    if n < 1:
+        raise ValueError("index bound must be >= 1")
+    if nodes is None:
+        nodes = [0]
+    ncols = 2 * P.alphabet.rank
+    gen_cols = _columns((i, 1) for i in range(P.alphabet.rank))
+    # scans[x]: the distinct cyclic conjugates starting with x of the
+    # relators and their inverses
+    scans: list[dict[tuple[int, ...], None]] = [{} for _ in range(ncols)]
+    for r in P.relators:
+        for w in (r, r.inverse()):
+            cols = _columns(w.letters)
+            for k in range(len(cols)):
+                scans[cols[k]][tuple(cols[k:] + cols[:k])] = None
+    tab = [-1] * (n * ncols)  # tab[c * ncols + x]: coset c times letter x
+    trail: list[int] = []     # entries set, for undoing
+
+    def define(c: int, x: int, d: int) -> None:
+        tab[c * ncols + x] = d
+        tab[d * ncols + (x ^ 1)] = c
+        trail.extend((c * ncols + x, d * ncols + (x ^ 1)))
+
+    def deduce(c: int, x: int) -> bool:
+        todo = [(c, x)]
+        while todo:
+            c, x = todo.pop()
+            for w in scans[x]:
+                m = len(w)
+                f, i = c, 0
+                while i < m and tab[f * ncols + w[i]] >= 0:
+                    f, i = tab[f * ncols + w[i]], i + 1
+                if i == m:
+                    if f != c:
+                        return False
+                    continue
+                b, j = c, m - 1
+                while j > i and tab[b * ncols + (w[j] ^ 1)] >= 0:
+                    b, j = tab[b * ncols + (w[j] ^ 1)], j - 1
+                if j == i:
+                    if tab[b * ncols + (w[i] ^ 1)] >= 0:
+                        return False
+                    define(f, w[i], b)
+                    todo.append((f, w[i]))
+        return True
+
+    def search(ncos: int, pos: int) -> Iterator[PermAssignment]:
+        nodes[0] += 1
+        end = ncos * ncols
+        while pos < end and tab[pos] >= 0:
+            pos += 1
+        if pos == end:
+            yield PermAssignment(ncos, tuple(
+                (g, tuple(tab[c * ncols + x] for c in range(ncos)))
+                for g, x in zip(P.alphabet.symbols, gen_cols)))
+            return
+        c, x = divmod(pos, ncols)
+        for d in range(ncos + (ncos < n)):
+            if tab[d * ncols + (x ^ 1)] >= 0:
+                continue
+            mark = len(trail)
+            define(c, x, d)
+            if deduce(c, x):
+                yield from search(max(ncos, d + 1), pos + 1)
+            while len(trail) > mark:
+                tab[trail.pop()] = -1
+
+    yield from search(1, 0)
+
+
 @dataclass
 class QuotientCertificate:
     """Bounded 'no nontrivial finite quotients' certificate: exhaustive up
-    to S_max_degree, never a claim about larger degrees."""
+    to index (and so degree) max_degree, never a claim about larger ones.
+    search_nodes counts the low-index backtrack nodes of the whole sweep."""
 
     presentation: FinitePresentation
     max_degree: int
     certified: bool
     counterexample: PermAssignment | None
     degrees_checked: list[int]
+    search_nodes: int
 
     def describe(self) -> str:
         if self.certified:
@@ -237,17 +339,25 @@ class QuotientCertificate:
         return f"nontrivial homomorphism into S_{self.counterexample.degree} found"
 
 
-def finite_quotient_certificate(P: FinitePresentation, K: int,
-                                prune: bool = True) -> QuotientCertificate:
+def finite_quotient_certificate(P: FinitePresentation, K: int) -> QuotientCertificate:
+    """Sweep k = 2..K for a proper subgroup of index <= k.  The first one
+    found at bound k has index exactly k (none of smaller index exists), so
+    the counterexample is a transitive action of the least degree that has
+    a nontrivial homomorphism."""
     if K < 2:
         raise ValueError("certificate degree bound must be >= 2")
     checked = []
+    nodes = [0]
     for k in range(2, K + 1):
-        found = hom_search(P, k, mode="first_nontrivial", prune=prune)
         checked.append(k)
-        if found:
-            return QuotientCertificate(P, K, False, found[0], checked)
-    return QuotientCertificate(P, K, True, None, checked)
+        for action in low_index_subgroups(P, k, nodes):
+            if action.degree < 2:
+                continue
+            if action.is_trivial or not action.verify(P):
+                raise AssertionError(
+                    "low-index search produced an invalid counterexample (internal error)")
+            return QuotientCertificate(P, K, False, action, checked, nodes[0])
+    return QuotientCertificate(P, K, True, None, checked, nodes[0])
 
 
 # --- coset enumeration -----------------------------------------------------
@@ -338,16 +448,14 @@ def todd_coxeter(
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     ngens = P.alphabet.rank
-    nlabels = 2 * ngens  # 2i = generator i, 2i+1 = its inverse
-
-    def word_labels(w: Word) -> list[int]:
-        return [2 * idx + (0 if sign > 0 else 1) for idx, sign in w.letters]
+    nlabels = 2 * ngens
+    gen_cols = _columns((i, 1) for i in range(ngens))
 
     # built-in paths g g^-1 and g^-1 g force inverse consistency; scanning
     # them at every coset also guarantees a complete table on termination
-    involution_paths = [[2 * i, 2 * i + 1] for i in range(ngens)]
-    involution_paths += [[2 * i + 1, 2 * i] for i in range(ngens)]
-    relator_paths = [word_labels(r) for r in P.relators] + involution_paths
+    involution_paths = [_columns(((i, 1), (i, -1))) for i in range(ngens)]
+    involution_paths += [_columns(((i, -1), (i, 1))) for i in range(ngens)]
+    relator_paths = [_columns(r.letters) for r in P.relators] + involution_paths
 
     labels: list[int] = []
     neighbors: list[list[int | None]] = []
@@ -412,7 +520,7 @@ def todd_coxeter(
     for w in subgroup_gens:
         if w.alphabet != P.alphabet:
             raise ValueError("subgroup generator over the wrong alphabet")
-        end = follow(0, word_labels(w))
+        end = follow(0, _columns(w.letters))
         if end is None:
             break
         unify(end, 0)
@@ -439,14 +547,14 @@ def todd_coxeter(
     live = [c for c in range(len(labels)) if find(c) == c]
     renum = {c: i for i, c in enumerate(live)}
     perms: dict[str, Perm] = {}
-    for g in range(ngens):
+    for name, col in zip(P.alphabet.symbols, gen_cols):
         images = []
         for c in live:
-            img = neighbors[c][2 * g]
+            img = neighbors[c][col]
             if img is None:
                 raise AssertionError("incomplete table at termination (internal error)")
             images.append(renum[find(img)])
-        perms[P.alphabet.symbols[g]] = tuple(images)
+        perms[name] = tuple(images)
 
     table = CosetTable(
         status="complete", index=len(live), generator_perms=perms,

@@ -103,8 +103,17 @@ class TestSearchAndOrder:
 
     def test_homsearch_shards_and_noprune(self, runner, workdir):
         res = runner.invoke(main, ["homsearch", str(workdir / "ico.pres"),
-                                   "--max-degree", "4", "--no-prune"])
+                                   "--max-degree", "4"])
         assert res.exit_code == 0
+
+    def test_homsearch_reports_search_nodes(self, runner, workdir):
+        argv = ["homsearch", str(workdir / "J.pres"), "--max-degree", "4"]
+        reports = [json.loads(runner.invoke(main, argv + ["--format", "json"]).output)
+                   for _ in range(2)]
+        assert reports[0] == reports[1] and reports[0]["search_nodes"] > 0
+        assert "pruned" not in reports[0]
+        assert f"{reports[0]['search_nodes']} search nodes" in runner.invoke(main, argv).output
+        assert run_command(argv + ["--no-prune"]) == 3
 
     def test_order(self, runner, workdir):
         res = runner.invoke(main, ["order", str(workdir / "ico.pres"),

@@ -1,8 +1,13 @@
 import random
+from collections import Counter
+from math import comb, factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from presforge.freewords import parse_word
+from presforge.constructions import delta_amalgam, super_perfectify
+from presforge.freewords import Alphabet, Word, free_reduce, parse_word
 from presforge.presentations import presentation
 from presforge.quotients import (
     CosetTable,
@@ -14,9 +19,13 @@ from presforge.quotients import (
     hom_search,
     identity_perm,
     inverse_perm,
+    low_index_subgroups,
     todd_coxeter,
     word_problem_oracle,
 )
+
+PSL27 = presentation(["a", "b"], ["a^2", "b^3", "(a*b)^7", "[a,b]^4"])
+Z2_TIMES_Z = presentation(["a", "b"], ["a^2", "[a,b]"])
 
 
 class TestPermBasics:
@@ -97,11 +106,109 @@ class TestCertificate:
         assert cert.counterexample is not None
         assert cert.counterexample.degree == 2
 
+    def test_higman_degree_7(self, higman_J):
+        assert finite_quotient_certificate(higman_J, 7).certified
+
+    def test_search_nodes_deterministic(self, higman_J, icosahedral):
+        for P, K in ((higman_J, 6), (icosahedral, 5)):
+            first = finite_quotient_certificate(P, K)
+            assert first.search_nodes > 0
+            assert finite_quotient_certificate(P, K).search_nodes == first.search_nodes
+
     def test_consistency_with_hom_search(self, higman_J):
         cert = finite_quotient_certificate(higman_J, 4)
         assert cert.certified
         for k in cert.degrees_checked:
             assert all(h.is_trivial for h in hom_search(higman_J, k))
+
+
+def _transitive(action) -> bool:
+    reached, todo = {0}, [0]
+    while todo:
+        c = todo.pop()
+        for _, p in action.images:
+            if p[c] not in reached:
+                reached.add(p[c])
+                todo.append(p[c])
+    return len(reached) == action.degree
+
+
+def _index_counts(P, n) -> Counter:
+    return Counter(action.degree for action in low_index_subgroups(P, n))
+
+
+def _hall_counts(P, n) -> dict[int, int]:
+    """Number a_k of index-k subgroups, k <= n, from h_k = |Hom(P, S_k)|
+    (M. Hall 1949): t_k = h_k - sum_{j<k} C(k-1, j-1) t_j h_{k-j} counts
+    the transitive homs, and a_k = t_k / (k-1)!."""
+    h = [1] + [len(hom_search(P, k, prune=False)) for k in range(1, n + 1)]
+    t = [0] * (n + 1)
+    for k in range(1, n + 1):
+        t[k] = h[k] - sum(comb(k - 1, j - 1) * t[j] * h[k - j] for j in range(1, k))
+    assert all(t[k] % factorial(k - 1) == 0 for k in range(1, n + 1))
+    return {k: t[k] // factorial(k - 1) for k in range(1, n + 1) if t[k]}
+
+
+class TestLowIndexSubgroups:
+    @pytest.mark.parametrize("name,n", [("icosahedral", 5), ("psl27", 5), ("z2_times_z", 5),
+                                        ("higman_J", 5), ("delta", 3), ("superperfect", 4)])
+    def test_hall_formula(self, request, name, n):
+        built = {"psl27": lambda: PSL27, "z2_times_z": lambda: Z2_TIMES_Z,
+                 "delta": lambda: delta_amalgam(["x"]).delta,
+                 "superperfect": lambda: super_perfectify(
+                     presentation(["x"], ["x^2"])).presentation}
+        P = built[name]() if name in built else request.getfixturevalue(name)
+        assert _index_counts(P, n) == _hall_counts(P, n)
+
+    def test_known_counts(self, icosahedral, higman_J):
+        # A_5: the point stabilizers A_4 (5) and the Sylow-5 normalizers D_10 (6);
+        # PSL(2,7): two classes of S_4 (7 + 7) and the Borel subgroups 7:3 (8)
+        assert _index_counts(icosahedral, 6) == {1: 1, 5: 5, 6: 6}
+        assert _index_counts(PSL27, 8) == {1: 1, 7: 14, 8: 8}
+        assert _index_counts(Z2_TIMES_Z, 4) == {1: 1, 2: 3, 3: 1, 4: 3}
+        assert _index_counts(higman_J, 5) == {1: 1}
+
+    def test_actions_are_standardized_transitive_homs(self, icosahedral):
+        actions = list(low_index_subgroups(icosahedral, 6))
+        assert len(set(actions)) == len(actions)
+        for action in actions:
+            assert action.verify(icosahedral) and _transitive(action)
+            # in row-major order over the columns a, a^-1, b, b^-1, coset k
+            # first appears after cosets 0..k-1
+            columns = [q for _, p in action.images for q in (p, inverse_perm(p))]
+            seen = [0]
+            for c in range(action.degree):
+                for q in columns:
+                    if q[c] not in seen:
+                        assert q[c] == len(seen)
+                        seen.append(q[c])
+
+    def test_rank_zero_and_bad_bound(self):
+        P = presentation([], [])
+        assert [a.degree for a in low_index_subgroups(P, 3)] == [1]
+        with pytest.raises(ValueError):
+            next(low_index_subgroups(P, 0))
+
+
+_LETTERS = st.tuples(st.integers(0, 1), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(relators=st.lists(st.lists(_LETTERS, min_size=1, max_size=6), min_size=1, max_size=3),
+       K=st.integers(2, 4))
+def test_certificate_agrees_with_hom_search(relators, K):
+    alph = Alphabet(["a", "b"])
+    words = [free_reduce(Word(alph, tuple(r))) for r in relators]
+    assume(all(words))
+    P = presentation(["a", "b"], words)
+    cert = finite_quotient_certificate(P, K)
+    found = {k: hom_search(P, k, mode="first_nontrivial") for k in range(2, K + 1)}
+    assert cert.certified == (not any(found.values()))
+    if not cert.certified:
+        action = cert.counterexample
+        assert action.degree == min(k for k, homs in found.items() if homs)
+        assert action.verify(P) and not action.is_trivial and _transitive(action)
+        assert cert.degrees_checked == list(range(2, action.degree + 1))
 
 
 class TestToddCoxeter:
