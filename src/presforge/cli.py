@@ -35,7 +35,7 @@ from .constructions import (
     rips_wise,
     super_perfectify,
 )
-from .freewords import parse_word, render_word
+from .freewords import exponent_vector, parse_word, render_word
 from .homology import AsphericityRequired, h1, h2_aspherical
 from .presentations import (
     FinitePresentation,
@@ -298,7 +298,9 @@ def superperfectify(P, out):
     res = super_perfectify(P)
     art = out.pres("superperfect.pres", res.presentation)
     expected, actual = res.relator_count_formula
-    h = h1(res.presentation)
+    # relators with zero exponent vector add zero rows, which leave H1 unchanged
+    h = h1(FinitePresentation(res.presentation.alphabet, tuple(
+        r for r in res.presentation.relators if any(exponent_vector(r)))))
     manifest = {
         "artifacts": {"presentation": art},
         "counts": {
@@ -416,19 +418,30 @@ def homsearch(P, max_degree):
     """Finite-quotient certificate: a low-index subgroups search for a
     proper subgroup of index k <= K, so for a nontrivial homomorphism into
     some S_k (exit 0 certified, 1 counterexample: the action on the cosets
-    of a least-index proper subgroup)."""
+    of a least-index proper subgroup, 2 node budget PRESFORGE_BUDGET_STEPS
+    exhausted).  Blocks Y of generators are killed first: if the relators
+    supported in Y present a group with no proper subgroup of index <= K,
+    every such homomorphism is trivial on Y, so Y is set to 1.  Candidate
+    blocks are, for each generator g, the connected components of the
+    relators that avoid g, linked by shared generators."""
     K = max_degree if max_degree is not None else _env_int("PRESFORGE_MAX_DEGREE", 6)
-    cert = finite_quotient_certificate(P, K)
+    budget = _env_int("PRESFORGE_BUDGET_STEPS", 10**6)
+    cert = finite_quotient_certificate(P, K, budget=budget)
     report = {"max_degree": K, "certified": cert.certified,
-              "search_nodes": cert.search_nodes}
+              "search_nodes": cert.search_nodes,
+              "killed_blocks": [{"generators": list(b.generators),
+                                 "search_nodes": b.search_nodes}
+                                for b in cert.killed_blocks]}
+    blocks = [f"killed block {', '.join(b.generators)} ({b.search_nodes} search nodes)"
+              for b in cert.killed_blocks]
     nodes = f"{cert.search_nodes} search nodes"
     if cert.certified:
         return report, [f"certified: no nontrivial homomorphism to any S_k, k <= {K} "
-                        "(bounded certificate)", nodes], EXIT_OK
+                        "(bounded certificate)", *blocks, nodes], EXIT_OK
     hom = cert.counterexample
     report["counterexample"] = {"degree": hom.degree,
                                 "images": {g: list(p) for g, p in hom.images}}
-    return report, [f"counterexample found in S_{hom.degree}", nodes], EXIT_NEGATIVE
+    return report, [f"counterexample found in S_{hom.degree}", *blocks, nodes], EXIT_NEGATIVE
 
 
 @_command()

@@ -4,10 +4,20 @@
 over standardized coset tables with relator deductions, which finds every
 subgroup of index <= n exactly once.  A nontrivial finite quotient acts
 nontrivially on some orbit, so it exists iff a proper subgroup of finite
-index does; `finite_quotient_certificate` sweeps the index bound k <= K and
-never claims anything beyond the swept range.  `hom_search` (backtracking
-over generator images in S_k) and `brute_force_homs` are the independent
-oracles the tests compare it against.
+index does.  `hom_search` (backtracking over generator images in S_k) and
+`brute_force_homs` are the independent oracles the tests compare it against.
+
+`finite_quotient_certificate` searches index bound K and never claims
+anything beyond it.  It first kills generator blocks, which pays off on
+presentations glued from Higman copies, where one row-major backtrack
+interleaves the copies' columns and rediscovers each copy's dead ends
+under every partial table of the others.  Lemma: if the relators R'
+supported in a generator set Y present a group with no proper subgroup of
+index <= K, every homomorphism P -> S_k with k <= K is trivial on Y, so P
+and P/<<Y>> have the same transitive actions of degree <= K.  The
+candidate blocks are read off the presentation: for each generator g, the
+connected components of the relators that avoid g, two relators being
+connected when they share a generator.
 
 `todd_coxeter` enumerates cosets with relator scanning and immediate
 coincidence handling (union-find on coset labels).  A completed table is
@@ -25,8 +35,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .freewords import Letter, Word, encode_letters, render_word
+from .freewords import Alphabet, Letter, Word, cyclically_reduce, encode_letters, render_word
 from .presentations import FinitePresentation
+from .uce import BudgetExhausted
 
 Perm = tuple[int, ...]
 
@@ -140,7 +151,6 @@ def hom_search(
     k: int,
     mode: str = "all",
     prune: bool = True,
-    shard: tuple[int, int] | None = None,
 ) -> list[PermAssignment]:
     """All homomorphisms P -> S_k by backtracking: the test oracle for
     `low_index_subgroups` and `finite_quotient_certificate`.
@@ -152,10 +162,6 @@ def hom_search(
     hom exists iff one is found).  With prune=False every homomorphism is
     found verbatim.  Relator evaluation cuts branches as soon as a relator
     becomes fully assigned; this never discards a genuine homomorphism.
-
-    `shard=(s, n)` restricts the first generator's candidate list to every
-    n-th entry starting at s; the union over shards equals the unsharded
-    result.
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
@@ -165,10 +171,7 @@ def hom_search(
     n = len(gens)
     all_perms = [tuple(p) for p in itertools.permutations(range(k))]
     ident = identity_perm(k)
-    first = conjugacy_class_reps(k) if prune else list(all_perms)
-    if shard is not None:
-        s, nsh = shard
-        first = first[s::nsh]
+    first = conjugacy_class_reps(k) if prune else all_perms
     rel_by_latest: dict[int, list[list[tuple[int, int]]]] = {}
     for latest, letters in _compiled_relators(P):
         rel_by_latest.setdefault(latest, []).append(letters)
@@ -230,8 +233,8 @@ def _columns(letters: Iterable[Letter]) -> list[int]:
     return [ord(ch) - 256 for ch in encode_letters(letters)]
 
 
-def low_index_subgroups(P: FinitePresentation, n: int,
-                        nodes: list[int] | None = None) -> Iterator[PermAssignment]:
+def low_index_subgroups(P: FinitePresentation, n: int, nodes: list[int] | None = None,
+                        budget: int | None = None) -> Iterator[PermAssignment]:
     """Every subgroup of index <= n, each exactly once, as the action of the
     generators on its cosets (coset 0 = the subgroup).
 
@@ -247,7 +250,7 @@ def low_index_subgroups(P: FinitePresentation, n: int,
     the wrong coset, or a fill whose inverse slot is taken, backs up.  A
     complete table has scanned every relator at every coset.  Each search
     node (the root and each definition that survives its deductions) adds
-    1 to nodes[0].
+    1 to nodes[0]; BudgetExhausted is raised once nodes[0] passes `budget`.
     """
     if n < 1:
         raise ValueError("index bound must be >= 1")
@@ -296,6 +299,9 @@ def low_index_subgroups(P: FinitePresentation, n: int,
 
     def search(ncos: int, pos: int) -> Iterator[PermAssignment]:
         nodes[0] += 1
+        if budget is not None and nodes[0] > budget:
+            raise BudgetExhausted(
+                f"low-index search passed its budget of {budget} nodes ({nodes[0]} nodes)")
         end = ncos * ncols
         while pos < end and tab[pos] >= 0:
             pos += 1
@@ -318,11 +324,21 @@ def low_index_subgroups(P: FinitePresentation, n: int,
     yield from search(1, 0)
 
 
+@dataclass(frozen=True)
+class KilledBlock:
+    """A generator block set to 1 by `finite_quotient_certificate`, with
+    the search nodes that certified it."""
+
+    generators: tuple[str, ...]
+    search_nodes: int
+
+
 @dataclass
 class QuotientCertificate:
     """Bounded 'no nontrivial finite quotients' certificate: exhaustive up
     to index (and so degree) max_degree, never a claim about larger ones.
-    search_nodes counts the low-index backtrack nodes of the whole sweep."""
+    search_nodes counts the low-index backtrack nodes of every search,
+    killed_blocks the blocks removed before the last search, in order."""
 
     presentation: FinitePresentation
     max_degree: int
@@ -330,6 +346,7 @@ class QuotientCertificate:
     counterexample: PermAssignment | None
     degrees_checked: list[int]
     search_nodes: int
+    killed_blocks: tuple[KilledBlock, ...]
 
     def describe(self) -> str:
         if self.certified:
@@ -339,25 +356,111 @@ class QuotientCertificate:
         return f"nontrivial homomorphism into S_{self.counterexample.degree} found"
 
 
-def finite_quotient_certificate(P: FinitePresentation, K: int) -> QuotientCertificate:
-    """Sweep k = 2..K for a proper subgroup of index <= k.  The first one
-    found at bound k has index exactly k (none of smaller index exists), so
-    the counterexample is a transitive action of the least degree that has
-    a nontrivial homomorphism."""
+def _candidate_blocks(supports: list[frozenset[int]], rank: int) -> list[tuple[int, ...]]:
+    """For each generator g < rank, the connected components of the
+    hypergraph of the relator `supports` that avoid g, as sorted generator
+    indices, ordered by (size, indices)."""
+    blocks = set()
+    for g in range(rank):
+        comps: list[set[int]] = []
+        for s in supports:
+            if g in s:
+                continue
+            merged = set(s)
+            rest = []
+            for c in comps:
+                if c & s:
+                    merged |= c
+                else:
+                    rest.append(c)
+            comps = rest + [merged]
+        blocks.update(tuple(sorted(c)) for c in comps)
+    return sorted(blocks, key=lambda y: (len(y), y))
+
+
+def _restrict(P: FinitePresentation, keep: Sequence[int],
+              relators: Iterable[Word]) -> FinitePresentation:
+    """The presentation on the generators `keep` whose relators are
+    `relators` with every other generator deleted, cyclically reduced, with
+    empty and repeated words dropped."""
+    alph = Alphabet(P.alphabet.symbols[i] for i in keep)
+    new = {old: i for i, old in enumerate(keep)}
+    rels: dict[tuple[Letter, ...], Word] = {}
+    for r in relators:
+        w = Word(alph, tuple((new[i], s) for i, s in r.letters if i in new))
+        core, _ = cyclically_reduce(w)
+        if core:
+            rels.setdefault(core.letters, core)
+    return FinitePresentation(alph, tuple(rels.values()))
+
+
+def finite_quotient_certificate(P: FinitePresentation, K: int,
+                                budget: int | None = None) -> QuotientCertificate:
+    """Decide whether P has a proper subgroup of index <= K: block
+    reduction, then a low-index search on what is left.
+
+    Lemma.  Let R' be the relators supported in a generator set Y.  If
+    <Y | R'> has no proper subgroup of index <= K, every homomorphism
+    P -> S_k with k <= K is trivial on Y: restricted to <Y> it factors
+    through <Y | R'>, and a nontrivial image has an orbit on which it acts
+    nontrivially, whose point stabilizer would be a proper subgroup of
+    index <= k.  So P and P/<<Y>> have the same transitive actions of
+    degree <= K, and Y can be set to 1.
+
+    Candidate blocks Y come from the relator supports alone
+    (`_candidate_blocks`); each is searched once at bound K, and the first that certifies is
+    killed (relators cyclically reduced and deduplicated) before the
+    candidates are recomputed.  What is left gets one search at bound K;
+    when it finds a proper subgroup of index k it searches again at k - 1,
+    so the counterexample has the least degree of a nontrivial
+    homomorphism.  That action is lifted (killed generators act trivially)
+    and re-checked on P.  Raises BudgetExhausted once the search nodes of
+    all searches together pass `budget`.
+    """
     if K < 2:
         raise ValueError("certificate degree bound must be >= 2")
-    checked = []
     nodes = [0]
-    for k in range(2, K + 1):
-        checked.append(k)
-        for action in low_index_subgroups(P, k, nodes):
-            if action.degree < 2:
+
+    def proper(Q: FinitePresentation, n: int) -> PermAssignment | None:
+        return next((a for a in low_index_subgroups(Q, n, nodes, budget)
+                     if a.degree >= 2), None)
+
+    Q, killed, failed = P, [], set()
+    reduced = True
+    while reduced:
+        reduced = False
+        supports = [frozenset(idx for idx, _ in r.letters) for r in Q.relators]
+        for Y in _candidate_blocks(supports, Q.alphabet.rank):
+            inside = set(Y)
+            block = _restrict(Q, Y, (r for r, s in zip(Q.relators, supports)
+                                     if s <= inside))
+            if block in failed:
                 continue
-            if action.is_trivial or not action.verify(P):
-                raise AssertionError(
-                    "low-index search produced an invalid counterexample (internal error)")
-            return QuotientCertificate(P, K, False, action, checked, nodes[0])
-    return QuotientCertificate(P, K, True, None, checked, nodes[0])
+            before = nodes[0]
+            if proper(block, K) is not None:
+                failed.add(block)
+                continue
+            killed.append(KilledBlock(block.generators, nodes[0] - before))
+            Q = _restrict(Q, [i for i in range(Q.alphabet.rank) if i not in inside],
+                          Q.relators)
+            reduced = True
+            break
+
+    action, bound = None, K
+    while bound >= 2 and (found := proper(Q, bound)) is not None:
+        action, bound = found, found.degree - 1
+    if action is None:
+        return QuotientCertificate(P, K, True, None, list(range(2, K + 1)),
+                                   nodes[0], tuple(killed))
+    k = action.degree
+    images = dict(action.images)
+    lifted = PermAssignment(k, tuple((g, images.get(g, identity_perm(k)))
+                                     for g in P.generators))
+    if lifted.is_trivial or not lifted.verify(P):
+        raise AssertionError(
+            "low-index search produced an invalid counterexample (internal error)")
+    return QuotientCertificate(P, K, False, lifted, list(range(2, k + 1)),
+                               nodes[0], tuple(killed))
 
 
 # --- coset enumeration -----------------------------------------------------

@@ -115,6 +115,26 @@ class TestSearchAndOrder:
         assert f"{reports[0]['search_nodes']} search nodes" in runner.invoke(main, argv).output
         assert run_command(argv + ["--no-prune"]) == 3
 
+    def test_homsearch_reports_killed_blocks(self, runner, tmp_path):
+        f = tmp_path / "sp.pres"
+        f.write_text(render_presentation(super_perfectify(
+            parse_presentation("< x | x^2 >")).presentation))
+        argv = ["homsearch", str(f), "--max-degree", "5"]
+        res = runner.invoke(main, argv + ["--format", "json"])
+        assert res.exit_code == 0
+        report = json.loads(res.output)
+        assert report["killed_blocks"] == [
+            {"generators": ["a_1", "b_1", "c_1", "d_1"], "search_nodes": 982}]
+        assert report["search_nodes"] == 1211
+        assert "killed block a_1, b_1, c_1, d_1 (982 search nodes)" in \
+            runner.invoke(main, argv).output
+
+    def test_homsearch_over_budget_exit_2(self, workdir, capsys, monkeypatch):
+        monkeypatch.setenv("PRESFORGE_BUDGET_STEPS", "50")
+        assert run_command(["homsearch", str(workdir / "J.pres"), "--max-degree", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive") and "51 nodes" in err
+
     def test_order(self, runner, workdir):
         res = runner.invoke(main, ["order", str(workdir / "ico.pres"),
                                    "--format", "json"])

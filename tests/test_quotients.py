@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from presforge.constructions import delta_amalgam, super_perfectify
-from presforge.freewords import Alphabet, Word, free_reduce, parse_word
+from presforge.constructions import delta_amalgam, kill_finite_quotients, super_perfectify
+from presforge.freewords import Alphabet, Word, free_reduce, parse_word, render_word
 from presforge.presentations import presentation
 from presforge.quotients import (
     CosetTable,
@@ -23,6 +23,7 @@ from presforge.quotients import (
     todd_coxeter,
     word_problem_oracle,
 )
+from presforge.uce import BudgetExhausted
 
 PSL27 = presentation(["a", "b"], ["a^2", "b^3", "(a*b)^7", "[a,b]^4"])
 Z2_TIMES_Z = presentation(["a", "b"], ["a^2", "[a,b]"])
@@ -76,13 +77,6 @@ class TestHomSearch:
                 expected = [h for h in brute if h.image_of(first) in reps[k]]
                 assert sorted(map(hash, pruned)) == sorted(map(hash, expected))
 
-    def test_shard_union(self, icosahedral):
-        full = hom_search(icosahedral, 4)
-        pieces = []
-        for s in range(3):
-            pieces.extend(hom_search(icosahedral, 4, shard=(s, 3)))
-        assert sorted(map(hash, pieces)) == sorted(map(hash, full))
-
     def test_every_result_verifies(self, icosahedral):
         for h in hom_search(icosahedral, 4):
             assert h.verify(icosahedral)
@@ -114,6 +108,33 @@ class TestCertificate:
             first = finite_quotient_certificate(P, K)
             assert first.search_nodes > 0
             assert finite_quotient_certificate(P, K).search_nodes == first.search_nodes
+
+    def test_higman_amalgams_certified_by_blocks(self, icosahedral):
+        # pinned counts: one search per killed block, one on what is left
+        delta = finite_quotient_certificate(delta_amalgam(["x"]).delta, 6)
+        assert delta.certified and delta.search_nodes == 8392
+        assert [b.generators for b in delta.killed_blocks] == [
+            ("a_1", "b_1", "c_1", "d_1"), ("x_L",), ("a_2", "b_2", "c_2", "d_2")]
+        killfq = finite_quotient_certificate(
+            kill_finite_quotients(icosahedral).simplified, 6)
+        assert killfq.certified and killfq.search_nodes == 1061
+        assert [(b.generators, b.search_nodes) for b in killfq.killed_blocks] == [
+            (("a_1", "b_1", "c_1", "d_1"), 749), (("a_2", "b_2", "d_2"), 98)]
+
+    def test_counterexample_lifted_through_killed_block(self, higman_J):
+        # J * <z | z^3>: the J block dies and the S_3 action of z is lifted
+        P = presentation(["a", "b", "c", "d", "z"],
+                         [*map(render_word, higman_J.relators), "z^3"])
+        cert = finite_quotient_certificate(P, 4)
+        assert [b.generators for b in cert.killed_blocks] == [("a", "b", "c", "d")]
+        action = cert.counterexample
+        assert action.degree == 3 and action.verify(P) and not action.is_trivial
+        assert all(action.image_of(g) == identity_perm(3) for g in "abcd")
+
+    def test_budget(self, higman_J):
+        with pytest.raises(BudgetExhausted, match="101 nodes"):
+            finite_quotient_certificate(higman_J, 6, budget=100)
+        assert finite_quotient_certificate(higman_J, 6, budget=4254).certified
 
     def test_consistency_with_hom_search(self, higman_J):
         cert = finite_quotient_certificate(higman_J, 4)
@@ -209,6 +230,42 @@ def test_certificate_agrees_with_hom_search(relators, K):
         assert action.degree == min(k for k, homs in found.items() if homs)
         assert action.verify(P) and not action.is_trivial and _transitive(action)
         assert cert.degrees_checked == list(range(2, action.degree + 1))
+
+
+def _least_proper_index(P, K):
+    """Least index of a proper subgroup, by sweeping k = 2..K: the first
+    one found at bound k has index k."""
+    for k in range(2, K + 1):
+        if any(a.degree >= 2 for a in low_index_subgroups(P, k)):
+            return k
+    return None
+
+
+def _block_words(names):
+    letters = st.tuples(st.sampled_from(names), st.sampled_from([1, -1]))
+    return st.lists(st.lists(letters, min_size=1, max_size=6), min_size=1, max_size=2)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(left=_block_words(["a", "b"]), right=_block_words(["c", "d"]),
+       glue=st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from([1, -1])),
+                     min_size=2, max_size=4),
+       K=st.integers(2, 4))
+def test_blocks_agree_with_direct_sweep(left, right, glue, K):
+    """Two random blocks glued by one relator: the block reduction finds
+    the same certificate and least degree as the direct search."""
+    alph = Alphabet("abcd")
+    words = [free_reduce(Word(alph, tuple((alph.index(g), e) for g, e in r)))
+             for r in [*left, *right, glue]]
+    assume(all(words))
+    P = presentation("abcd", words)
+    cert = finite_quotient_certificate(P, K)
+    least = _least_proper_index(P, K)
+    assert cert.certified == (least is None)
+    if least is not None:
+        action = cert.counterexample
+        assert action.degree == least
+        assert action.verify(P) and not action.is_trivial and _transitive(action)
 
 
 class TestToddCoxeter:
