@@ -46,10 +46,8 @@ from .uce import (
 from .smallcancel import (
     DehnSolver,
     MetricCertificate,
-    PieceTable,
     dehn_word_problem,
     metric_certificate,
-    piece_table,
 )
 from .constructions import (
     GeneratingSet,

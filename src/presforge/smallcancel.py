@@ -8,10 +8,14 @@ subword that repeats at two positions of the same relator counts.  The
 certificate condition C'(lambda): every piece is strictly shorter than
 lambda times the length of every relator containing it.
 
-The scanner sorts all rotation words once; the longest piece touching a
-given rotation is then the longest common prefix with one of its sorted
-neighbours, which makes the exhaustive check near-linear.  An independent
-window-table scan (`threshold_scan`) cross-validates the verdict.
+The scanner sorts rotation slots, offsets into the doubled encoded
+relator texts, without writing any rotation out: bounded-length prefix
+keys first, longer keys only for runs still tied.  The longest piece
+touching a given rotation is then the longest common prefix with one of
+its sorted neighbours, found by slice comparisons.  Memory is linear in
+the relator letters when rotations part after a few letters, as on
+C'(lambda) input, and quadratic only in a relator whose rotations tie
+over its whole length, such as a long proper power.
 
 Dehn's algorithm repeatedly replaces a subword that is more than half of
 a symmetrized relator (strict inequality; leftmost match, longest slot on
@@ -44,15 +48,6 @@ class CertificateRequired(ValueError):
     """Dehn's algorithm demands a passing metric certificate."""
 
 
-@dataclass(frozen=True)
-class _Slot:
-    """One occurrence slot: a rotation of relator `rel` or of its inverse,
-    as an encoded string."""
-
-    text: str
-    rel: int
-
-
 def _cores(P: FinitePresentation) -> list[Word]:
     return [cyclically_reduce(r)[0] for r in P.relators]
 
@@ -64,22 +59,52 @@ def _doubled_texts(cores: Sequence[Word]) -> list[str]:
             for s in (encode_letters(core.letters), encode_letters(core.inverse().letters))]
 
 
-def _slots_sorted(cores: Sequence[Word]) -> tuple[list[_Slot], list[int]]:
-    """All rotation slots sorted by text, plus adjacent common-prefix
-    lengths (lcp[k] between sorted slot k and k+1)."""
-    slots: list[_Slot] = []
-    for tid, double in enumerate(_doubled_texts(cores)):
-        L = len(double) // 2
-        slots += (_Slot(double[o:o + L], tid // 2) for o in range(L))
-    slots.sort(key=lambda sl: sl.text)
-    lcp: list[int] = []
-    for k in range(len(slots) - 1):
-        a, b = slots[k].text, slots[k + 1].text
-        n = min(len(a), len(b))
-        i = 0
-        while i < n and a[i] == b[i]:
-            i += 1
-        lcp.append(i)
+def _common_prefix(a: str, b: str, m: int) -> int:
+    """Length of the longest common prefix of a and b, whose first m
+    letters agree, by slice bisection."""
+    hi = min(len(a), len(b))
+    while m < hi:
+        mid = (m + hi + 1) // 2
+        if a[m:mid] == b[m:mid]:
+            m = mid
+        else:
+            hi = mid - 1
+    return m
+
+
+def _sorted_rotations(texts: Sequence[str]) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Every rotation slot (text id, offset, length) of the doubled texts,
+    sorted by its rotation word with equal words in slot order, plus
+    lcp[k], the common-prefix length of sorted slots k and k + 1.
+
+    Slots are sorted by keys, the first K letters of their rotations.  A
+    key is a prefix of its rotation, so unequal keys already order their
+    rotations, and their common prefix is that of the rotations.  A run
+    of equal keys, so of rotations agreeing on K letters, is sorted again
+    with K doubled while some member's rotation is longer than K.
+    """
+    slots = [(tid, o, len(D) // 2) for tid, D in enumerate(texts) for o in range(len(D) // 2)]
+    lcp = [0] * (len(slots) - 1)
+    tied = [(0, len(slots), 8, 0)]  # (lo, hi, K, letters the run agrees on)
+    while tied:
+        lo, hi, K, agree = tied.pop()
+        seg = slots[lo:hi]  # in slot order, and the sort is stable
+        keys = [texts[t][o:o + K] if K <= L else texts[t][o:o + L] for t, o, L in seg]
+        order = sorted(range(len(seg)), key=keys.__getitem__)
+        slots[lo:hi] = [seg[x] for x in order]
+        keys = [keys[x] for x in order]
+        start = 0
+        for j in range(1, len(keys) + 1):
+            if j < len(keys) and keys[j] == keys[start]:
+                continue
+            if j - start > 1:
+                if any(L > K for _, _, L in slots[lo + start:lo + j]):
+                    tied.append((lo + start, lo + j, 2 * K, K))
+                else:  # equal rotation words
+                    lcp[lo + start:lo + j - 1] = [len(keys[start])] * (j - start - 1)
+            if j < len(keys):
+                lcp[lo + j - 1] = _common_prefix(keys[j - 1], keys[j], agree)
+            start = j
     return slots, lcp
 
 
@@ -124,110 +149,31 @@ def metric_certificate(P: FinitePresentation,
     lengths = tuple(len(c) for c in cores)
     if not cores:
         return MetricCertificate(lam, True, (), (), None, None)
-    slots, lcp = _slots_sorted(cores)
+    texts = _doubled_texts(cores)
+    slots, lcp = _sorted_rotations(texts)
     maxes = [0] * len(cores)
-    witness_for: dict[int, tuple[int, int]] = {}
-    for k in range(len(slots) - 1):
-        if lcp[k] == 0:
+    witness_for: dict[int, int] = {}  # relator -> sorted position k of its pair (k, k + 1)
+    for k, n in enumerate(lcp):
+        if n == 0:
             continue
-        for sl in (slots[k], slots[k + 1]):
-            if lcp[k] > maxes[sl.rel]:
-                maxes[sl.rel] = lcp[k]
-                witness_for[sl.rel] = (k, k + 1)
+        for tid, _, _ in (slots[k], slots[k + 1]):
+            if n > maxes[tid // 2]:
+                maxes[tid // 2] = n
+                witness_for[tid // 2] = k
     passed = True
     offending = None
     for t, L in enumerate(lengths):
         # fail iff some piece has length >= lam * L, i.e. len * q >= p * L
         if maxes[t] and maxes[t] * lam.denominator >= lam.numerator * L:
             passed = False
-            ka, kb = witness_for[t]
-            a, b = slots[ka], slots[kb]
-            piece = decode_letters(P.alphabet, a.text[:lcp[ka]])
-            offending = PieceWitness(min(a.rel, b.rel), max(a.rel, b.rel),
+            k = witness_for[t]
+            (ta, oa, _), (tb, _, _) = slots[k], slots[k + 1]
+            piece = decode_letters(P.alphabet, texts[ta][oa:oa + lcp[k]])
+            offending = PieceWitness(min(ta // 2, tb // 2), max(ta // 2, tb // 2),
                                      piece, maxes[t])
             break
     return MetricCertificate(lam, passed, lengths, tuple(maxes),
                              min(lengths), offending)
-
-
-@dataclass
-class PieceTable:
-    """Per-pair maximal piece lengths over the symmetrized relator set.
-    Quadratic in the symmetrized size; meant for small presentations."""
-
-    symmetrized: tuple[Word, ...]
-    pair_max: dict[tuple[int, int], int]
-    relator_lengths: tuple[int, ...]
-    min_relator_length: int | None
-
-
-def piece_table(P: FinitePresentation) -> PieceTable:
-    cores = _cores(P)
-    if not cores:
-        return PieceTable((), {}, (), None)
-    slots, lcp = _slots_sorted(cores)
-    table: dict[tuple[int, int], int] = {}
-    nrel = len(cores)
-    for i in range(nrel):
-        for j in range(i, nrel):
-            best = 0
-            last_pos: int | None = None
-            last_rel = -1
-            running = 0
-            for k, sl in enumerate(slots):
-                if last_pos is not None and k > last_pos:
-                    running = min(running, lcp[k - 1])
-                if sl.rel != i and sl.rel != j:
-                    continue
-                if last_pos is not None:
-                    ok = (i == j) or (last_rel != sl.rel)
-                    if ok and running > best:
-                        best = running
-                last_pos, last_rel, running = k, sl.rel, len(sl.text)
-            table[(i, j)] = best
-    return PieceTable(
-        symmetrized=tuple(decode_letters(P.alphabet, sl.text) for sl in slots),
-        pair_max=table,
-        relator_lengths=tuple(len(c) for c in cores),
-        min_relator_length=min(len(c) for c in cores),
-    )
-
-
-def threshold_scan(P: FinitePresentation,
-                   lam: Fraction = Fraction(1, 6)) -> bool:
-    """Independent pass/fail check: for each relator, look up every cyclic
-    window of the minimal violating length in a table of all relators'
-    windows and ask for a second distinct occurrence slot."""
-    lam = Fraction(lam)
-    cores = _cores(P)
-    if not cores:
-        return True
-    texts = _doubled_texts(cores)
-    lengths = [len(c) for c in cores]
-    thresholds = {}
-    for t, L in enumerate(lengths):
-        m = -(-(lam.numerator * L) // lam.denominator)  # ceil(lam * L)
-        thresholds[t] = max(1, m)
-    for m in sorted(set(thresholds.values())):
-        windows: dict[str, list[tuple[int, int]]] = {}  # window -> (text id, offset)
-        for tid, double in enumerate(texts):
-            L = len(double) // 2
-            if m > L:
-                continue
-            for o in range(L):
-                win = double[o:o + m]
-                bucket = windows.setdefault(win, [])
-                if len(bucket) < 2:
-                    bucket.append((tid, o))
-        for t, L in enumerate(lengths):
-            if thresholds[t] != m or m > L:
-                continue
-            for tid in (2 * t, 2 * t + 1):
-                for o in range(L):
-                    bucket = windows[texts[tid][o:o + m]]
-                    if len(bucket) > 1 or bucket[0] != (tid, o):
-                        return False
-    return True
 
 
 # --- Dehn's algorithm -------------------------------------------------------
@@ -296,7 +242,8 @@ class DehnSolver:
 
     def solve(self, w: Word, collect_trace: bool = False) -> DehnResult:
         P = self.presentation
-        cur = encode_letters(free_reduce(w).letters)
+        reduced = free_reduce(w)
+        cur = encode_letters(reduced.letters)
         factors: list[tuple[Word, int, int]] = []
         trace: list[str] = []
         scan_from = 0
@@ -328,7 +275,8 @@ class DehnSolver:
             replacements=len(factors),
             trace=tuple(trace),
         )
-        if result.trivial and not result.verify_certificate(P, w):
+        # re-expanded from P.relators, never from the solver's texts
+        if result.trivial and result.closure_certificate(P).expanded != reduced:
             raise AssertionError("Dehn certificate failed to re-expand (internal error)")
         return result
 

@@ -24,6 +24,8 @@ from typing import Callable, Iterator, Sequence
 
 from .freewords import (
     Alphabet,
+    AlphabetMismatchError,
+    Letter,
     Word,
     apply_map,
     commutator,
@@ -56,14 +58,25 @@ class NormalClosureElement:
     @staticmethod
     def build(P: FinitePresentation,
               factors: Sequence[tuple[Word, int, int]]) -> "NormalClosureElement":
+        """Expand the factors by one stack-based free reduction over the
+        letters of every conj * r^sign * conj^-1, linear in their total
+        length."""
         alph = P.alphabet
-        acc = alph.identity()
+        out: list[Letter] = []
         for conj, idx, sign in factors:
             if not (0 <= idx < len(P.relators)) or sign not in (1, -1):
                 raise PresentationError(f"bad closure factor ({idx}, {sign})")
-            r = P.relators[idx] if sign > 0 else P.relators[idx].inverse()
-            acc = acc.concat(conj).concat(r).concat(conj.inverse())
-        return NormalClosureElement(tuple(factors), free_reduce(acc))
+            if conj.alphabet != alph:
+                raise AlphabetMismatchError("cannot concatenate words over different alphabets")
+            r = P.relators[idx].letters
+            for i, s in itertools.chain(conj.letters,
+                                        r if sign > 0 else [(j, -t) for j, t in reversed(r)],
+                                        [(j, -t) for j, t in reversed(conj.letters)]):
+                if out and out[-1][0] == i and out[-1][1] == -s:
+                    out.pop()
+                else:
+                    out.append((i, s))
+        return NormalClosureElement(tuple(factors), Word(alph, tuple(out)))
 
     def verify(self, P: FinitePresentation) -> bool:
         return NormalClosureElement.build(P, self.factors).expanded == self.expanded

@@ -101,7 +101,7 @@ class TestSearchAndOrder:
         assert res.exit_code == 1
         assert json.loads(res.output)["counterexample"]["degree"] == 2
 
-    def test_homsearch_shards_and_noprune(self, runner, workdir):
+    def test_homsearch_certified_below_least_degree(self, runner, workdir):
         res = runner.invoke(main, ["homsearch", str(workdir / "ico.pres"),
                                    "--max-degree", "4"])
         assert res.exit_code == 0
@@ -246,6 +246,17 @@ class TestPipelines:
         assert all(w["verified"] for w in witnesses)
         manifest = json.loads((out / "ico.uce.manifest.json").read_text())
         assert manifest["counts"]["expected_relators"] == 2 + 2 * 3
+
+    def test_rips_long_power(self, runner, tmp_path):
+        """A relator that is one long run ties its rotations for hundreds
+        of letters; the padding doubles until the certificate passes."""
+        f = tmp_path / "pow.pres"
+        f.write_text("< a | a^300 >")
+        res = runner.invoke(main, ["rips", str(f), "--outdir", str(tmp_path)])
+        assert res.exit_code == 0
+        manifest = json.loads((tmp_path / "pow.rips.manifest.json").read_text())
+        assert manifest["counts"]["padding_blocks"] == 64
+        assert manifest["certificates"]["metric"]["passed"]
 
     def test_uce_rejects_nonperfect(self, runner, tmp_path):
         f = tmp_path / "z.pres"

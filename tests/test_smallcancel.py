@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presforge.freewords import Word, free_reduce, render_word
-from presforge.presentations import presentation
+from piece_oracles import piece_table, reference_certificate, threshold_scan
+from presforge.freewords import Alphabet, Word, free_reduce, render_word
+from presforge.presentations import FinitePresentation, presentation
 from presforge.smallcancel import (
     CertificateRequired,
     DehnSolver,
     dehn_word_problem,
     metric_certificate,
-    piece_table,
-    threshold_scan,
 )
 
 # frozen single-relator example: blocks a b^(j+2) c^2 with j = 0..23; all
@@ -118,6 +117,49 @@ class TestMetricCertificate:
         # a b a^-1 has cyclic core b: certificate sees length-1 relators
         cert = metric_certificate(presentation(["a", "b"], ["a*b*a^-1"]))
         assert cert.relator_lengths == (1,)
+
+
+_FUZZ_ALPHABET = Alphabet(["a", "b", "c"])
+_fuzz_letters = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))),
+                         min_size=1, max_size=12)
+
+
+@st.composite
+def fuzz_presentations(draw):
+    """Relators from random letters, with proper powers, repeated relators
+    and relators next to their inverses, so that long runs of rotations
+    tie and equal rotation words occur at distinct slots; block words
+    a b^(j+2) c^(s+2), as in LONG_RELATOR, give long relators that pass."""
+    rels = []
+    for letters in draw(st.lists(_fuzz_letters, max_size=4)):
+        w = free_reduce(Word(_FUZZ_ALPHABET, tuple(letters)))
+        if not w:
+            continue
+        kind = draw(st.sampled_from(("plain", "power", "repeated", "inverse", "blocks")))
+        if kind == "power":
+            w = w ** draw(st.integers(2, 6))
+        elif kind == "blocks":
+            s = draw(st.integers(0, 3))
+            w = _FUZZ_ALPHABET.word("*".join(
+                f"a*b^{j + 2}*c^{s + 2}" for j in range(draw(st.integers(2, 24)))))
+        rels.append(w)
+        if kind == "repeated":
+            rels.append(w)
+        elif kind == "inverse":
+            rels.append(w.inverse())
+    return FinitePresentation(_FUZZ_ALPHABET, tuple(rels))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(P=fuzz_presentations(),
+       lam=st.sampled_from((Fraction(-1, 6), Fraction(0), Fraction(1, 6), Fraction(1, 2))))
+def test_fuzz_certificate_matches_rotation_strings(P, lam):
+    """The rotation-free scanner gives the rotation-string scanner's
+    certificate field for field, offending witness included, and the
+    window-table scan's verdict."""
+    cert = metric_certificate(P, lam)
+    assert cert == reference_certificate(P, lam)
+    assert cert.passed == threshold_scan(P, lam)
 
 
 class TestPieceTable:

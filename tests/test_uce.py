@@ -2,13 +2,24 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from presforge.freewords import Word, commutator, exponent_vector, free_reduce, render_word
+from presforge.freewords import (
+    Alphabet,
+    AlphabetMismatchError,
+    Word,
+    commutator,
+    exponent_vector,
+    free_reduce,
+    render_word,
+)
 from presforge.homology import h1, relation_matrix, solve_row_lattice
-from presforge.presentations import presentation
+from presforge.presentations import FinitePresentation, PresentationError, presentation
 from presforge.quotients import todd_coxeter, word_problem_oracle
 from presforge.uce import (
     BudgetExhausted,
+    NormalClosureElement,
     PerfectionRequired,
     express_in_generators,
     find_commutator_witnesses,
@@ -71,6 +82,58 @@ class TestClosureStream:
             assert e.verify(icosahedral)
             inv = e.inverse(icosahedral)
             assert inv.expanded == e.expanded.inverse()
+
+
+def concat_build(P, factors):
+    """Reference expansion: juxtapose every conj * r^sign * conj^-1 with
+    `Word.concat`, then freely reduce once."""
+    acc = P.alphabet.identity()
+    for conj, idx, sign in factors:
+        if not (0 <= idx < len(P.relators)) or sign not in (1, -1):
+            raise PresentationError(f"bad closure factor ({idx}, {sign})")
+        r = P.relators[idx] if sign > 0 else P.relators[idx].inverse()
+        acc = acc.concat(conj).concat(r).concat(conj.inverse())
+    return NormalClosureElement(tuple(factors), free_reduce(acc))
+
+
+def _built(build, P, factors):
+    try:
+        return build(P, factors)
+    except (PresentationError, AlphabetMismatchError) as e:
+        return type(e), str(e)
+
+
+_ABC = Alphabet(["a", "b", "c"])
+_raw_letters = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=8)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(relators=st.lists(_raw_letters, min_size=1, max_size=4),
+       factors=st.lists(st.tuples(_raw_letters, st.integers(0, 10), st.sampled_from((1, -1))),
+                        min_size=1, max_size=6),
+       fault=st.sampled_from((None, "index", "sign", "alphabet")),
+       at=st.integers(0, 10**6))
+def test_fuzz_build_matches_concat_then_reduce(relators, factors, fault, at):
+    """Conjugators are random letter strings, not freely reduced; relators
+    are freely reduced, as a presentation demands, but not cyclically.  A
+    bad index, a bad sign or a conjugator over another alphabet raises
+    the reference's exception with the reference's message."""
+    rels = [w for w in (free_reduce(Word(_ABC, tuple(ls))) for ls in relators) if w]
+    if not rels:
+        rels = [_ABC.gen("a")]
+    P = FinitePresentation(_ABC, tuple(rels))
+    fs = [(Word(_ABC, tuple(c)), i % len(rels), s) for c, i, s in factors]
+    k = at % len(fs)
+    conj, idx, sign = fs[k]
+    if fault == "index":
+        fs[k] = (conj, len(rels) + at % 3 if at % 2 else -1 - at % 3, sign)
+    elif fault == "sign":
+        fs[k] = (conj, idx, (0, 2, -2)[at % 3])
+    elif fault == "alphabet":
+        fs[k] = (Word(Alphabet(["a", "b"]), ((0, 1),) * (at % 3)), idx, sign)
+    built = _built(NormalClosureElement.build, P, fs)
+    assert built == _built(concat_build, P, fs)
+    assert isinstance(built, NormalClosureElement) == (fault is None)
 
 
 class TestWitnesses:
