@@ -40,7 +40,6 @@ from .homology import AsphericityRequired, h1, h2_aspherical
 from .presentations import (
     FinitePresentation,
     PresentationError,
-    direct_product_presentation,
     parse_presentation,
     render_presentation,
 )
@@ -472,17 +471,16 @@ def bg_pipeline(P, out):
     product and the fibre generating set, and certify everything."""
     res = rips_wise(P)
     gs = fibre_generators("U", rips=res)
-    product = direct_product_presentation(res.gamma, res.gamma)
     hh = h1(P)
     gamma_art = out.pres("gamma.pres", res.gamma)
-    prod_art = out.pres("product.pres", product)
+    prod_art = out.pres("product.pres", gs.ambient)
     gens_art = out.json("U.generators.json", [_pair(pw) for pw in gs.elements])
     manifest = {
         "artifacts": {"gamma": gamma_art, "product": prod_art, "generators": gens_art},
         "counts": {
             "gamma_generators": res.gamma.alphabet.rank,
             "gamma_relators": len(res.gamma.relators),
-            "product_relators": len(product.relators),
+            "product_relators": len(gs.ambient.relators),
             "fibre_generators": len(gs.elements),
         },
         "certificates": {

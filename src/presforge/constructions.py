@@ -25,10 +25,10 @@ from typing import Callable, Sequence
 from .freewords import (
     Alphabet,
     Word,
-    apply_map,
     conjugacy_test,
     cyclically_reduce,
     free_reduce,
+    relabel,
     render_word,
 )
 from .homology import AbelianGroupDescriptor
@@ -40,7 +40,7 @@ from .presentations import (
     direct_product_presentation,
     higman_presentations,
     presentation,
-    tietze_eliminate_generator,
+    rename_generators,
 )
 from .smallcancel import MetricCertificate, metric_certificate
 from .uce import PerfectionRequired, UcePresentation, miller_uce
@@ -85,13 +85,10 @@ class PairWord:
 def pair_to_product_word(pw: PairWord, ambient: FinitePresentation) -> Word:
     """Canonical image of a pair in the tagged product alphabet: left
     letters (as *_L), then right letters (as *_R)."""
-    alph = ambient.alphabet
-    letters = []
-    for idx, sign in pw.left.letters:
-        letters.append((alph.index(pw.left.alphabet.symbols[idx] + "_L"), sign))
-    for idx, sign in pw.right.letters:
-        letters.append((alph.index(pw.right.alphabet.symbols[idx] + "_R"), sign))
-    return Word(alph, tuple(letters))
+    syms = pw.left.alphabet.symbols
+    left, = relabel([pw.left], ambient.alphabet, [s + "_L" for s in syms])
+    right, = relabel([pw.right], ambient.alphabet, [s + "_R" for s in syms])
+    return left.concat(right)
 
 
 def product_word_to_pair(w: Word, factor: Alphabet) -> PairWord:
@@ -167,14 +164,13 @@ def rips_wise(
     """
     kernel = _fresh_kernel_names(P.alphabet)
     alph = Alphabet(P.alphabet.symbols + kernel)
-    lift = {s: alph.gen(s) for s in P.alphabet.symbols}
+    lifted = relabel(P.relators, alph)
 
     blocks = initial_blocks
     for _ in range(max_doublings + 1):
         rels: list[Word] = []
         t = 0
-        for r in P.relators:
-            prefix = apply_map(r, lift, target=alph)
+        for prefix in lifted:
             rels.append(free_reduce(prefix.concat(_padding_word(alph, kernel, t, blocks).inverse())))
             t += 1
         for x in P.alphabet.symbols:
@@ -215,6 +211,23 @@ def killed_quotient(rips: RipsOutput) -> FinitePresentation:
 
 # --- finite-quotient killing -------------------------------------------------
 
+def _fresh_copies(generators: Sequence[str], count: int,
+                  used: set[str]) -> list[tuple[str, ...]]:
+    """Generator names of `count` copies of a presentation: g_i for copy i,
+    suffixed with '_' until unused.  `used` grows by the names chosen."""
+    copies = []
+    for i in range(1, count + 1):
+        names = []
+        for g in generators:
+            cand = f"{g}_{i}"
+            while cand in used:
+                cand += "_"
+            used.add(cand)
+            names.append(cand)
+        copies.append(tuple(names))
+    return copies
+
+
 @dataclass
 class KillResult:
     """Both forms of the attachment construction: the raw form with the
@@ -253,45 +266,29 @@ def kill_finite_quotients(
     A, y = attach
     if y not in A.alphabet:
         raise ConstructionError(f"distinguished element {y!r} not a generator of the attachment")
-    used = set(P.alphabet.symbols)
-    copies: list[tuple[str, ...]] = []
-    ys: list[str] = []
-    for i, _x in enumerate(P.alphabet.symbols, start=1):
-        names = []
-        for g in A.alphabet.symbols:
-            cand = f"{g}_{i}"
-            while cand in used:
-                cand += "_"
-            used.add(cand)
-            names.append(cand)
-        copies.append(tuple(names))
-        ys.append(names[A.alphabet.index(y)])
-    alph = Alphabet(P.alphabet.symbols + tuple(n for c in copies for n in c))
-    lift = {s: alph.gen(s) for s in P.alphabet.symbols}
-    rels = [apply_map(r, lift, target=alph) for r in P.relators]
-    for names in copies:
-        imap = {g: alph.gen(n) for g, n in zip(A.alphabet.symbols, names)}
-        rels.extend(apply_map(r, imap, target=alph) for r in A.relators)
+    copies = _fresh_copies(A.alphabet.symbols, P.alphabet.rank, set(P.alphabet.symbols))
+    ys = tuple(names[A.alphabet.index(y)] for names in copies)
+    copy_names = tuple(n for c in copies for n in c)
+
+    def glue(alph: Alphabet, input_names: Sequence[str]) -> list[Word]:
+        rels = relabel(P.relators, alph, input_names)
+        for names in copies:
+            rels += relabel(A.relators, alph, names)
+        return rels
+
+    alph = Alphabet(P.alphabet.symbols + copy_names)
+    rels = glue(alph, P.alphabet.symbols)
     for x, yi in zip(P.alphabet.symbols, ys):
-        rels.append(free_reduce(alph.gen(x).inverse().concat(alph.gen(yi))))
+        rels.append(alph.gen(x).inverse().concat(alph.gen(yi)))
     note = None
     if P.aspherical and A.aspherical:
         note = ("amalgam chain along infinite-cyclic subgroups of aspherical "
                 "pieces; valid when the presented group is nontrivial "
                 f"(input note: {P.aspherical}; attachment note: {A.aspherical})")
     pi_prime = FinitePresentation(alph, tuple(rels), aspherical=note)
-
-    simplified = pi_prime
-    for x in P.alphabet.symbols:
-        target = None
-        xi = simplified.alphabet.index(x)
-        for k, r in enumerate(simplified.relators):
-            if len(r) == 2 and r.letters[0] == (xi, -1) and r.letters[1][1] == 1:
-                target = k
-                break
-        if target is None:
-            raise AssertionError("identification relator vanished (internal error)")
-        simplified = tietze_eliminate_generator(simplified, x, target).presentation
+    # eliminating each x_i against x_i^-1 y_i is the renaming x_i -> y_i
+    simp_alph = Alphabet(copy_names)
+    simplified = FinitePresentation(simp_alph, tuple(glue(simp_alph, ys)), aspherical=note)
 
     nv = len(P.relators)
     return KillResult(
@@ -301,7 +298,7 @@ def kill_finite_quotients(
         pi_prime=pi_prime,
         simplified=simplified,
         copies=tuple(copies),
-        copy_distinguished=tuple(ys),
+        copy_distinguished=ys,
         v_words=simplified.relators[:nv],
     )
 
@@ -403,11 +400,10 @@ def fibre_generators(kind: str, **inputs) -> GeneratingSet:
         G = rips.gamma
         ambient = direct_product_presentation(G, G)
         one = G.alphabet.identity()
-        lift = {s: G.alphabet.gen(s) for s in G.alphabet.symbols}
         theta = fibre_generators("theta", kill=kill)
-        elems = [PairWord(apply_map(pw.left, lift, target=G.alphabet),
-                          apply_map(pw.right, lift, target=G.alphabet))
-                 for pw in theta.elements]
+        lefts = relabel([pw.left for pw in theta.elements], G.alphabet)
+        rights = relabel([pw.right for pw in theta.elements], G.alphabet)
+        elems = [PairWord(u, v) for u, v in zip(lefts, rights)]
         elems += [PairWord(G.alphabet.gen(a), one) for a in rips.kernel_generators]
         elems += [PairWord(one, G.alphabet.gen(a)) for a in rips.kernel_generators]
         return GeneratingSet("theta_tilde", ambient, tuple(elems), factor=G,
@@ -418,17 +414,11 @@ def fibre_generators(kind: str, **inputs) -> GeneratingSet:
 def free_product_of_copies(kill: KillResult) -> FinitePresentation:
     """Free product of the attached copies: all copy generators, all copy
     relators (the simplified form without the rewritten input relators)."""
-    names = tuple(n for c in kill.copies for n in c)
-    alph = Alphabet(names)
-    rels = []
-    A = kill.attach
-    for copy in kill.copies:
-        imap = {g: alph.gen(n) for g, n in zip(A.alphabet.symbols, copy)}
-        rels.extend(apply_map(r, imap, target=alph) for r in A.relators)
+    S = kill.simplified
     note = None
-    if A.aspherical:
-        note = f"free product of aspherical copies ({A.aspherical})"
-    return FinitePresentation(alph, tuple(rels), aspherical=note)
+    if kill.attach.aspherical:
+        note = f"free product of aspherical copies ({kill.attach.aspherical})"
+    return FinitePresentation(S.alphabet, S.relators[len(kill.v_words):], aspherical=note)
 
 
 def fibre_membership(pw: PairWord, p: PresentationMorphism,
@@ -552,9 +542,7 @@ class DeltaResult:
     def s_plus(self, S: GeneratingSet) -> GeneratingSet:
         """S_n read as words over the amalgam, extended by the attachment
         letters C."""
-        words = [pair_to_product_word(pw, self.fxf) for pw in S.elements]
-        lift = {s: self.delta.alphabet.gen(s) for s in self.fxf.alphabet.symbols}
-        words = [apply_map(w, lift, target=self.delta.alphabet) for w in words]
+        words = [free_reduce(pair_to_product_word(pw, self.delta)) for pw in S.elements]
         elems = tuple(words) + self.C.elements
         return GeneratingSet("S_plus", self.delta, elems, factor=self.factor,
                              notes="fibre generators extended by attachment letters")
@@ -576,20 +564,10 @@ def delta_amalgam(generators: Sequence[str] | Alphabet) -> DeltaResult:
     fxf = direct_product_presentation(F, F)
     fxf = fxf.with_asphericity("product of two free presentations (torus complex)")
     J, _ = higman_presentations()
-    used = set(fxf.alphabet.symbols)
-    copies: list[tuple[str, ...]] = []
+    copies = _fresh_copies(J.alphabet.symbols, 2 * l, set(fxf.alphabet.symbols))
     current = fxf
-    for i in range(1, 2 * l + 1):
-        cnames = []
-        for g in J.alphabet.symbols:
-            cand = f"{g}_{i}"
-            while cand in used:
-                cand += "_"
-            used.add(cand)
-            cnames.append(cand)
-        copies.append(tuple(cnames))
-        Ji = presentation(cnames, [Word(Alphabet(cnames), r.letters) for r in J.relators],
-                          aspherical=J.aspherical)
+    for i, cnames in enumerate(copies, start=1):
+        Ji = rename_generators(J, dict(zip(J.alphabet.symbols, cnames)))
         if i <= l:
             glue = current.alphabet.gen(names[i - 1] + "_L")
         else:

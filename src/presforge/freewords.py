@@ -184,7 +184,7 @@ def apply_map(w: Word, images: Mapping[str, Word], target: Alphabet | None = Non
 
     Every symbol occurring in w must have an image; images must all live
     over one alphabet (pass `target` explicitly if the mapping is empty or
-    ambiguous).
+    ambiguous).  Each image is checked and inverted once per call.
     """
     if target is None:
         for im in images.values():
@@ -194,20 +194,49 @@ def apply_map(w: Word, images: Mapping[str, Word], target: Alphabet | None = Non
             raise UnmappedSymbolError("cannot infer target alphabet from empty image map")
     out: list[Letter] = []
     src = w.alphabet
+    seqs: dict[int, tuple[tuple[Letter, ...], tuple[Letter, ...]]] = {}
     for idx, sign in w.letters:
-        name = src.symbols[idx]
-        if name not in images:
-            raise UnmappedSymbolError(f"no image for symbol {name!r}")
-        im = images[name]
-        if im.alphabet != target:
-            raise AlphabetMismatchError(f"image of {name!r} lives over a different alphabet")
-        seq = im.letters if sign > 0 else im.inverse().letters
-        for jdx, jsign in seq:
+        pair = seqs.get(idx)
+        if pair is None:
+            name = src.symbols[idx]
+            if name not in images:
+                raise UnmappedSymbolError(f"no image for symbol {name!r}")
+            im = images[name]
+            if im.alphabet != target:
+                raise AlphabetMismatchError(f"image of {name!r} lives over a different alphabet")
+            pair = seqs[idx] = (im.letters, tuple((j, -s) for j, s in reversed(im.letters)))
+        for jdx, jsign in pair[sign < 0]:
             if out and out[-1][0] == jdx and out[-1][1] == -jsign:
                 out.pop()
             else:
                 out.append((jdx, jsign))
     return Word(target, tuple(out))
+
+
+def relabel(words: Iterable[Word], target: Alphabet,
+            names: Sequence[str] | None = None) -> list[Word]:
+    """Carry words over one common alphabet into `target` letter by letter:
+    symbol i becomes `target.index(names[i])`, by default the symbol's own
+    name.  The renaming must be injective; it then keeps freely reduced
+    words reduced, so nothing is reduced here.
+    """
+    words = list(words)
+    if not words:
+        return []
+    src = words[0].alphabet
+    if names is None:
+        names = src.symbols
+    elif len(names) != src.rank:
+        raise AlphabetMismatchError(f"{len(names)} names for a rank-{src.rank} alphabet")
+    if len(set(names)) != len(names):
+        raise MalformedWordError(f"renaming onto {list(names)} is not injective")
+    table = [target.index(n) for n in names]
+    out = []
+    for w in words:
+        if w.alphabet != src:
+            raise AlphabetMismatchError("cannot relabel words over different alphabets")
+        out.append(Word(target, tuple((table[i], s) for i, s in w.letters)))
+    return out
 
 
 def identity_images(alphabet: Alphabet) -> dict[str, Word]:

@@ -30,6 +30,7 @@ from .freewords import (
     commutator,
     free_reduce,
     parse_word,
+    relabel,
     render_word,
 )
 
@@ -235,9 +236,9 @@ def tietze_eliminate_generator(
         raise NotEliminableError(
             f"relator {render_word(P.relators[defining])!r} does not define {g!r}")
     new_alph = Alphabet(s for s in P.alphabet.symbols if s != g)
-    down = {s: new_alph.gen(s) for s in P.alphabet.symbols if s != g}
-    down[g] = apply_map(w, {s: new_alph.gen(s) for s in new_alph.symbols},
-                        target=new_alph)
+    down = {s: new_alph.gen(s) for s in new_alph.symbols}
+    # w avoids g, so it reads over new_alph with the later indices shifted down
+    down[g] = Word(new_alph, tuple((i - (i > g_idx), s) for i, s in w.letters))
     new_rels = []
     for k, r in enumerate(P.relators):
         if k == defining:
@@ -267,37 +268,29 @@ def rename_generators(P: FinitePresentation, mapping: Mapping[str, str]) -> Fini
 # --- builders --------------------------------------------------------------
 
 def _disjoint_names(P1: FinitePresentation, P2: FinitePresentation,
-                    auto_rename: bool) -> tuple[FinitePresentation, FinitePresentation]:
-    clash = set(P1.alphabet.symbols) & set(P2.alphabet.symbols)
+                    auto_rename: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Generator names for the two sides of a product: their own when
+    disjoint, else suffixed '_1' / '_2' (if auto_rename)."""
+    n1, n2 = P1.alphabet.symbols, P2.alphabet.symbols
+    clash = set(n1) & set(n2)
     if not clash:
-        return P1, P2
+        return n1, n2
     if not auto_rename:
         raise PresentationError(
             f"generator name clash {sorted(clash)}; pass auto_rename=True to suffix")
-    r1 = rename_generators(P1, {s: s + "_1" for s in P1.alphabet.symbols})
-    r2 = rename_generators(P2, {s: s + "_2" for s in P2.alphabet.symbols})
-    return r1, r2
-
-
-def _union_alphabet(P1: FinitePresentation, P2: FinitePresentation) -> Alphabet:
-    return Alphabet(P1.alphabet.symbols + P2.alphabet.symbols)
-
-
-def _lift(w: Word, target: Alphabet) -> Word:
-    images = {s: target.gen(s) for s in w.alphabet.symbols}
-    return apply_map(w, images, target=target)
+    return tuple(s + "_1" for s in n1), tuple(s + "_2" for s in n2)
 
 
 def free_product(P1: FinitePresentation, P2: FinitePresentation,
                  auto_rename: bool = False) -> FinitePresentation:
     """Union of generators and relators (disjoint names required)."""
-    P1, P2 = _disjoint_names(P1, P2, auto_rename)
-    alph = _union_alphabet(P1, P2)
-    rels = tuple(_lift(r, alph) for r in P1.relators + P2.relators)
+    n1, n2 = _disjoint_names(P1, P2, auto_rename)
+    alph = Alphabet(n1 + n2)
+    rels = relabel(P1.relators, alph, n1) + relabel(P2.relators, alph, n2)
     note = None
     if P1.aspherical and P2.aspherical:
         note = "free product of aspherical presentations"
-    return FinitePresentation(alph, rels, aspherical=note)
+    return FinitePresentation(alph, tuple(rels), aspherical=note)
 
 
 def amalgamated_product(
@@ -319,13 +312,12 @@ def amalgamated_product(
     for u, v in pairs:
         if u.alphabet != P1.alphabet or v.alphabet != P2.alphabet:
             raise PresentationError("identified pair over the wrong alphabets")
-    Q1, Q2 = _disjoint_names(P1, P2, auto_rename)
-    alph = _union_alphabet(Q1, Q2)
-    rels = [_lift(r, alph) for r in Q1.relators + Q2.relators]
-    for u, v in pairs:
-        # renaming preserves letter indices, so words carry over directly
-        uu = _lift(Word(Q1.alphabet, u.letters), alph)
-        vv = _lift(Word(Q2.alphabet, v.letters), alph)
+    n1, n2 = _disjoint_names(P1, P2, auto_rename)
+    alph = Alphabet(n1 + n2)
+    rels = relabel(P1.relators, alph, n1) + relabel(P2.relators, alph, n2)
+    us = relabel([u for u, _ in pairs], alph, n1)
+    vs = relabel([v for _, v in pairs], alph, n2)
+    for uu, vv in zip(us, vs):
         r = free_reduce(uu.concat(vv.inverse()))
         if not r.letters:
             raise PresentationError("identified pair freely cancels; not a valid amalgam relator")
@@ -347,13 +339,13 @@ def hnn_extension(
     if t in P.alphabet:
         raise PresentationError(f"stable letter {t!r} already a generator")
     alph = Alphabet(P.alphabet.symbols + (t,))
-    rels = [_lift(r, alph) for r in P.relators]
+    rels = relabel(P.relators, alph)
     tw = alph.gen(t)
     for u, v in pairs:
         if u.alphabet != P.alphabet or v.alphabet != P.alphabet:
             raise PresentationError("associated pair over the wrong alphabet")
-        r = free_reduce(tw.concat(_lift(u, alph)).concat(tw.inverse())
-                        .concat(_lift(v, alph).inverse()))
+        uu, vv = relabel([u, v], alph)
+        r = free_reduce(tw.concat(uu).concat(tw.inverse()).concat(vv.inverse()))
         if not r.letters:
             raise PresentationError("associated pair freely cancels")
         rels.append(r)
@@ -371,12 +363,12 @@ def direct_product_presentation(
     tagged '_R'; relators are both factors' relators plus all cross-factor
     commutators (count |R1|+|R2|+|X1|*|X2|).
     """
-    L = rename_generators(P1, {s: s + "_L" for s in P1.alphabet.symbols})
-    R = rename_generators(P2, {s: s + "_R" for s in P2.alphabet.symbols})
-    alph = _union_alphabet(L, R)
-    rels = [_lift(r, alph) for r in L.relators + R.relators]
-    for x in L.alphabet.symbols:
-        for z in R.alphabet.symbols:
+    nL = tuple(s + "_L" for s in P1.alphabet.symbols)
+    nR = tuple(s + "_R" for s in P2.alphabet.symbols)
+    alph = Alphabet(nL + nR)
+    rels = relabel(P1.relators, alph, nL) + relabel(P2.relators, alph, nR)
+    for x in nL:
+        for z in nR:
             rels.append(commutator(alph.gen(x), alph.gen(z)))
     return FinitePresentation(alph, tuple(rels))
 

@@ -90,36 +90,26 @@ class NormalClosureElement:
         return len(self.factors) + sum(len(c) for c, _, _ in self.factors)
 
 
-_WORD_CACHE: dict[Alphabet, list[tuple[Word, ...]]] = {}
-
-
-def _reduced_words_of_length(alphabet: Alphabet, length: int) -> tuple[Word, ...]:
-    """Freely reduced words of exactly this length, lexicographic in the
-    letter order (0,+1) < (0,-1) < (1,+1) < ..."""
-    cache = _WORD_CACHE.setdefault(alphabet, [(alphabet.identity(),)])
+def _reduced_word_levels(alphabet: Alphabet) -> Iterator[tuple[Word, ...]]:
+    """The freely reduced words of length 0, 1, 2, ..., one tuple per
+    length, each lexicographic in the letter order (0,+1) < (0,-1) <
+    (1,+1) < ... and built from the one before."""
     letters = [(i, s) for i in range(alphabet.rank) for s in (1, -1)]
-    while len(cache) <= length:
-        nxt: list[Word] = []
-        for w in cache[-1]:
-            last = w.letters[-1] if w.letters else None
-            for idx, sign in letters:
-                if last == (idx, -sign):
-                    continue
-                nxt.append(Word(alphabet, w.letters + ((idx, sign),)))
-        cache.append(tuple(nxt))
-    return cache[length]
+    level = (alphabet.identity(),)
+    while True:
+        yield level
+        level = tuple(Word(alphabet, w.letters + ((i, s),)) for w in level
+                      for i, s in letters if not w.letters or w.letters[-1] != (i, -s))
 
 
 def reduced_words(alphabet: Alphabet) -> Iterator[Word]:
     """All freely reduced words in (length, lex) order, identity first.
     Finite (just the identity) over the empty alphabet."""
-    yield alphabet.identity()
     if alphabet.rank == 0:
+        yield alphabet.identity()
         return
-    length = 1
-    while True:
-        yield from _reduced_words_of_length(alphabet, length)
-        length += 1
+    for level in _reduced_word_levels(alphabet):
+        yield from level
 
 
 def commutator_subgroup_words(alphabet: Alphabet) -> Iterator[Word]:
@@ -129,12 +119,10 @@ def commutator_subgroup_words(alphabet: Alphabet) -> Iterator[Word]:
     yield alphabet.identity()
     if alphabet.rank <= 1:
         return
-    length = 2
-    while True:
-        for w in _reduced_words_of_length(alphabet, length):
+    for level in itertools.islice(_reduced_word_levels(alphabet), 2, None, 2):
+        for w in level:
             if not any(exponent_vector(w)):
                 yield w
-        length += 2
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -160,7 +148,8 @@ def normal_closure_stream(P: FinitePresentation) -> Iterator[NormalClosureElemen
     m = len(P.relators)
     if m == 0:
         return
-    alph = P.alphabet
+    levels = _reduced_word_levels(P.alphabet)
+    by_length = [next(levels)]
     size = 1
     while True:
         for k in range(1, size + 1):
@@ -168,10 +157,11 @@ def normal_closure_stream(P: FinitePresentation) -> Iterator[NormalClosureElemen
             for signs in itertools.product((1, -1), repeat=k):
                 for indices in itertools.product(range(m), repeat=k):
                     for comp in _compositions(clen, k):
-                        pools = [_reduced_words_of_length(alph, l) for l in comp]
+                        pools = [by_length[l] for l in comp]
                         for conjs in itertools.product(*pools):
                             yield NormalClosureElement.build(
                                 P, tuple(zip(conjs, indices, signs)))
+        by_length.append(next(levels))
         size += 1
 
 

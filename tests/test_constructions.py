@@ -26,6 +26,7 @@ from presforge.presentations import (
     PresentationMorphism,
     direct_product_presentation,
     presentation,
+    tietze_eliminate_generator,
 )
 from presforge.quotients import (
     finite_quotient_certificate,
@@ -110,6 +111,22 @@ class TestKillFiniteQuotients:
         assert list(kr.simplified.relators) == expected + copy_rels
         assert kr.simplified.alphabet.symbols == tuple(
             n for copy in kr.copies for n in copy)
+
+    def test_input_relator_shaped_like_an_identification(self):
+        # a^-1*b has the shape x^-1*y of the identification relators
+        P = presentation(["a", "b"], ["a^-1*b", "b^3"])
+        kr = kill_finite_quotients(P)
+        assert [render_word(v) for v in kr.v_words] == ["d_1^-1*d_2", "d_2^3"]
+        # oracle: Tietze elimination against the true identification relators
+        S = kr.pi_prime
+        for x, y in zip(P.alphabet.symbols, kr.copy_distinguished):
+            S = tietze_eliminate_generator(
+                S, x, S.relators.index(S.word(f"{x}^-1*{y}"))).presentation
+        assert S == kr.simplified
+        assert S.aspherical == kr.simplified.aspherical
+        theta = fibre_generators("theta", kill=kr)
+        assert [render_word(pw.left) for pw in theta.elements[-2:]] == \
+            ["d_1^-1*d_2", "d_2^3"]
 
     def test_output_is_perfect(self, kill_trivial):
         assert is_perfect(kill_trivial.pi_prime)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presforge.freewords import (
     Alphabet,
@@ -18,6 +20,7 @@ from presforge.freewords import (
     free_reduce,
     identity_images,
     parse_word,
+    relabel,
     render_word,
 )
 
@@ -181,6 +184,50 @@ class TestApplyMap:
     def test_missing_image(self):
         with pytest.raises(UnmappedSymbolError):
             apply_map(parse_word(AB, "a*b"), {"a": AB.word("a")})
+
+
+class TestRelabel:
+    def test_rejects_non_injective_renaming(self):
+        with pytest.raises(MalformedWordError):
+            relabel([AB.word("a*b")], ABCD, ["c", "c"])
+
+    def test_rejects_mixed_alphabets_and_wrong_name_count(self):
+        with pytest.raises(AlphabetMismatchError):
+            relabel([AB.word("a"), ABCD.word("a")], ABCD)
+        with pytest.raises(AlphabetMismatchError):
+            relabel([AB.word("a")], ABCD, ["a"])
+
+    def test_rejects_names_missing_from_target(self):
+        with pytest.raises(MalformedWordError):
+            relabel([ABCD.word("d")], AB)
+
+    def test_empty_input(self):
+        assert relabel([], AB) == []
+
+
+_LETTER_LISTS = st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=12)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), rank=st.integers(1, 4), extra=st.integers(0, 3),
+       raw=st.lists(_LETTER_LISTS, max_size=5))
+def test_fuzz_relabel_matches_identity_apply_map(data, rank, extra, raw):
+    src = Alphabet([f"g{i}" for i in range(rank)])
+    pool = [f"g{i}" for i in range(rank)] + [f"h{i}" for i in range(extra)]
+    target = Alphabet(data.draw(st.permutations(pool)))
+    words = [free_reduce(Word(src, tuple((i % rank, s) for i, s in letters)))
+             for letters in raw]
+    identity = {s: target.gen(s) for s in src.symbols}
+    assert relabel(words, target) == [apply_map(w, identity, target) for w in words]
+    names = data.draw(st.permutations(pool))[:rank]
+    renamed = {s: target.gen(n) for s, n in zip(src.symbols, names)}
+    out = relabel(words, target, names)
+    assert out == [apply_map(w, renamed, target) for w in words]
+    assert all(w.is_reduced() for w in out)
+    if rank >= 2:
+        clash = [names[0]] * rank
+        with pytest.raises(MalformedWordError):
+            relabel(words or [src.identity()], target, clash)
 
 
 class TestExponentVector:
