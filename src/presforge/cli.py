@@ -456,13 +456,15 @@ def order(P, max_cosets, subgroup_words):
         "status": table.status,
         "index": table.index,
         "cosets_defined": table.cosets_defined,
+        "peak_live": table.peak_live,
         "max_cosets": budget,
         "subgroup": list(subgroup_words),
     }
     if table.complete:
-        return report, [f"index {table.index} ({table.cosets_defined} cosets defined)"], EXIT_OK
+        return report, [f"index {table.index} ({table.cosets_defined} cosets defined, "
+                        f"peak {table.peak_live} live)"], EXIT_OK
     return report, [f"overflow after defining {table.cosets_defined} cosets "
-                    f"(budget {budget})"], EXIT_INCONCLUSIVE
+                    f"(peak {table.peak_live} live, budget {budget})"], EXIT_INCONCLUSIVE
 
 
 @_command(manifest="bg-pipeline")

@@ -12,7 +12,6 @@ correctness issue, not an overflow risk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .freewords import exponent_vector
 from .presentations import FinitePresentation
@@ -48,31 +47,6 @@ def mat_mul(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
                 for j in range(m):
                     Oi[j] += a * Bt[j]
     return out
-
-
-def det(A: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [row[:] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
 
 
 @dataclass
@@ -199,21 +173,6 @@ def smith_normal_form(M: IntegerMatrix) -> SmithForm:
     if not form.verify(M):
         raise AssertionError("SNF transform verification failed (internal error)")
     return form
-
-
-def minors_gcd(M: IntegerMatrix, k: int) -> int:
-    """gcd of all k x k minors (0 if none are nonzero); oracle for SNF since
-    d_1*...*d_k == minors_gcd(M, k)."""
-    from itertools import combinations
-
-    m = len(M)
-    n = len(M[0]) if m else 0
-    g = 0
-    for rows in combinations(range(m), k):
-        for cols in combinations(range(n), k):
-            sub = [[M[i][j] for j in cols] for i in rows]
-            g = gcd(g, det(sub))
-    return g
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@
 over standardized coset tables with relator deductions, which finds every
 subgroup of index <= n exactly once.  A nontrivial finite quotient acts
 nontrivially on some orbit, so it exists iff a proper subgroup of finite
-index does.  `hom_search` (backtracking over generator images in S_k) and
-`brute_force_homs` are the independent oracles the tests compare it against.
+index does.  `hom_search` (backtracking over generator images in S_k) is
+the independent oracle the tests compare it against.
 
 `finite_quotient_certificate` searches index bound K and never claims
 anything beyond it.  It first kills generator blocks, which pays off on
@@ -19,8 +19,14 @@ candidate blocks are read off the presentation: for each generator g, the
 connected components of the relators that avoid g, two relators being
 connected when they share a generator.
 
-`todd_coxeter` enumerates cosets with relator scanning and immediate
-coincidence handling (union-find on coset labels).  A completed table is
+`todd_coxeter` is HLT coset enumeration (Holt, Eick and O'Brien, Handbook
+of Computational Group Theory, 2005, ch. 5).  Each live coset in creation
+order has every relator scanned and filled at it: scanned forward, then
+backward, as far as the table is defined, with new cosets defined only
+inside the gap and a gap of one letter closed by a deduction.  A scan
+that closes on two different cosets starts the Handbook's COINCIDENCE,
+which moves each dead row into its representative at once, so scans read
+table entries with no union-find lookup.  A completed table is
 re-verified (`CosetTable.verify`) before being returned: the generators
 must act by permutations, transitively, satisfying every relator and
 fixing coset 0 under the subgroup generators.
@@ -211,20 +217,6 @@ def hom_search(
         if not hom.verify(P):
             raise AssertionError("hom_search produced a non-homomorphism (internal error)")
     return results
-
-
-def brute_force_homs(P: FinitePresentation, k: int) -> list[PermAssignment]:
-    """Raw product enumeration (no backtracking); independent oracle for
-    small inputs."""
-    gens = P.alphabet.symbols
-    all_perms = [tuple(p) for p in itertools.permutations(range(k))]
-    ident = identity_perm(k)
-    out = []
-    for combo in itertools.product(all_perms, repeat=len(gens)):
-        hom = PermAssignment(k, tuple(zip(gens, combo)))
-        if all(hom.evaluate(r) == ident for r in P.relators):
-            out.append(hom)
-    return out
 
 
 def _columns(letters: Iterable[Letter]) -> list[int]:
@@ -471,12 +463,15 @@ class CosetTable:
 
     status is "complete" (index == number of live cosets, action verified)
     or "overflow" (budget exhausted; never treated as an answer).
+    cosets_defined counts every coset ever defined, peak_live the most
+    cosets live at once; both are deterministic work counters.
     """
 
     status: str
     index: int | None
     generator_perms: dict[str, Perm] | None
     cosets_defined: int
+    peak_live: int
     max_cosets: int
     subgroup_generators: tuple[str, ...] = ()
 
@@ -535,148 +530,154 @@ class CosetTable:
         return len(reached) == len(ident)
 
 
+class _Overflow(Exception):
+    """A definition in `todd_coxeter` would pass max_cosets."""
+
+
 def todd_coxeter(
     P: FinitePresentation,
     subgroup_gens: Sequence[Word] = (),
     max_cosets: int = 100_000,
 ) -> CosetTable:
-    """Enumerate cosets of <subgroup_gens> in the presented group.
+    """Enumerate cosets of <subgroup_gens> in the presented group by HLT
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+    ch. 5).
 
-    Deterministic: cosets are processed in creation order; tracing a word
-    defines missing edges in scanning order; coincidences are merged
-    immediately through a union-find over coset labels.  The count of all
-    cosets ever defined (including ones later merged away) is capped by
-    max_cosets; exceeding the cap returns an overflow table.
+    Each subgroup generator is scanned and filled at coset 0; then every
+    live coset, in creation order, has every relator scanned and filled at
+    it, after which the empty entries of its row are defined.  A scan runs
+    forward and then backward as far as the table is defined, defines new
+    cosets only inside the gap, deduces the entry that closes a gap of one
+    letter, and hands two different cosets where the scans meet to the
+    Handbook's COINCIDENCE, which moves each dead row into its
+    representative at once, so the table never refers to a dead coset when
+    a scan reads it.  Deterministic.  The count of all cosets ever defined
+    (including ones later merged away) is capped by max_cosets; exceeding
+    the cap returns an overflow table.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
-    ngens = P.alphabet.rank
-    nlabels = 2 * ngens
-    gen_cols = _columns((i, 1) for i in range(ngens))
+    if any(w.alphabet != P.alphabet for w in subgroup_gens):
+        raise ValueError("subgroup generator over the wrong alphabet")
+    ncols = 2 * P.alphabet.rank
+    # cols[x][c]: coset c times letter x, or 0 while undefined.  Cosets are
+    # numbered from 1 here, so entry 0 of every list is unused.
+    cols: list[list[int]] = [[0, 0] for _ in range(ncols)]
+    rep = [0, 1]  # rep[c] == c iff coset c is live
+    live = peak = 1
 
-    # built-in paths g g^-1 and g^-1 g force inverse consistency; scanning
-    # them at every coset also guarantees a complete table on termination
-    involution_paths = [_columns(((i, 1), (i, -1))) for i in range(ngens)]
-    involution_paths += [_columns(((i, -1), (i, 1))) for i in range(ngens)]
-    relator_paths = [_columns(r.letters) for r in P.relators] + involution_paths
-
-    labels: list[int] = []
-    neighbors: list[list[int | None]] = []
-
-    def add_coset() -> int | None:
-        if len(labels) >= max_cosets:
-            return None
-        c = len(labels)
-        labels.append(c)
-        neighbors.append([None] * nlabels)
-        return c
+    def new_coset() -> int:
+        nonlocal live, peak
+        n = len(rep)
+        if n > max_cosets:
+            raise _Overflow
+        rep.append(n)
+        for col in cols:
+            col.append(0)
+        live += 1
+        peak = max(peak, live)
+        return n
 
     def find(c: int) -> int:
         root = c
-        while labels[root] != root:
-            root = labels[root]
-        while labels[c] != root:
-            labels[c], c = root, labels[c]
+        while rep[root] != root:
+            root = rep[root]
+        while rep[c] != root:
+            rep[c], c = root, rep[c]
         return root
 
-    def unify(c1: int, c2: int) -> None:
-        stack = [(c1, c2)]
-        while stack:
-            a, b = stack.pop()
+    def coincidence(a: int, b: int) -> None:
+        nonlocal live
+        dead: list[int] = []
+
+        def merge(a: int, b: int) -> None:
             a, b = find(a), find(b)
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            labels[b] = a
-            ra, rb = neighbors[a], neighbors[b]
-            for d in range(nlabels):
-                nb = rb[d]
-                if nb is None:
-                    continue
-                if ra[d] is None:
-                    ra[d] = nb
-                else:
-                    stack.append((ra[d], nb))
+            if a != b:
+                a, b = min(a, b), max(a, b)
+                rep[b] = a
+                dead.append(b)
 
-    overflow = False
+        merge(a, b)
+        for g in dead:  # grows while it is read
+            for x in range(ncols):
+                col, inv = cols[x], cols[x ^ 1]
+                d = col[g]
+                if d:
+                    inv[d] = 0
+                    m, n = find(g), find(d)
+                    if col[m]:
+                        merge(n, col[m])
+                    elif inv[n]:
+                        merge(m, inv[n])
+                    else:
+                        col[m], inv[n] = n, m
+        live -= len(dead)
 
-    def follow(c: int, path: list[int]) -> int | None:
-        nonlocal overflow
-        c = find(c)
-        for d in path:
-            nxt = neighbors[c][d]
-            if nxt is None:
-                nc = add_coset()
-                if nc is None:
-                    overflow = True
-                    return None
-                neighbors[c][d] = nc
-                neighbors[nc][d ^ 1] = c
-                c = nc
-            else:
-                c = find(nxt)
-        return c
+    def scan_and_fill(a: int, fwd: list[list[int]], bwd: list[list[int]]) -> None:
+        """Scan a word at coset a, where fwd[i] and bwd[i] are the columns
+        of its i-th letter and of that letter's inverse."""
+        f, i, b, j = a, 0, a, len(fwd) - 1
+        while True:
+            while i <= j and fwd[i][f]:
+                f, i = fwd[i][f], i + 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and bwd[j][b]:
+                b, j = bwd[j][b], j - 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                fwd[i][f], bwd[i][b] = b, f
+                return
+            n = new_coset()
+            fwd[i][f], bwd[i][n] = n, f
 
-    start = add_coset()
-    assert start == 0
-    for w in subgroup_gens:
-        if w.alphabet != P.alphabet:
-            raise ValueError("subgroup generator over the wrong alphabet")
-        end = follow(0, _columns(w.letters))
-        if end is None:
-            break
-        unify(end, 0)
+    def columns(w: Word) -> tuple[list[list[int]], list[list[int]]]:
+        xs = _columns(w.letters)
+        return [cols[x] for x in xs], [cols[x ^ 1] for x in xs]
 
-    to_visit = 0
-    while not overflow and to_visit < len(labels):
-        c = find(to_visit)
-        if c == to_visit:
-            for path in relator_paths:
-                end = follow(c, path)
-                if end is None:
+    relators = [columns(r) for r in P.relators]
+    rendered = tuple(render_word(w) for w in subgroup_gens)
+    try:
+        for w in subgroup_gens:
+            scan_and_fill(1, *columns(w))
+        a = 1
+        while a < len(rep):
+            for fwd, bwd in relators:
+                if rep[a] != a:
                     break
-                unify(end, find(c))
-            if overflow:
-                break
-        to_visit += 1
-
-    if overflow:
+                scan_and_fill(a, fwd, bwd)
+            if rep[a] == a:
+                for x, col in enumerate(cols):
+                    if not col[a]:
+                        n = new_coset()
+                        col[a], cols[x ^ 1][n] = n, a
+            a += 1
+    except _Overflow:
         return CosetTable(
             status="overflow", index=None, generator_perms=None,
-            cosets_defined=len(labels), max_cosets=max_cosets,
-            subgroup_generators=tuple(render_word(w) for w in subgroup_gens))
+            cosets_defined=len(rep) - 1, peak_live=peak, max_cosets=max_cosets,
+            subgroup_generators=rendered)
 
-    live = [c for c in range(len(labels)) if find(c) == c]
-    renum = {c: i for i, c in enumerate(live)}
+    alive = [c for c in range(1, len(rep)) if rep[c] == c]
+    renum = {c: i for i, c in enumerate(alive)}
     perms: dict[str, Perm] = {}
-    for name, col in zip(P.alphabet.symbols, gen_cols):
+    for name, x in zip(P.alphabet.symbols, _columns((i, 1) for i in range(P.alphabet.rank))):
         images = []
-        for c in live:
-            img = neighbors[c][col]
-            if img is None:
+        for c in alive:
+            img = cols[x][c]
+            if img not in renum:
                 raise AssertionError("incomplete table at termination (internal error)")
-            images.append(renum[find(img)])
+            images.append(renum[img])
         perms[name] = tuple(images)
 
     table = CosetTable(
-        status="complete", index=len(live), generator_perms=perms,
-        cosets_defined=len(labels), max_cosets=max_cosets,
-        subgroup_generators=tuple(render_word(w) for w in subgroup_gens))
+        status="complete", index=len(alive), generator_perms=perms,
+        cosets_defined=len(rep) - 1, peak_live=peak, max_cosets=max_cosets,
+        subgroup_generators=rendered)
     if not table.verify(P, subgroup_gens):
         raise AssertionError("coset table failed verification (internal error)")
     return table
-
-
-def word_problem_oracle(P: FinitePresentation, max_cosets: int = 100_000):
-    """Exact word-problem decision procedure for a presentation whose coset
-    enumeration over the trivial subgroup completes (finite groups).
-
-    Returns a callable Word -> bool.  Raises if enumeration overflows.
-    """
-    table = todd_coxeter(P, (), max_cosets=max_cosets)
-    if not table.complete:
-        raise RuntimeError(
-            f"coset enumeration overflowed ({table.cosets_defined} cosets); "
-            "no finite oracle available")
-    return table.acts_trivially

@@ -24,7 +24,7 @@ from presforge.constructions import (
     super_perfectify,
 )
 from presforge.freewords import Word, free_reduce, render_word
-from presforge.homology import h1, h2_aspherical, minors_gcd, smith_normal_form
+from presforge.homology import h1, h2_aspherical, smith_normal_form
 from presforge.presentations import (
     PresentationMorphism,
     direct_product_presentation,
@@ -34,15 +34,15 @@ from presforge.presentations import (
     tietze_eliminate_generator,
 )
 from presforge.quotients import (
-    brute_force_homs,
     conjugacy_class_reps,
     finite_quotient_certificate,
     hom_search,
     todd_coxeter,
-    word_problem_oracle,
 )
 from presforge.smallcancel import DehnSolver, metric_certificate
 from presforge.uce import miller_uce
+
+from oracles import brute_force_homs, minors_gcd, word_problem_oracle
 
 STRETCH = bool(os.environ.get("PRESFORGE_STRETCH"))
 

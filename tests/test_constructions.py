@@ -28,12 +28,10 @@ from presforge.presentations import (
     presentation,
     tietze_eliminate_generator,
 )
-from presforge.quotients import (
-    finite_quotient_certificate,
-    todd_coxeter,
-    word_problem_oracle,
-)
+from presforge.quotients import finite_quotient_certificate, todd_coxeter
 from presforge.smallcancel import DehnSolver
+
+from oracles import word_problem_oracle
 
 
 def rand_reduced(alph, n, rng):

@@ -5,17 +5,17 @@ import pytest
 from presforge.homology import (
     AbelianGroupDescriptor,
     AsphericityRequired,
-    det,
     h1,
     h2_aspherical,
     is_perfect,
     mat_mul,
-    minors_gcd,
     relation_matrix,
     smith_normal_form,
     solve_row_lattice,
 )
 from presforge.presentations import presentation
+
+from oracles import det, minors_gcd
 
 
 def rand_matrix(rng, max_dim=6, bound=9):

@@ -11,7 +11,6 @@ from presforge.freewords import Alphabet, Word, free_reduce, parse_word, render_
 from presforge.presentations import presentation
 from presforge.quotients import (
     CosetTable,
-    brute_force_homs,
     compose,
     conjugacy_class_reps,
     finite_quotient_certificate,
@@ -21,9 +20,10 @@ from presforge.quotients import (
     inverse_perm,
     low_index_subgroups,
     todd_coxeter,
-    word_problem_oracle,
 )
 from presforge.uce import BudgetExhausted
+
+from oracles import brute_force_homs, word_problem_oracle
 
 PSL27 = presentation(["a", "b"], ["a^2", "b^3", "(a*b)^7", "[a,b]^4"])
 Z2_TIMES_Z = presentation(["a", "b"], ["a^2", "[a,b]"])
@@ -317,8 +317,71 @@ class TestToddCoxeter:
         assert t1.cosets_defined == t2.cosets_defined
 
 
+# a faithful action of <a, b | a^2, b^3, (a*b)^5> = A_5 on 5 points
+_A5_ACTION = {0: (1, 0, 3, 2, 4), 1: (2, 1, 4, 3, 0)}
+
+
+def _act(word):
+    """The permutation of `word` under _A5_ACTION, left letter first."""
+    acc = tuple(range(5))
+    for idx, sign in word:
+        p = _A5_ACTION[idx] if sign > 0 else inverse_perm(_A5_ACTION[idx])
+        acc = tuple(p[i] for i in acc)
+    return acc
+
+
+def _closure_size(perms):
+    """Order of the permutation group on 5 points that `perms` generate."""
+    seen = {tuple(range(5))}
+    todo = list(seen)
+    while todo:
+        g = todo.pop()
+        for p in perms:
+            h = tuple(p[i] for i in g)
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+    return len(seen)
+
+
+def test_a5_action_is_faithful(icosahedral):
+    ident = tuple(range(5))
+    assert all(_act(r.letters) == ident for r in icosahedral.relators)
+    assert _closure_size(list(_A5_ACTION.values())) == 60
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(words=st.lists(st.lists(_LETTERS, max_size=10), max_size=3))
+def test_todd_coxeter_index_matches_a5_action(icosahedral, words):
+    """Differential check: the index of H = <words> found by coset
+    enumeration is 60 / |H|, with |H| read off the faithful A_5 action."""
+    subgroup = [Word(icosahedral.alphabet, tuple(w)) for w in words]
+    table = todd_coxeter(icosahedral, subgroup)
+    assert table.complete and table.verify(icosahedral, subgroup)
+    assert table.index == 60 // _closure_size([_act(w) for w in words])
+    assert table.cosets_defined >= table.peak_live >= table.index
+
+
+def _coxeter_symmetric(n):
+    """Coxeter presentation of S_n on the involutions s1 .. s(n-1)."""
+    gens = [f"s{i}" for i in range(1, n)]
+    rels = [f"{g}^2" for g in gens]
+    rels += [f"(s{i}*s{i + 1})^3" for i in range(1, n - 1)]
+    rels += [f"(s{i}*s{j})^2" for i in range(1, n) for j in range(i + 2, n)]
+    return presentation(gens, rels)
+
+
+@pytest.mark.parametrize("n, order", [(6, 720), (7, 5040)])
+def test_coxeter_overshoot_is_bounded(n, order):
+    """Scan-and-fill defines at most 3x the index on the Coxeter S_n."""
+    table = todd_coxeter(_coxeter_symmetric(n), ())
+    assert table.complete and table.index == order
+    assert table.cosets_defined <= 3 * order
+
+
 def _table(index, perms):
-    return CosetTable("complete", index, perms, cosets_defined=index, max_cosets=index)
+    return CosetTable("complete", index, perms, cosets_defined=index, peak_live=index,
+                      max_cosets=index)
 
 
 class TestCosetTableVerify:

@@ -16,7 +16,7 @@ from presforge.freewords import (
 )
 from presforge.homology import h1, relation_matrix, solve_row_lattice
 from presforge.presentations import FinitePresentation, PresentationError, presentation
-from presforge.quotients import todd_coxeter, word_problem_oracle
+from presforge.quotients import todd_coxeter
 from presforge.uce import (
     BudgetExhausted,
     NormalClosureElement,
@@ -30,6 +30,8 @@ from presforge.uce import (
     stream_fairness_bound,
     uce_word_transfer,
 )
+
+from oracles import word_problem_oracle
 
 
 class TestClosureStream:
