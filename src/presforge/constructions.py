@@ -19,7 +19,6 @@ Conventions fixed here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .freewords import (
@@ -147,27 +146,26 @@ def _padding_word(alph: Alphabet, kernel: tuple[str, str, str],
     return Word(alph, tuple(letters))
 
 
-def rips_wise(
-    P: FinitePresentation,
-    lam: Fraction = Fraction(1, 6),
-    initial_blocks: int = 16,
-    max_doublings: int = 8,
-) -> RipsOutput:
+_RIPS_MAX_DOUBLINGS = 8
+
+
+def rips_wise(P: FinitePresentation, initial_blocks: int = 16) -> RipsOutput:
     """Associate to <X | R> a presentation on X plus three fresh generators
     with exactly |R| + 6|X| relators: r * W^-1 for each input relator, and
     x^e a_i x^-e * W^-1 for each generator x, i in {1,2,3}, e in {+1,-1}.
 
     The padding words W are drawn from the deterministic block scheme of
-    `_padding_word`; if the C'(lambda) certificate fails, the block count
-    doubles and the construction retries (piece lengths stay bounded while
-    relator lengths grow, so escalation terminates).
+    `_padding_word`; if the C'(1/6) certificate fails, the block count
+    doubles and the construction retries, at most `_RIPS_MAX_DOUBLINGS`
+    times (piece lengths stay bounded while relator lengths grow, so
+    escalation terminates).
     """
     kernel = _fresh_kernel_names(P.alphabet)
     alph = Alphabet(P.alphabet.symbols + kernel)
     lifted = relabel(P.relators, alph)
 
     blocks = initial_blocks
-    for _ in range(max_doublings + 1):
+    for _ in range(_RIPS_MAX_DOUBLINGS + 1):
         rels: list[Word] = []
         t = 0
         for prefix in lifted:
@@ -182,7 +180,7 @@ def rips_wise(
                         _padding_word(alph, kernel, t, blocks).inverse())))
                     t += 1
         gamma = FinitePresentation(alph, tuple(rels))
-        cert = metric_certificate(gamma, lam)
+        cert = metric_certificate(gamma)
         if cert.passed:
             images = {s: P.alphabet.gen(s) for s in P.alphabet.symbols}
             images.update({k: P.alphabet.identity() for k in kernel})
@@ -194,7 +192,7 @@ def rips_wise(
                               certificate=cert, blocks=blocks)
         blocks *= 2
     raise ConstructionError(
-        f"metric certificate still failing after {max_doublings} doublings "
+        f"metric certificate still failing after {_RIPS_MAX_DOUBLINGS} doublings "
         f"(blocks={blocks}); input relators likely too repetitive")
 
 

@@ -251,18 +251,24 @@ def exponent_vector(w: Word) -> tuple[int, ...]:
     return tuple(v)
 
 
+def letter_codes(letters: Iterable[Letter]) -> list[int]:
+    """The integer code of each letter: (i, s) becomes 2*i + (s < 0), so
+    the codes of a letter and of its inverse differ in the lowest bit."""
+    return [2 * i + (s < 0) for i, s in letters]
+
+
 def encode_letters(letters: Iterable[Letter]) -> str:
     """Compact injective string encoding of a letter sequence, for substring
-    searches and sorting at C speed: letter (i, s) becomes
-    chr(256 + 2*i + (s < 0)), exact for any rank.  The codes of a letter
-    and of its inverse differ in the lowest bit."""
-    return "".join(chr(256 + 2 * i + (0 if s > 0 else 1)) for i, s in letters)
+    searches and sorting at C speed: code c of `letter_codes` becomes
+    chr(256 + c), exact for any rank."""
+    return "".join([chr(256 + c) for c in letter_codes(letters)])
 
 
 def decode_letters(alphabet: Alphabet, s: str) -> Word:
     """Inverse of `encode_letters`."""
-    codes = [ord(ch) - 256 for ch in s]
-    return Word(alphabet, tuple((c // 2, 1 if c % 2 == 0 else -1) for c in codes))
+    letters = [(i, e) for i in range(alphabet.rank) for e in (1, -1)]
+    table = dict(zip(encode_letters(letters), letters))
+    return Word(alphabet, tuple([table[ch] for ch in s]))
 
 
 def reduce_join(u: str, v: str) -> tuple[str, int]:

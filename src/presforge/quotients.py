@@ -26,13 +26,18 @@ backward, as far as the table is defined, with new cosets defined only
 inside the gap and a gap of one letter closed by a deduction.  A scan
 that closes on two different cosets starts the Handbook's COINCIDENCE,
 which moves each dead row into its representative at once, so scans read
-table entries with no union-find lookup.  A completed table is
-re-verified (`CosetTable.verify`) before being returned: the generators
-must act by permutations, transitively, satisfying every relator and
-fixing coset 0 under the subgroup generators.
+table entries with no union-find lookup.
 
-Both coset tables have one column per letter, numbered by the
-`freewords.encode_letters` code.
+Every action found is a `PermAssignment`: a coset table is the action on
+its cosets and a counterexample the action on the cosets of a least-index
+subgroup.  `PermAssignment.verify` is the one checker: the generators act
+by permutations and every relator fixes every point.  A completed table
+is re-checked before it is returned, the subgroup generators fixing coset
+0 and the action transitive; so is a counterexample, which must also be
+nontrivial.
+
+Both coset tables have one column per letter, numbered by its
+`freewords.letter_codes` code, so a letter's inverse has column `x ^ 1`.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .freewords import Alphabet, Letter, Word, cyclically_reduce, encode_letters, render_word
+from .freewords import Alphabet, Letter, Word, cyclically_reduce, letter_codes
 from .presentations import FinitePresentation
 from .uce import BudgetExhausted
 
@@ -62,23 +67,6 @@ def inverse_perm(p: Perm) -> Perm:
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
-
-
-def group_order(perms: Sequence[Perm], k: int) -> int:
-    """Order of the permutation group generated by `perms` (orbit closure)."""
-    ident = identity_perm(k)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for p in perms:
-                h = compose(g, p)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return len(seen)
 
 
 def _partitions(k: int) -> Iterator[tuple[int, ...]]:
@@ -112,7 +100,8 @@ def conjugacy_class_reps(k: int) -> list[Perm]:
 
 @dataclass(frozen=True)
 class PermAssignment:
-    """A homomorphism into S_degree given by generator images."""
+    """An action of a presented group on the points range(degree), given by
+    generator images: a homomorphism into S_degree once `verify` passes."""
 
     degree: int
     images: tuple[tuple[str, Perm], ...]
@@ -127,20 +116,47 @@ class PermAssignment:
 
     def evaluate(self, w: Word) -> Perm:
         table = dict(self.images)
-        pos = {name: table[name] for name in table}
         neg = {name: inverse_perm(p) for name, p in table.items()}
         acc = identity_perm(self.degree)
         for idx, sign in w.letters:
             name = w.alphabet.symbols[idx]
-            acc = compose(acc, pos[name] if sign > 0 else neg[name])
+            acc = compose(acc, table[name] if sign > 0 else neg[name])
         return acc
 
-    def verify(self, P: FinitePresentation) -> bool:
-        ident = identity_perm(self.degree)
-        return all(self.evaluate(r) == ident for r in P.relators)
+    def verify(self, P: FinitePresentation, fixing: Sequence[Word] = ()) -> bool:
+        """Whether every generator of P has an image that is a permutation
+        of range(degree), every relator fixes every point, and every word
+        in `fixing` fixes point 0.  Each image is inverted once and the
+        words are walked point by point, so this costs
+        O(degree * (gens + relator letters))."""
+        points = set(range(self.degree))
+        table = dict(self.images)
+        act: dict[Letter, Perm] = {}
+        for idx, name in enumerate(P.alphabet.symbols):
+            p = table.get(name)
+            if p is None or len(p) != self.degree or set(p) != points:
+                return False
+            act[idx, 1], act[idx, -1] = p, inverse_perm(p)
 
-    def image_order(self) -> int:
-        return group_order([p for _, p in self.images], self.degree)
+        def image(w: Word, point: int) -> int:
+            for letter in w.letters:
+                point = act[letter][point]
+            return point
+
+        return (all(image(r, c) == c for r in P.relators for c in points)
+                and all(image(w, 0) == 0 for w in fixing))
+
+    def is_transitive(self) -> bool:
+        """Whether the images, taken as permutations, move point 0 to every
+        point."""
+        reached, todo = {0}, [0]
+        while todo:
+            c = todo.pop()
+            for _, p in self.images:
+                if p[c] not in reached:
+                    reached.add(p[c])
+                    todo.append(p[c])
+        return len(reached) == self.degree
 
 
 def _compiled_relators(P: FinitePresentation) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -219,12 +235,6 @@ def hom_search(
     return results
 
 
-def _columns(letters: Iterable[Letter]) -> list[int]:
-    """Coset-table columns of a letter sequence: its `encode_letters` codes,
-    so a letter's inverse has column `col ^ 1`."""
-    return [ord(ch) - 256 for ch in encode_letters(letters)]
-
-
 def low_index_subgroups(P: FinitePresentation, n: int, nodes: list[int] | None = None,
                         budget: int | None = None) -> Iterator[PermAssignment]:
     """Every subgroup of index <= n, each exactly once, as the action of the
@@ -249,13 +259,13 @@ def low_index_subgroups(P: FinitePresentation, n: int, nodes: list[int] | None =
     if nodes is None:
         nodes = [0]
     ncols = 2 * P.alphabet.rank
-    gen_cols = _columns((i, 1) for i in range(P.alphabet.rank))
+    gen_cols = letter_codes((i, 1) for i in range(P.alphabet.rank))
     # scans[x]: the distinct cyclic conjugates starting with x of the
     # relators and their inverses
     scans: list[dict[tuple[int, ...], None]] = [{} for _ in range(ncols)]
     for r in P.relators:
         for w in (r, r.inverse()):
-            cols = _columns(w.letters)
+            cols = letter_codes(w.letters)
             for k in range(len(cols)):
                 scans[cols[k]][tuple(cols[k:] + cols[:k])] = None
     tab = [-1] * (n * ncols)  # tab[c * ncols + x]: coset c times letter x
@@ -332,7 +342,6 @@ class QuotientCertificate:
     search_nodes counts the low-index backtrack nodes of every search,
     killed_blocks the blocks removed before the last search, in order."""
 
-    presentation: FinitePresentation
     max_degree: int
     certified: bool
     counterexample: PermAssignment | None
@@ -406,7 +415,8 @@ def finite_quotient_certificate(P: FinitePresentation, K: int,
     when it finds a proper subgroup of index k it searches again at k - 1,
     so the counterexample has the least degree of a nontrivial
     homomorphism.  That action is lifted (killed generators act trivially)
-    and re-checked on P.  Raises BudgetExhausted once the search nodes of
+    and re-checked on P: a nontrivial transitive action that satisfies
+    every relator.  Raises BudgetExhausted once the search nodes of
     all searches together pass `budget`.
     """
     if K < 2:
@@ -442,16 +452,16 @@ def finite_quotient_certificate(P: FinitePresentation, K: int,
     while bound >= 2 and (found := proper(Q, bound)) is not None:
         action, bound = found, found.degree - 1
     if action is None:
-        return QuotientCertificate(P, K, True, None, list(range(2, K + 1)),
+        return QuotientCertificate(K, True, None, list(range(2, K + 1)),
                                    nodes[0], tuple(killed))
     k = action.degree
     images = dict(action.images)
     lifted = PermAssignment(k, tuple((g, images.get(g, identity_perm(k)))
                                      for g in P.generators))
-    if lifted.is_trivial or not lifted.verify(P):
+    if not (lifted.verify(P) and lifted.is_transitive()) or lifted.is_trivial:
         raise AssertionError(
             "low-index search produced an invalid counterexample (internal error)")
-    return QuotientCertificate(P, K, False, lifted, list(range(2, k + 1)),
+    return QuotientCertificate(K, False, lifted, list(range(2, k + 1)),
                                nodes[0], tuple(killed))
 
 
@@ -459,75 +469,35 @@ def finite_quotient_certificate(P: FinitePresentation, K: int,
 
 @dataclass
 class CosetTable:
-    """Result of coset enumeration.
-
-    status is "complete" (index == number of live cosets, action verified)
-    or "overflow" (budget exhausted; never treated as an answer).
-    cosets_defined counts every coset ever defined, peak_live the most
-    cosets live at once; both are deterministic work counters.
+    """Result of coset enumeration: the action of the generators on the
+    cosets (coset 0 = the subgroup), or None after an overflow, which is
+    never treated as an answer.  cosets_defined counts every coset ever
+    defined, peak_live the most cosets live at once; both are
+    deterministic work counters.
     """
 
-    status: str
-    index: int | None
-    generator_perms: dict[str, Perm] | None
+    action: PermAssignment | None
     cosets_defined: int
     peak_live: int
-    max_cosets: int
-    subgroup_generators: tuple[str, ...] = ()
 
     @property
     def complete(self) -> bool:
-        return self.status == "complete"
+        return self.action is not None
 
-    def evaluate(self, w: Word) -> Perm:
-        if not self.complete:
-            raise ValueError("cannot evaluate words against an incomplete table")
-        assert self.generator_perms is not None
-        acc = identity_perm(self.index or 0)
-        for idx, sign in w.letters:
-            p = self.generator_perms[w.alphabet.symbols[idx]]
-            acc = compose(acc, p if sign > 0 else inverse_perm(p))
-        return acc
+    @property
+    def status(self) -> str:
+        return "complete" if self.complete else "overflow"
 
-    def acts_trivially(self, w: Word) -> bool:
-        """Whether w acts as the identity on the cosets.  Over the trivial
-        subgroup this decides the word problem (regular action)."""
-        return self.evaluate(w) == identity_perm(self.index or 0)
+    @property
+    def index(self) -> int | None:
+        return self.action.degree if self.action is not None else None
 
     def verify(self, P: FinitePresentation, subgroup_gens: Sequence[Word] = ()) -> bool:
-        """Check a complete table against the presentation: every generator
-        image is a permutation of range(index), every relator acts as the
-        identity, every subgroup generator fixes coset 0, and the action is
-        transitive.  Each image is inverted once, so this costs
-        O(index * (gens + relator letters))."""
-        if not self.complete:
-            return False
-        ident = identity_perm(self.index or 0)
-        points = set(ident)
-        act: dict[tuple[int, int], Perm] = {}  # letter -> its permutation
-        for idx, name in enumerate(P.alphabet.symbols):
-            p = (self.generator_perms or {}).get(name)
-            if p is None or len(p) != len(ident) or set(p) != points:
-                return False
-            act[idx, 1], act[idx, -1] = p, inverse_perm(p)
-
-        def image(w: Word, coset: int) -> int:
-            for letter in w.letters:
-                coset = act[letter][coset]
-            return coset
-
-        if any(image(r, c) != c for r in P.relators for c in ident):
-            return False
-        if any(image(w, 0) != 0 for w in subgroup_gens):
-            return False
-        reached, todo = {0}, [0]
-        while todo:
-            c = todo.pop()
-            for p in act.values():
-                if p[c] not in reached:
-                    reached.add(p[c])
-                    todo.append(p[c])
-        return len(reached) == len(ident)
+        """Check a complete table against the presentation: the action
+        passes `PermAssignment.verify` with the subgroup generators fixing
+        coset 0, and it is transitive."""
+        return (self.action is not None and self.action.verify(P, subgroup_gens)
+                and self.action.is_transitive())
 
 
 class _Overflow(Exception):
@@ -636,11 +606,10 @@ def todd_coxeter(
             fwd[i][f], bwd[i][n] = n, f
 
     def columns(w: Word) -> tuple[list[list[int]], list[list[int]]]:
-        xs = _columns(w.letters)
+        xs = letter_codes(w.letters)
         return [cols[x] for x in xs], [cols[x ^ 1] for x in xs]
 
     relators = [columns(r) for r in P.relators]
-    rendered = tuple(render_word(w) for w in subgroup_gens)
     try:
         for w in subgroup_gens:
             scan_and_fill(1, *columns(w))
@@ -657,27 +626,17 @@ def todd_coxeter(
                         col[a], cols[x ^ 1][n] = n, a
             a += 1
     except _Overflow:
-        return CosetTable(
-            status="overflow", index=None, generator_perms=None,
-            cosets_defined=len(rep) - 1, peak_live=peak, max_cosets=max_cosets,
-            subgroup_generators=rendered)
+        return CosetTable(None, cosets_defined=len(rep) - 1, peak_live=peak)
 
     alive = [c for c in range(1, len(rep)) if rep[c] == c]
     renum = {c: i for i, c in enumerate(alive)}
-    perms: dict[str, Perm] = {}
-    for name, x in zip(P.alphabet.symbols, _columns((i, 1) for i in range(P.alphabet.rank))):
-        images = []
-        for c in alive:
-            img = cols[x][c]
-            if img not in renum:
-                raise AssertionError("incomplete table at termination (internal error)")
-            images.append(renum[img])
-        perms[name] = tuple(images)
-
-    table = CosetTable(
-        status="complete", index=len(alive), generator_perms=perms,
-        cosets_defined=len(rep) - 1, peak_live=peak, max_cosets=max_cosets,
-        subgroup_generators=rendered)
+    images = []
+    for name, x in zip(P.alphabet.symbols, letter_codes((i, 1) for i in range(P.alphabet.rank))):
+        if any(cols[x][c] not in renum for c in alive):
+            raise AssertionError("incomplete table at termination (internal error)")
+        images.append((name, tuple(renum[cols[x][c]] for c in alive)))
+    table = CosetTable(PermAssignment(len(alive), tuple(images)),
+                       cosets_defined=len(rep) - 1, peak_live=peak)
     if not table.verify(P, subgroup_gens):
         raise AssertionError("coset table failed verification (internal error)")
     return table

@@ -208,18 +208,27 @@ class DehnSolver:
     dict maps the first k letters of each slot to slot ids, k the shortest
     more-than-half length, so a scan makes one probe per position and then
     compares each candidate's more-than-half prefix and extension.
+
+    A supplied certificate is trusted only if it passed at some lambda
+    <= 1/6 and its relator lengths are those of P's cyclic cores; without
+    one, P is certified at 1/6 here.
     """
 
     def __init__(self, P: FinitePresentation,
-                 certificate: MetricCertificate | None = None,
-                 lam: Fraction = Fraction(1, 6)):
+                 certificate: MetricCertificate | None = None):
+        cores = _cores(P)
         if certificate is None:
-            certificate = metric_certificate(P, lam)
+            certificate = metric_certificate(P)
         if not certificate.passed:
             raise CertificateRequired(certificate.describe())
+        if certificate.lam > Fraction(1, 6):
+            raise CertificateRequired(
+                f"C'({certificate.lam}) certificate is weaker than C'(1/6)")
+        if tuple(certificate.relator_lengths) != tuple(len(c) for c in cores):
+            raise CertificateRequired(
+                "certificate relator lengths differ from the presentation's cyclic cores")
         self.presentation = P
         self.certificate = certificate
-        cores = _cores(P)
         # a subword of texts[tid] is inverted by slicing texts[tid ^ 1]
         self.texts = _doubled_texts(cores)
         # per relator: the inverse of its cyclic conjugator
@@ -303,13 +312,10 @@ class DehnSolver:
 
 
 def dehn_word_problem(P: FinitePresentation, w: Word,
-                      solver: DehnSolver | None = None,
                       collect_trace: bool = False) -> DehnResult:
     """Decide triviality of w in a C'(1/6)-certified presentation.
 
-    Builds (and certifies) a solver when none is supplied; reuse a
-    DehnSolver instance when deciding many words.
+    Builds (and certifies) a solver; reuse a DehnSolver instance when
+    deciding many words.
     """
-    if solver is None:
-        solver = DehnSolver(P)
-    return solver.solve(w, collect_trace=collect_trace)
+    return DehnSolver(P).solve(w, collect_trace=collect_trace)

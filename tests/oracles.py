@@ -1,8 +1,10 @@
 """Test-only oracles that re-derive answers of presforge by brute force.
 
 `brute_force_homs` enumerates every tuple of generator images in S_k,
-`word_problem_oracle` decides the word problem of a finite group from a
-completed coset table over the trivial subgroup, and `minors_gcd` (over the
+`group_order` and `image_order` give the order of a permutation group by
+orbit closure, `word_problem_oracle` decides the word problem of a finite
+group from a completed coset table over the trivial subgroup, and
+`minors_gcd` (over the
 Bareiss determinant `det`) gives the products d_1 * ... * d_k of a Smith
 form's invariant factors.
 """
@@ -11,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from typing import Callable
+from typing import Callable, Sequence
 
 from presforge.freewords import Word
 from presforge.homology import IntegerMatrix
 from presforge.presentations import FinitePresentation
-from presforge.quotients import PermAssignment, identity_perm, todd_coxeter
+from presforge.quotients import Perm, PermAssignment, compose, identity_perm, todd_coxeter
 
 
 def brute_force_homs(P: FinitePresentation, k: int) -> list[PermAssignment]:
@@ -33,6 +35,28 @@ def brute_force_homs(P: FinitePresentation, k: int) -> list[PermAssignment]:
     return out
 
 
+def group_order(perms: Sequence[Perm], k: int) -> int:
+    """Order of the permutation group generated by `perms` (orbit closure)."""
+    ident = identity_perm(k)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for p in perms:
+                h = compose(g, p)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return len(seen)
+
+
+def image_order(hom: PermAssignment) -> int:
+    """Order of the image of a homomorphism into S_degree."""
+    return group_order([p for _, p in hom.images], hom.degree)
+
+
 def word_problem_oracle(P: FinitePresentation,
                         max_cosets: int = 100_000) -> Callable[[Word], bool]:
     """Exact word-problem decision procedure for a presentation whose coset
@@ -45,7 +69,11 @@ def word_problem_oracle(P: FinitePresentation,
         raise RuntimeError(
             f"coset enumeration overflowed ({table.cosets_defined} cosets); "
             "no finite oracle available")
-    return table.acts_trivially
+    action = table.action
+    ident = identity_perm(action.degree)
+    # over the trivial subgroup the action is regular, so a word is trivial
+    # iff it acts as the identity
+    return lambda w: action.evaluate(w) == ident
 
 
 def det(A: IntegerMatrix) -> int:

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from presforge import quotients
 from presforge.constructions import delta_amalgam, kill_finite_quotients, super_perfectify
-from presforge.freewords import Alphabet, Word, free_reduce, parse_word, render_word
+from presforge.freewords import Alphabet, Word, free_reduce, render_word
 from presforge.presentations import presentation
 from presforge.quotients import (
     CosetTable,
+    PermAssignment,
     compose,
     conjugacy_class_reps,
     finite_quotient_certificate,
-    group_order,
     hom_search,
     identity_perm,
     inverse_perm,
@@ -23,7 +24,7 @@ from presforge.quotients import (
 )
 from presforge.uce import BudgetExhausted
 
-from oracles import brute_force_homs, word_problem_oracle
+from oracles import brute_force_homs, group_order, image_order, word_problem_oracle
 
 PSL27 = presentation(["a", "b"], ["a^2", "b^3", "(a*b)^7", "[a,b]^4"])
 Z2_TIMES_Z = presentation(["a", "b"], ["a^2", "[a,b]"])
@@ -47,6 +48,13 @@ class TestPermBasics:
         assert len(set(reps)) == len(reps)
         assert identity_perm(5) in reps
 
+    def test_verify_rejects_non_permutation_images(self):
+        # no relator to violate: only the permutation check rejects a -> (0, 0)
+        free = presentation(["a"], [])
+        assert not PermAssignment(2, (("a", (0, 0)),)).verify(free)
+        assert not PermAssignment(2, (("a", (1,)),)).verify(free)
+        assert PermAssignment(2, (("a", (1, 0)),)).verify(free)
+
 
 class TestHomSearch:
     def test_z2_into_s2(self):
@@ -63,7 +71,7 @@ class TestHomSearch:
         homs = hom_search(icosahedral, 5)
         nontrivial = [h for h in homs if not h.is_trivial]
         assert nontrivial
-        assert {h.image_order() for h in nontrivial} == {60}
+        assert {image_order(h) for h in nontrivial} == {60}
 
     def test_pruned_vs_unpruned_vs_brute(self, higman_J, icosahedral):
         reps = {2: set(conjugacy_class_reps(2)), 3: set(conjugacy_class_reps(3))}
@@ -130,6 +138,17 @@ class TestCertificate:
         action = cert.counterexample
         assert action.degree == 3 and action.verify(P) and not action.is_trivial
         assert all(action.image_of(g) == identity_perm(3) for g in "abcd")
+
+    def test_intransitive_counterexample_rejected(self, monkeypatch):
+        # a valid nontrivial action of <a | a^2> on 3 points that fixes
+        # point 2: a least-index counterexample must be transitive
+        def fake_search(Q, n, nodes=None, budget=None):
+            if n >= 3:
+                yield PermAssignment(3, (("a", (1, 0, 2)),))
+
+        monkeypatch.setattr(quotients, "low_index_subgroups", fake_search)
+        with pytest.raises(AssertionError, match="invalid counterexample"):
+            finite_quotient_certificate(presentation(["a"], ["a^2"]), 3)
 
     def test_budget(self, higman_J):
         with pytest.raises(BudgetExhausted, match="101 nodes"):
@@ -290,15 +309,14 @@ class TestToddCoxeter:
     def test_overflow_on_infinite_group(self):
         table = todd_coxeter(presentation(["a", "b"], []), (), max_cosets=50)
         assert table.status == "overflow" and table.index is None
-        with pytest.raises(ValueError):
-            table.evaluate(parse_word(presentation(["a", "b"], []).alphabet, "a"))
+        assert table.action is None
 
     def test_completed_action_is_verified(self, icosahedral):
         table = todd_coxeter(icosahedral, ())
         ident = identity_perm(table.index)
         for r in icosahedral.relators:
-            assert table.evaluate(r) == ident
-        perms = list(table.generator_perms.values())
+            assert table.action.evaluate(r) == ident
+        perms = [p for _, p in table.action.images]
         assert group_order(perms, table.index) == 60
 
     def test_word_problem_oracle(self, icosahedral):
@@ -313,7 +331,7 @@ class TestToddCoxeter:
     def test_deterministic(self, icosahedral):
         t1 = todd_coxeter(icosahedral, ())
         t2 = todd_coxeter(icosahedral, ())
-        assert t1.generator_perms == t2.generator_perms
+        assert t1.action == t2.action
         assert t1.cosets_defined == t2.cosets_defined
 
 
@@ -380,8 +398,8 @@ def test_coxeter_overshoot_is_bounded(n, order):
 
 
 def _table(index, perms):
-    return CosetTable("complete", index, perms, cosets_defined=index, peak_live=index,
-                      max_cosets=index)
+    return CosetTable(PermAssignment(index, tuple(perms.items())), cosets_defined=index,
+                      peak_live=index)
 
 
 class TestCosetTableVerify:
@@ -395,8 +413,7 @@ class TestCosetTableVerify:
 
     def test_non_bijective_image(self):
         for rels in (["a^2"], []):
-            # with no relator to violate, (0, 0) "reaches" coset 1 through
-            # its unchecked inverse, so only the bijectivity check rejects it
+            # (0, 0) is no permutation, whatever the relators say
             assert not _table(2, {"a": (0, 0)}).verify(presentation(["a"], rels))
 
     def test_relator_violation(self):

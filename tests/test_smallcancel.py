@@ -255,6 +255,20 @@ class TestDehn:
         with pytest.raises(CertificateRequired):
             DehnSolver(bad)
 
+    def test_supplied_certificate_must_fit(self, rips_trivial):
+        # Z^2 is not C'(1/6): Dehn's algorithm would call the trivial word
+        # a^2 b^2 a^-2 b^-2 nontrivial, so no supplied certificate may
+        # open the solver, whether it is weaker than C'(1/6) or certifies
+        # other relators
+        Z2 = presentation(["a", "b"], ["a*b*a^-1*b^-1"])
+        loose = metric_certificate(Z2, Fraction(1, 2))
+        assert loose.passed
+        for cert in (loose, rips_trivial.certificate):
+            with pytest.raises(CertificateRequired):
+                DehnSolver(Z2, certificate=cert)
+        with pytest.raises(CertificateRequired):
+            DehnSolver(Z2)
+
     def test_wrapper_and_trace(self, rips_trivial):
         G = rips_trivial.gamma
         res = dehn_word_problem(G, G.relators[1], collect_trace=True)
