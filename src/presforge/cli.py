@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,25 +42,15 @@ from .presentations import (
     parse_presentation,
     render_presentation,
 )
-from .quotients import finite_quotient_certificate, todd_coxeter
+from .quotients import BudgetExhausted, finite_quotient_certificate, todd_coxeter
 from .smallcancel import DehnSolver, metric_certificate
-from .uce import BudgetExhausted, miller_uce
+from .uce import miller_uce
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
-
-
-def _env_int(name: str, default: int) -> int:
-    v = os.environ.get(name)
-    if v is None:
-        return default
-    try:
-        return int(v)
-    except ValueError:
-        raise click.UsageError(f"environment variable {name} is not an integer: {v!r}")
 
 
 def _read_presentation(path: str) -> tuple[FinitePresentation, str, str]:
@@ -209,14 +198,9 @@ def homology(P):
 
 
 @_command(manifest="uce")
-@click.option("--search", is_flag=True,
-              help="use the blind diagonal enumeration instead of the integer solve")
-@click.option("--budget", type=int, default=None, help="pair-check budget for --search")
-def uce(P, search, budget, out):
+def uce(P, out):
     """Universal central extension of a perfect presentation."""
-    budget = budget if budget is not None else _env_int("PRESFORGE_BUDGET_STEPS", 10**6)
-    strategy = "search" if search else "constructive"
-    U = miller_uce(P, strategy=strategy, budget=budget)
+    U = miller_uce(P)
     pres_art = out.pres("uce.pres", U.result)
     witnesses = [{
         "generator": w.generator,
@@ -227,7 +211,6 @@ def uce(P, search, budget, out):
     } for w in U.witnesses]
     wit_art = out.json("uce.witnesses.json", witnesses)
     manifest = {
-        "strategy": strategy,
         "artifacts": {"presentation": pres_art, "witnesses": wit_art},
         "counts": {
             "generators": U.result.alphabet.rank,
@@ -235,7 +218,6 @@ def uce(P, search, budget, out):
             "expected_relators": U.expected_relator_count,
             "dropped_trivial_commutators": U.dropped_trivial_relators,
         },
-        "budgets": {"steps": budget},
         "notes": ["relators: one per generator expressing it by a product of "
                   "relator conjugates, plus all generator/relator commutators; "
                   "kernel generators are the images of the input relators"],
@@ -412,21 +394,21 @@ def verify_sc(P, lam):
 
 
 @_command()
-@click.option("--max-degree", type=int, default=None)
-def homsearch(P, max_degree):
+@click.option("--max-degree", type=int, default=6, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=10**6, show_default=True,
+              help="search-node budget")
+def homsearch(P, max_degree, budget):
     """Finite-quotient certificate: a low-index subgroups search for a
     proper subgroup of index k <= K, so for a nontrivial homomorphism into
     some S_k (exit 0 certified, 1 counterexample: the action on the cosets
-    of a least-index proper subgroup, 2 node budget PRESFORGE_BUDGET_STEPS
-    exhausted).  Blocks Y of generators are killed first: if the relators
-    supported in Y present a group with no proper subgroup of index <= K,
-    every such homomorphism is trivial on Y, so Y is set to 1.  Candidate
-    blocks are, for each generator g, the connected components of the
-    relators that avoid g, linked by shared generators."""
-    K = max_degree if max_degree is not None else _env_int("PRESFORGE_MAX_DEGREE", 6)
-    budget = _env_int("PRESFORGE_BUDGET_STEPS", 10**6)
-    cert = finite_quotient_certificate(P, K, budget=budget)
-    report = {"max_degree": K, "certified": cert.certified,
+    of a least-index proper subgroup, 2 node budget exhausted).  Blocks Y
+    of generators are killed first: if the relators supported in Y present
+    a group with no proper subgroup of index <= K, every such homomorphism
+    is trivial on Y, so Y is set to 1.  Candidate blocks are, for each
+    generator g, the connected components of the relators that avoid g,
+    linked by shared generators."""
+    cert = finite_quotient_certificate(P, max_degree, budget=budget)
+    report = {"max_degree": max_degree, "certified": cert.certified,
               "search_nodes": cert.search_nodes,
               "killed_blocks": [{"generators": list(b.generators),
                                  "search_nodes": b.search_nodes}
@@ -435,7 +417,7 @@ def homsearch(P, max_degree):
               for b in cert.killed_blocks]
     nodes = f"{cert.search_nodes} search nodes"
     if cert.certified:
-        return report, [f"certified: no nontrivial homomorphism to any S_k, k <= {K} "
+        return report, [f"certified: no nontrivial homomorphism to any S_k, k <= {max_degree} "
                         "(bounded certificate)", *blocks, nodes], EXIT_OK
     hom = cert.counterexample
     report["counterexample"] = {"degree": hom.degree,
@@ -444,27 +426,26 @@ def homsearch(P, max_degree):
 
 
 @_command()
-@click.option("--max-cosets", type=int, default=None)
+@click.option("--max-cosets", type=int, default=10**5, show_default=True)
 @click.option("--subgroup", "subgroup_words", multiple=True,
               help="subgroup generator word (repeatable)")
 def order(P, max_cosets, subgroup_words):
     """Coset enumeration (exit 0 complete, 2 budget overflow)."""
-    budget = max_cosets if max_cosets is not None else _env_int("PRESFORGE_MAX_COSETS", 10**5)
     subs = [parse_word(P.alphabet, s) for s in subgroup_words]
-    table = todd_coxeter(P, subs, max_cosets=budget)
+    table = todd_coxeter(P, subs, max_cosets=max_cosets)
     report = {
         "status": table.status,
         "index": table.index,
         "cosets_defined": table.cosets_defined,
         "peak_live": table.peak_live,
-        "max_cosets": budget,
+        "max_cosets": max_cosets,
         "subgroup": list(subgroup_words),
     }
     if table.complete:
         return report, [f"index {table.index} ({table.cosets_defined} cosets defined, "
                         f"peak {table.peak_live} live)"], EXIT_OK
     return report, [f"overflow after defining {table.cosets_defined} cosets "
-                    f"(peak {table.peak_live} live, budget {budget})"], EXIT_INCONCLUSIVE
+                    f"(peak {table.peak_live} live, budget {max_cosets})"], EXIT_INCONCLUSIVE
 
 
 @_command(manifest="bg-pipeline")

@@ -77,7 +77,7 @@ class SmithForm:
 def smith_normal_form(M: IntegerMatrix) -> SmithForm:
     """Exact SNF with transforms.
 
-    Pivot strategy: smallest nonzero absolute value in the working block,
+    Pivot rule: smallest nonzero absolute value in the working block,
     ties broken by (row, column) index, so the transforms are reproducible.
     The computed identity left*M*right == D is re-checked on every call.
     """
@@ -319,5 +319,6 @@ def solve_row_lattice(M: IntegerMatrix, target: list[int],
             if t:
                 y = [a - t * b for a, b in zip(y, kv)]
                 changed = True
-    assert [sum(y[i] * M[i][j] for i in range(m)) for j in range(n)] == list(target)
+    if [sum(y[i] * M[i][j] for i in range(m)) for j in range(n)] != list(target):
+        raise AssertionError("row-lattice solution fails y*M == target (internal error)")
     return y

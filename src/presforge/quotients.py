@@ -48,9 +48,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .freewords import Alphabet, Letter, Word, cyclically_reduce, letter_codes
 from .presentations import FinitePresentation
-from .uce import BudgetExhausted
 
 Perm = tuple[int, ...]
+
+
+class BudgetExhausted(RuntimeError):
+    """A semi-decision search ran out of steps without an answer."""
 
 
 def identity_perm(k: int) -> Perm:

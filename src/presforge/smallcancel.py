@@ -18,16 +18,16 @@ C'(lambda) input, and quadratic only in a relator whose rotations tie
 over its whole length, such as a long proper power.
 
 Dehn's algorithm repeatedly replaces a subword that is more than half of
-a symmetrized relator (strict inequality; leftmost match, longest slot on
-ties) by the inverse of the remainder.  On C'(1/6)-certified input a
-freely reduced word represents the identity iff this terminates at the
-empty word, and every "trivial" verdict carries a product-of-conjugates
-certificate that re-expands to the input.
+a symmetrized relator (strict inequality; leftmost match) by the inverse
+of the remainder.  On C'(1/6)-certified input a freely reduced word
+represents the identity iff this terminates at the empty word, and every
+"trivial" verdict carries a product-of-conjugates certificate that
+re-expands to the input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -57,6 +57,11 @@ def _doubled_texts(cores: Sequence[Word]) -> list[str]:
     inverse, each written twice so that every rotation is a substring."""
     return [s + s for core in cores
             for s in (encode_letters(core.letters), encode_letters(core.inverse().letters))]
+
+
+def _encoded_cores(texts: Sequence[str]) -> tuple[str, ...]:
+    """The encoded core of each relator, read back from its doubled text."""
+    return tuple(D[:len(D) // 2] for D in texts[::2])
 
 
 def _common_prefix(a: str, b: str, m: int) -> int:
@@ -118,7 +123,8 @@ class PieceWitness:
 
 @dataclass
 class MetricCertificate:
-    """Outcome of the exhaustive C'(lambda) piece check."""
+    """Outcome of the exhaustive C'(lambda) piece check; `cores` are the
+    `encode_letters` texts of the cyclic cores it scanned."""
 
     lam: Fraction
     passed: bool
@@ -126,6 +132,7 @@ class MetricCertificate:
     max_piece_by_relator: tuple[int, ...]
     min_relator_length: int | None
     offending: PieceWitness | None
+    cores: tuple[str, ...] = field(repr=False)
 
     def describe(self) -> str:
         if self.passed:
@@ -148,7 +155,7 @@ def metric_certificate(P: FinitePresentation,
     cores = _cores(P)
     lengths = tuple(len(c) for c in cores)
     if not cores:
-        return MetricCertificate(lam, True, (), (), None, None)
+        return MetricCertificate(lam, True, (), (), None, None, ())
     texts = _doubled_texts(cores)
     slots, lcp = _sorted_rotations(texts)
     maxes = [0] * len(cores)
@@ -172,8 +179,8 @@ def metric_certificate(P: FinitePresentation,
             offending = PieceWitness(min(ta // 2, tb // 2), max(ta // 2, tb // 2),
                                      piece, maxes[t])
             break
-    return MetricCertificate(lam, passed, lengths, tuple(maxes),
-                             min(lengths), offending)
+    return MetricCertificate(lam, passed, lengths, tuple(maxes), min(lengths),
+                             offending, _encoded_cores(texts))
 
 
 # --- Dehn's algorithm -------------------------------------------------------
@@ -204,14 +211,20 @@ class DehnSolver:
     `encode_letters` text.
 
     A slot is a rotation of a symmetrized relator (an offset into its
-    doubled text); a rotation word seen at an earlier slot is dropped.  One
-    dict maps the first k letters of each slot to slot ids, k the shortest
-    more-than-half length, so a scan makes one probe per position and then
-    compares each candidate's more-than-half prefix and extension.
+    doubled text).  One dict maps the first k letters of each slot to slot
+    ids, k the shortest more-than-half length, so a scan makes one probe
+    per position and then compares each candidate's more-than-half prefix
+    and extension.
 
     A supplied certificate is trusted only if it passed at some lambda
-    <= 1/6 and its relator lengths are those of P's cyclic cores; without
-    one, P is certified at 1/6 here.
+    <= 1/6 and scanned exactly P's cyclic cores; without one, P is
+    certified at 1/6 here.  Under C'(1/6) every piece is shorter than a
+    sixth of each relator containing it, and the common prefix of two
+    distinct slots is a piece.  So no two slots share a rotation word (a
+    piece of full length), and no two slots both match more than half of
+    themselves at one position (their common prefix would be a piece
+    longer than half the shorter relator): at most one slot matches at
+    any position, and the first match found is the only one.
     """
 
     def __init__(self, P: FinitePresentation,
@@ -224,13 +237,13 @@ class DehnSolver:
         if certificate.lam > Fraction(1, 6):
             raise CertificateRequired(
                 f"C'({certificate.lam}) certificate is weaker than C'(1/6)")
-        if tuple(certificate.relator_lengths) != tuple(len(c) for c in cores):
-            raise CertificateRequired(
-                "certificate relator lengths differ from the presentation's cyclic cores")
-        self.presentation = P
-        self.certificate = certificate
         # a subword of texts[tid] is inverted by slicing texts[tid ^ 1]
         self.texts = _doubled_texts(cores)
+        if certificate.cores != _encoded_cores(self.texts):
+            raise CertificateRequired(
+                "certificate was computed for other relators than the presentation's")
+        self.presentation = P
+        self.certificate = certificate
         # per relator: the inverse of its cyclic conjugator
         self.conj_inv = [encode_letters(cyclically_reduce(r)[1].inverse().letters)
                          for r in P.relators]
@@ -242,11 +255,7 @@ class DehnSolver:
         for tid, D in enumerate(self.texts):
             L = len(D) // 2
             for o in range(L):
-                bucket = self.by_prefix.setdefault(D[o:o + self.k], [])
-                if any(self.texts[t][p:p + n] == D[o:o + L]
-                       for t, p, n in (self.slots[s] for s in bucket)):
-                    continue  # identical slot word: same replacement effect
-                bucket.append(len(self.slots))
+                self.by_prefix.setdefault(D[o:o + self.k], []).append(len(self.slots))
                 self.slots.append((tid, o, L))
 
     def solve(self, w: Word, collect_trace: bool = False) -> DehnResult:
@@ -291,11 +300,9 @@ class DehnSolver:
 
     def _find(self, cur: str, start: int) -> tuple[int, int, int] | None:
         """(position, match length, slot id): the leftmost position where
-        more than half of a slot starts, its longest match there and, on
-        ties, the lowest slot id."""
+        more than half of a slot starts, with the slot's full match there."""
         k, n = self.k, len(cur)
         for i in range(start, n - k + 1):
-            best: tuple[int, int] | None = None  # (match length, slot id)
             for sid in self.by_prefix.get(cur[i:i + k], ()):
                 tid, o, L = self.slots[sid]
                 D, h = self.texts[tid], L // 2 + 1
@@ -304,10 +311,7 @@ class DehnSolver:
                 m = h
                 while m < L and i + m < n and cur[i + m] == D[o + m]:
                     m += 1
-                if best is None or m > best[0]:  # bucket ids ascend
-                    best = (m, sid)
-            if best is not None:
-                return (i, *best)
+                return i, m, sid
         return None
 
 

@@ -3,15 +3,13 @@
 Given a perfect ``<X | R>``, the extension is presented on the same
 generators by ``{x c_x : x in X} u {[x, r] : x in X, r in R}`` where each
 ``c_x`` has zero exponent vector and ``x c_x`` lies in the normal closure
-of R.  Witnesses are found constructively (an integer solve against the
-relation lattice); the blind diagonal enumeration over pairs (commutator
-word, closure element) is retained behind ``strategy="search"`` as a
-cross-validation oracle, since its runtime is wildly input-sensitive.
+of R.  Witnesses are found constructively, by an integer solve against
+the relation lattice.
 
 Also here: the fair enumeration of the normal closure, the certified
 subgroup-expression search, and the word-problem transfer between a
-perfect group and its universal central extension.  All search procedures
-take explicit step budgets and return three-valued answers; a positive or
+perfect group and its universal central extension.  The searches take
+explicit step budgets and return three-valued answers; a positive or
 negative answer always carries a certificate that is re-verified before
 being returned.
 """
@@ -33,7 +31,7 @@ from .freewords import (
     free_reduce,
     render_word,
 )
-from .homology import SmithForm, h1, relation_matrix, solve_row_lattice
+from .homology import h1, relation_matrix, solve_row_lattice
 from .presentations import FinitePresentation, PresentationError
 
 DEFAULT_BUDGET = 10**6
@@ -41,10 +39,6 @@ DEFAULT_BUDGET = 10**6
 
 class PerfectionRequired(PresentationError):
     """Operation defined only for perfect presentations (H1 = 0)."""
-
-
-class BudgetExhausted(RuntimeError):
-    """A semi-decision search ran out of steps without an answer."""
 
 
 @dataclass(frozen=True)
@@ -112,19 +106,6 @@ def reduced_words(alphabet: Alphabet) -> Iterator[Word]:
         yield from level
 
 
-def commutator_subgroup_words(alphabet: Alphabet) -> Iterator[Word]:
-    """Reduced words with zero exponent vector, in (length, lex) order; a
-    fair enumeration of the commutator subgroup of the free group.  Finite
-    (just the identity) when the rank is at most 1."""
-    yield alphabet.identity()
-    if alphabet.rank <= 1:
-        return
-    for level in itertools.islice(_reduced_word_levels(alphabet), 2, None, 2):
-        for w in level:
-            if not any(exponent_vector(w)):
-                yield w
-
-
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 0:
         if total == 0:
@@ -142,8 +123,7 @@ def normal_closure_stream(P: FinitePresentation) -> Iterator[NormalClosureElemen
     size, by factor count, then sign pattern (all-positive first), then
     relator index tuple, then conjugator lengths and words, each
     lexicographic.  The first |R| emissions are exactly the relators, and
-    every product of <= k factors with conjugators of length <= k appears
-    within `stream_fairness_bound(P, k)` emissions.
+    every product of conjugates appears after finitely many emissions.
     """
     m = len(P.relators)
     if m == 0:
@@ -165,37 +145,6 @@ def normal_closure_stream(P: FinitePresentation) -> Iterator[NormalClosureElemen
         size += 1
 
 
-def stream_fairness_bound(P: FinitePresentation, k: int) -> int:
-    """Number of stream emissions within which every product of at most k
-    factors with conjugators of length <= k is guaranteed to appear."""
-    m = len(P.relators)
-    n = P.alphabet.rank
-    if m == 0:
-        return 0
-
-    def words_of_length(l: int) -> int:
-        if l == 0:
-            return 1
-        return 2 * n * (2 * n - 1) ** (l - 1) if n else 0
-
-    max_size = k + k * k
-    total = 0
-    for size in range(1, max_size + 1):
-        for kk in range(1, size + 1):
-            clen = size - kk
-            # number of conjugator tuples: convolution of word counts
-            ways = [1] + [0] * clen
-            for _ in range(kk):
-                nxt = [0] * (clen + 1)
-                for have in range(clen + 1):
-                    if ways[have]:
-                        for add in range(clen + 1 - have):
-                            nxt[have + add] += ways[have] * words_of_length(add)
-                ways = nxt
-            total += (2 * m) ** kk * ways[clen]
-    return total
-
-
 @dataclass(frozen=True)
 class CommutatorWitness:
     """Generator x, a word c with zero exponent vector, and a closure
@@ -214,91 +163,30 @@ class CommutatorWitness:
         return self.rho.verify(P)
 
 
-def find_commutator_witnesses(
-    P: FinitePresentation,
-    strategy: str = "constructive",
-    budget: int = DEFAULT_BUDGET,
-) -> list[CommutatorWitness]:
-    """One witness per generator of a perfect presentation.
-
-    "constructive": solve y * M = e_x over the integers (M the relation
-    matrix), set rho = r_1^{y_1} ... r_m^{y_m} and c = x^-1 * rho; the
-    integer system is solvable for every generator exactly when H1 = 0.
-
-    "search": the blind enumeration over pairs (commutator word, closure
-    element) along finite diagonals; kept as a cross-validation oracle.
-    Raises BudgetExhausted when the pair budget runs out.
-    """
+def find_commutator_witnesses(P: FinitePresentation) -> list[CommutatorWitness]:
+    """One witness per generator of a perfect presentation: solve
+    y * M = e_x over the integers (M the relation matrix), set
+    rho = r_1^{y_1} ... r_m^{y_m} and c = x^-1 * rho.  The integer system
+    is solvable for every generator exactly when H1 = 0."""
     H = h1(P)
     if not H.group.is_trivial:
         raise PerfectionRequired(
             f"input has H1 = {H.group}; commutator witnesses require a perfect group")
-    if strategy == "constructive":
-        return _witnesses_constructive(P, H.smith)
-    if strategy == "search":
-        return _witnesses_search(P, budget)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _witnesses_constructive(P: FinitePresentation, form: SmithForm) -> list[CommutatorWitness]:
     M = relation_matrix(P)
+    empty = P.alphabet.identity()
     out = []
     for j, name in enumerate(P.alphabet.symbols):
         target = [0] * P.alphabet.rank
         target[j] = 1
-        y = solve_row_lattice(M, target, form)
-        factors: list[tuple[Word, int, int]] = []
-        empty = P.alphabet.identity()
-        for i, yi in enumerate(y):
-            factors.extend((empty, i, 1 if yi > 0 else -1) for _ in range(abs(yi)))
+        y = solve_row_lattice(M, target, H.smith)
+        factors = [(empty, i, 1 if yi > 0 else -1) for i, yi in enumerate(y)
+                   for _ in range(abs(yi))]
         rho = NormalClosureElement.build(P, factors)
         x = P.alphabet.gen(name)
         c = free_reduce(x.inverse().concat(rho.expanded))
         witness = CommutatorWitness(name, c, rho)
         if not witness.verify(P):
             raise AssertionError("constructive witness failed verification (internal error)")
-        out.append(witness)
-    return out
-
-
-def _witnesses_search(P: FinitePresentation, budget: int) -> list[CommutatorWitness]:
-    out = []
-    spent = 0
-    for name in P.alphabet.symbols:
-        x = P.alphabet.gen(name)
-        ds: list[Word] = []
-        rhos: list[NormalClosureElement] = []
-        d_iter = commutator_subgroup_words(P.alphabet)
-        rho_iter = normal_closure_stream(P)
-        found = None
-        diag = 0
-        while found is None:
-            while len(ds) <= diag:
-                d = next(d_iter, None)
-                if d is None:
-                    break
-                ds.append(d)
-            while len(rhos) <= diag:
-                nxt = next(rho_iter, None)
-                if nxt is None:
-                    break
-                rhos.append(nxt)
-            for i in range(min(diag + 1, len(ds))):
-                j = diag - i
-                if j >= len(rhos):
-                    continue
-                spent += 1
-                if spent > budget:
-                    raise BudgetExhausted(
-                        f"witness search for {name!r} exhausted {budget} pair checks")
-                if not free_reduce(x.concat(ds[i]).concat(rhos[j].expanded)).letters:
-                    found = (ds[i], rhos[j])
-                    break
-            diag += 1
-        c, rho_j = found
-        witness = CommutatorWitness(name, c, rho_j.inverse(P))
-        if not witness.verify(P):
-            raise AssertionError("searched witness failed verification (internal error)")
         out.append(witness)
     return out
 
@@ -322,9 +210,7 @@ class UcePresentation:
         return n + n * len(self.base.relators)
 
 
-def miller_uce(P: FinitePresentation,
-               strategy: str = "constructive",
-               budget: int = DEFAULT_BUDGET) -> UcePresentation:
+def miller_uce(P: FinitePresentation) -> UcePresentation:
     """Present the universal central extension of a perfect group on the
     same generator set: relators {x c_x} then {[x, r]} (x-major order).
 
@@ -333,7 +219,7 @@ def miller_uce(P: FinitePresentation,
     output's H1 = 0 is machine-checked on its relators {x c_x} alone: each
     [x, r] has zero exponent vector, and more relators only shrink H1.
     """
-    witnesses = find_commutator_witnesses(P, strategy=strategy, budget=budget)
+    witnesses = find_commutator_witnesses(P)
     alph = P.alphabet
     rels = [free_reduce(alph.gen(w.generator).concat(w.c)) for w in witnesses]
     if not h1(FinitePresentation(alph, tuple(rels))).group.is_trivial:

@@ -7,18 +7,38 @@ group from a completed coset table over the trivial subgroup, and
 `minors_gcd` (over the
 Bareiss determinant `det`) gives the products d_1 * ... * d_k of a Smith
 form's invariant factors.
+
+`search_commutator_witnesses` is the classical blind diagonal search for
+the commutator witnesses of a universal central extension, over
+`commutator_subgroup_words` and the closure stream; `search_extension`
+presents the extension from any witness set, so its order can be checked
+against `miller_uce`'s.  `stream_fairness_bound` bounds where the closure
+stream reaches short products.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from presforge.freewords import Word
+from presforge.freewords import Alphabet, Word, commutator, exponent_vector, free_reduce
 from presforge.homology import IntegerMatrix
 from presforge.presentations import FinitePresentation
-from presforge.quotients import Perm, PermAssignment, compose, identity_perm, todd_coxeter
+from presforge.quotients import (
+    BudgetExhausted,
+    Perm,
+    PermAssignment,
+    compose,
+    identity_perm,
+    todd_coxeter,
+)
+from presforge.uce import (
+    CommutatorWitness,
+    NormalClosureElement,
+    normal_closure_stream,
+    reduced_words,
+)
 
 
 def brute_force_homs(P: FinitePresentation, k: int) -> list[PermAssignment]:
@@ -112,3 +132,99 @@ def minors_gcd(M: IntegerMatrix, k: int) -> int:
             sub = [[M[i][j] for j in cols] for i in rows]
             g = gcd(g, det(sub))
     return g
+
+
+def commutator_subgroup_words(alphabet: Alphabet) -> Iterator[Word]:
+    """Reduced words with zero exponent vector, in (length, lex) order; a
+    fair enumeration of the commutator subgroup of the free group.  Finite
+    (just the identity) when the rank is at most 1."""
+    if alphabet.rank <= 1:
+        yield alphabet.identity()
+        return
+    for w in reduced_words(alphabet):
+        if not any(exponent_vector(w)):
+            yield w
+
+
+def stream_fairness_bound(P: FinitePresentation, k: int) -> int:
+    """Number of `normal_closure_stream` emissions within which every
+    product of at most k factors with conjugators of length <= k is
+    guaranteed to appear."""
+    m = len(P.relators)
+    n = P.alphabet.rank
+    if m == 0:
+        return 0
+
+    def words_of_length(l: int) -> int:
+        if l == 0:
+            return 1
+        return 2 * n * (2 * n - 1) ** (l - 1) if n else 0
+
+    max_size = k + k * k
+    total = 0
+    for size in range(1, max_size + 1):
+        for kk in range(1, size + 1):
+            clen = size - kk
+            # number of conjugator tuples: convolution of word counts
+            ways = [1] + [0] * clen
+            for _ in range(kk):
+                nxt = [0] * (clen + 1)
+                for have in range(clen + 1):
+                    if ways[have]:
+                        for add in range(clen + 1 - have):
+                            nxt[have + add] += ways[have] * words_of_length(add)
+                ways = nxt
+            total += (2 * m) ** kk * ways[clen]
+    return total
+
+
+def search_commutator_witnesses(P: FinitePresentation,
+                                budget: int) -> list[CommutatorWitness]:
+    """One witness per generator by the blind enumeration over pairs
+    (commutator word d, closure element rho) along finite diagonals, until
+    x * d * rho is freely trivial.  Raises BudgetExhausted once `budget`
+    pair checks are spent; never returns an unverified witness."""
+    out = []
+    spent = 0
+    for name in P.alphabet.symbols:
+        x = P.alphabet.gen(name)
+        ds: list[Word] = []
+        rhos: list[NormalClosureElement] = []
+        d_iter = commutator_subgroup_words(P.alphabet)
+        rho_iter = normal_closure_stream(P)
+        found = None
+        diag = 0
+        while found is None:
+            while len(ds) <= diag and (d := next(d_iter, None)) is not None:
+                ds.append(d)
+            while len(rhos) <= diag and (rho := next(rho_iter, None)) is not None:
+                rhos.append(rho)
+            for i in range(min(diag + 1, len(ds))):
+                j = diag - i
+                if j >= len(rhos):
+                    continue
+                spent += 1
+                if spent > budget:
+                    raise BudgetExhausted(
+                        f"witness search for {name!r} exhausted {budget} pair checks")
+                if not free_reduce(x.concat(ds[i]).concat(rhos[j].expanded)).letters:
+                    found = (ds[i], rhos[j])
+                    break
+            diag += 1
+        c, rho_j = found
+        witness = CommutatorWitness(name, c, rho_j.inverse(P))
+        if not witness.verify(P):
+            raise AssertionError("searched witness failed verification")
+        out.append(witness)
+    return out
+
+
+def search_extension(P: FinitePresentation,
+                     witnesses: Sequence[CommutatorWitness]) -> FinitePresentation:
+    """The extension presented from `witnesses`: relators x * c_x, then
+    every nontrivial [x, r] (x-major order)."""
+    alph = P.alphabet
+    rels = [free_reduce(alph.gen(w.generator).concat(w.c)) for w in witnesses]
+    rels += [cw for name in alph.symbols for r in P.relators
+             if (cw := commutator(alph.gen(name), r)).letters]
+    return FinitePresentation(alph, tuple(rels))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from presforge.freewords import Word, decode_letters
+from presforge.freewords import Word, decode_letters, encode_letters
 from presforge.presentations import FinitePresentation
 from presforge.smallcancel import MetricCertificate, PieceWitness, _cores, _doubled_texts
 
@@ -54,8 +54,9 @@ def reference_certificate(P: FinitePresentation,
     lam = Fraction(lam)
     cores = _cores(P)
     lengths = tuple(len(c) for c in cores)
+    encoded = tuple(encode_letters(c.letters) for c in cores)
     if not cores:
-        return MetricCertificate(lam, True, (), (), None, None)
+        return MetricCertificate(lam, True, (), (), None, None, encoded)
     slots, lcp = slots_sorted(cores)
     maxes = [0] * len(cores)
     witness_for: dict[int, tuple[int, int]] = {}
@@ -78,7 +79,7 @@ def reference_certificate(P: FinitePresentation,
                                      piece, maxes[t])
             break
     return MetricCertificate(lam, passed, lengths, tuple(maxes),
-                             min(lengths), offending)
+                             min(lengths), offending, encoded)
 
 
 @dataclass

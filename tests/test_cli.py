@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -129,9 +131,9 @@ class TestSearchAndOrder:
         assert "killed block a_1, b_1, c_1, d_1 (982 search nodes)" in \
             runner.invoke(main, argv).output
 
-    def test_homsearch_over_budget_exit_2(self, workdir, capsys, monkeypatch):
-        monkeypatch.setenv("PRESFORGE_BUDGET_STEPS", "50")
-        assert run_command(["homsearch", str(workdir / "J.pres"), "--max-degree", "6"]) == 2
+    def test_homsearch_over_budget_exit_2(self, workdir, capsys):
+        assert run_command(["homsearch", str(workdir / "J.pres"), "--max-degree", "6",
+                            "--budget", "50"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("inconclusive") and "51 nodes" in err
 
@@ -152,16 +154,20 @@ class TestSearchAndOrder:
         res = runner.invoke(main, ["order", str(f), "--max-cosets", "50"])
         assert res.exit_code == 2
 
-    def test_env_budget(self, runner, tmp_path, monkeypatch):
+    def test_env_budget(self, runner, tmp_path, monkeypatch, workdir):
+        """Budgets come from flags and their defaults alone; the CLI reads
+        no environment variable."""
         f = tmp_path / "free.pres"
         f.write_text("< a, b | >")
-        monkeypatch.setenv("PRESFORGE_MAX_COSETS", "40")
-        res = runner.invoke(main, ["order", str(f)])
-        assert res.exit_code == 2
-        # flag wins over the environment
-        res = runner.invoke(main, ["order", str(f), "--max-cosets", "100000"])
-        assert res.exit_code == 2  # still infinite, but burned the larger budget
-        assert "100000" in res.output
+        for name in ("PRESFORGE_MAX_COSETS", "PRESFORGE_MAX_DEGREE", "PRESFORGE_BUDGET_STEPS"):
+            monkeypatch.setenv(name, "1")
+        res = runner.invoke(main, ["order", str(f), "--max-cosets", "40"])
+        assert res.exit_code == 2 and "budget 40)" in res.output
+        res = runner.invoke(main, ["order", str(f), "--format", "json"])
+        assert res.exit_code == 2  # still infinite, but burned the default budget
+        assert json.loads(res.output)["max_cosets"] == 100000
+        res = runner.invoke(main, ["homsearch", str(workdir / "ico.pres"), "--format", "json"])
+        assert res.exit_code == 1 and json.loads(res.output)["max_degree"] == 6
 
 
 class TestRunCommand:
@@ -179,6 +185,8 @@ class TestRunCommand:
         assert run_command(["order", ico, "--max-cosets", "0"]) == 3
         for k in ("0", "1"):
             assert run_command(["homsearch", ico, "--max-degree", k]) == 3
+        for n in ("0", "-3"):
+            assert run_command(["homsearch", ico, "--budget", n]) == 3
         out = capsys.readouterr()
         assert "certified" not in out.out and "Traceback" not in out.err
 
@@ -210,25 +218,24 @@ _FUZZ_TEXTS = {
                                 "order", "bg-pipeline"]),
        source=st.sampled_from([*_FUZZ_TEXTS, "missing"]),
        max_degree=st.integers(-2, 4), max_cosets=st.integers(-2, 200),
-       budget=st.integers(-2, 500), search=st.booleans(),
+       budget=st.integers(-2, 500),
        lam=st.sampled_from(["1/6", "0", "1/0", "abc"]),
        kind=st.sampled_from(["S", "U", "theta", "theta-tilde"]),
        word=st.sampled_from(["a", "x", "a*b^-1", "zz", "(a"]),
        fmt=st.sampled_from(["text", "json"]))
 def test_fuzz_exit_codes_in_contract(tmp_path, command, source, max_degree, max_cosets,
-                                     budget, search, lam, kind, word, fmt):
+                                     budget, lam, kind, word, fmt):
     from presforge.cli import run_command
     path = tmp_path / f"{source}.pres"
     if source in _FUZZ_TEXTS:
         path.write_text(_FUZZ_TEXTS[source])
     argv = [command, str(path)]
     argv += {
-        "uce": ["--budget", str(budget)] + (["--search"] if search else []),
         "fibre": ["--kind", kind],
         "gadget": ["--word", word],
         "word": [word],
         "verify-sc": ["--lam", lam],
-        "homsearch": ["--max-degree", str(max_degree)],
+        "homsearch": ["--max-degree", str(max_degree), "--budget", str(budget)],
         "order": ["--max-cosets", str(max_cosets)],
     }.get(command, [])
     if command in ("uce", "rips", "killfq", "superperfectify", "fibre", "bg-pipeline"):
@@ -264,18 +271,11 @@ class TestPipelines:
         res = runner.invoke(main, ["uce", str(f)])
         assert res.exit_code == 3
 
-    def test_uce_search_mode(self, runner, workdir, tmp_path):
-        out = tmp_path / "s"
-        res = runner.invoke(main, ["uce", str(workdir / "triv.pres"), "--search",
-                                   "--budget", "10000", "--outdir", str(out)])
-        assert res.exit_code == 0
-        witnesses = json.loads((out / "triv.uce.witnesses.json").read_text())
-        assert witnesses[0]["c"] == "1" and witnesses[0]["rho_expanded"] == "x"
-
-    def test_uce_search_budget_exhaustion_exit_2(self, runner, workdir, tmp_path):
-        res = runner.invoke(main, ["uce", str(workdir / "ico.pres"), "--search",
-                                   "--budget", "500", "--outdir", str(tmp_path)])
-        assert res.exit_code == 2
+    def test_uce_has_one_witness_path(self, workdir, capsys):
+        ico = str(workdir / "ico.pres")
+        assert run_command(["uce", ico, "--search"]) == 3
+        assert run_command(["uce", ico, "--budget", "5"]) == 3
+        assert "no such option" in capsys.readouterr().err.lower()
 
     def test_killfq_and_superperfectify(self, runner, workdir, tmp_path):
         out = tmp_path / "k"
@@ -355,13 +355,13 @@ class TestPipelines:
 # seconds and hundreds of MB.
 UCE_GOLDEN = {
     ("uce", "ico"):
-        "4bb4de53162f992eb5c0deceda03a0cb331ac4562aec169003a63369a820c2a8",
+        "d8d6d97f2e35f1dbcbc78f6356850d0b7507ab42ff56a77b6d08a17b07df4c74",
     ("uce", "J"):
-        "71b62db90878b6c590c5ea3630e698276ea14cd5a399e66a66a1977eb26d3c45",
+        "f5df7e1ce188bb14eb17b0322e89fb917b6ea4d0ca9457cbf255e85b44d55be4",
     ("uce", "triv"):
-        "3fb2400ecb2ddc60d12ecfdff0e3ee61b83f73f33c92cb388aa3f9b834f1016a",
+        "797a3c50df389d6cb45c7a8953e1e9ff12efc46ca9922eb8ecef9dbb3d90aa4e",
     ("uce", "spico"):
-        "471b38563e4e8732e8315c753df5978f8ac5807e0a3a1097ce4090fbc34eaed5",
+        "f3a9be2960e8d9eea045663763983f440614a0b8c17043a6020358e381547b35",
     ("superperfectify", "ico"):
         "938168096ac130fabcecba97be6e96e3db684bc496f1f0d03f5ebe81a965ef65",
     ("superperfectify", "J"):
@@ -383,3 +383,19 @@ def test_uce_artifacts_golden(tmp_path, command, source):
     for p in sorted(out.iterdir()):
         digest.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
     assert digest.hexdigest() == UCE_GOLDEN[command, source]
+
+
+def test_readme_command_block_matches_cli():
+    """Every `presforge CMD` line in the README's command-line block names
+    a real subcommand, and every `--flag` on it is an option of that
+    subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("presforge ")]
+    assert len(lines) == len(main.commands)
+    for line in lines:
+        name = line.split()[1]
+        assert name in main.commands, line
+        opts = {o for p in main.commands[name].params for o in p.opts}
+        for flag in re.findall(r"--[a-z][a-z-]*", line.split("#")[0]):
+            assert flag in opts, (name, flag)

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import presforge
 
 from presforge.homology import (
     AbelianGroupDescriptor,
@@ -164,6 +170,23 @@ class TestSolveRowLattice:
         # a float quotient of these integers overflows; size reduction
         # against the kernel row (1, -1) must still be exact
         assert solve_row_lattice([[1], [1]], [10**400]) == [5 * 10**399] * 2
+
+    def test_final_check_survives_optimize(self):
+        # a Smith form whose left transform is wrong yields a y with
+        # y * M != target; the re-check must raise even under python -O,
+        # which strips assert statements
+        script = (
+            "import dataclasses\n"
+            "from presforge.homology import smith_normal_form, solve_row_lattice\n"
+            "M = [[2, 1], [1, 1]]\n"
+            "bad = dataclasses.replace(smith_normal_form(M), left=[[1, 0], [0, 1]])\n"
+            "print(solve_row_lattice(M, [1, 0], bad))\n")
+        src = str(Path(presforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode != 0, res.stdout
+        assert "AssertionError" in res.stderr and "(internal error)" in res.stderr
 
 
 class TestDescriptor:

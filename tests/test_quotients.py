@@ -11,6 +11,7 @@ from presforge.constructions import delta_amalgam, kill_finite_quotients, super_
 from presforge.freewords import Alphabet, Word, free_reduce, render_word
 from presforge.presentations import presentation
 from presforge.quotients import (
+    BudgetExhausted,
     CosetTable,
     PermAssignment,
     compose,
@@ -22,7 +23,6 @@ from presforge.quotients import (
     low_index_subgroups,
     todd_coxeter,
 )
-from presforge.uce import BudgetExhausted
 
 from oracles import brute_force_homs, group_order, image_order, word_problem_oracle
 

@@ -269,6 +269,17 @@ class TestDehn:
         with pytest.raises(CertificateRequired):
             DehnSolver(Z2)
 
+    def test_certificate_of_other_relators_rejected(self):
+        # <a,b,c,d | a*b*c*d> is C'(1/6) and its one core has the length of
+        # the commutator's, so only the scanned cores tell the two apart;
+        # the commutator relator makes a^2 b^2 a^-2 b^-2 trivial, which
+        # Dehn's algorithm cannot see
+        Z2 = presentation(["a", "b", "c", "d"], ["a*b*a^-1*b^-1"])
+        foreign = metric_certificate(presentation(["a", "b", "c", "d"], ["a*b*c*d"]))
+        assert foreign.passed and foreign.relator_lengths == (4,)
+        with pytest.raises(CertificateRequired):
+            DehnSolver(Z2, certificate=foreign)
+
     def test_wrapper_and_trace(self, rips_trivial):
         G = rips_trivial.gamma
         res = dehn_word_problem(G, G.relators[1], collect_trace=True)

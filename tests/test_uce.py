@@ -16,9 +16,8 @@ from presforge.freewords import (
 )
 from presforge.homology import h1, relation_matrix, solve_row_lattice
 from presforge.presentations import FinitePresentation, PresentationError, presentation
-from presforge.quotients import todd_coxeter
+from presforge.quotients import BudgetExhausted, todd_coxeter
 from presforge.uce import (
-    BudgetExhausted,
     NormalClosureElement,
     PerfectionRequired,
     express_in_generators,
@@ -27,11 +26,15 @@ from presforge.uce import (
     miller_uce,
     normal_closure_stream,
     reduced_words,
-    stream_fairness_bound,
     uce_word_transfer,
 )
 
-from oracles import word_problem_oracle
+from oracles import (
+    search_commutator_witnesses,
+    search_extension,
+    stream_fairness_bound,
+    word_problem_oracle,
+)
 
 
 class TestClosureStream:
@@ -141,8 +144,7 @@ def test_fuzz_build_matches_concat_then_reduce(relators, factors, fault, at):
 class TestWitnesses:
     def test_single_relator_generator(self):
         P = presentation(["x"], ["x"])
-        for strategy in ("constructive", "search"):
-            (w,) = find_commutator_witnesses(P, strategy=strategy, budget=10_000)
+        for (w,) in (find_commutator_witnesses(P), search_commutator_witnesses(P, 10_000)):
             assert w.c == P.alphabet.identity()
             assert render_word(w.rho.expanded) == "x"
             assert w.verify(P)
@@ -171,14 +173,14 @@ class TestWitnesses:
             presentation(["x", "y"], ["x*y^2", "x*y"]),
         ]
         for P in corpus:
-            constructive = find_commutator_witnesses(P, strategy="constructive")
-            searched = find_commutator_witnesses(P, strategy="search", budget=3_000_000)
-            for wc, ws in zip(constructive, searched):
+            U = miller_uce(P)
+            searched = search_commutator_witnesses(P, 3_000_000)
+            assert len(U.witnesses) == len(searched)
+            for wc, ws in zip(U.witnesses, searched):
                 assert wc.generator == ws.generator
                 assert wc.verify(P) and ws.verify(P)
             # the extensions built from either witness set have one order
-            tables = [todd_coxeter(miller_uce(P, strategy=s, budget=3_000_000).result)
-                      for s in ("constructive", "search")]
+            tables = [todd_coxeter(U.result), todd_coxeter(search_extension(P, searched))]
             assert all(t.complete for t in tables)
             assert tables[0].index == tables[1].index
 
@@ -186,7 +188,7 @@ class TestWitnesses:
         # the minimal witness for this input needs 15 relator factors; a
         # small budget must exhaust rather than mislead
         with pytest.raises(BudgetExhausted):
-            find_commutator_witnesses(icosahedral, strategy="search", budget=2000)
+            search_commutator_witnesses(icosahedral, 2000)
 
 
 class TestMillerUce:
