@@ -12,7 +12,7 @@ and exit with a contractual code:
     4  internal error: a bug to report (one line on stderr, no traceback)
 
 Manifests carry input digests, artifact names, counts, certificates and
-budgets; they contain nothing time- or path-dependent, so re-running a
+notes; they contain nothing time- or path-dependent, so re-running a
 command on the same inputs reproduces byte-identical files.
 """
 

@@ -12,6 +12,7 @@ correctness issue, not an overflow risk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .freewords import exponent_vector
 from .presentations import FinitePresentation
@@ -63,6 +64,13 @@ class SmithForm:
     @property
     def rank(self) -> int:
         return len(self.diagonal)
+
+    @cached_property
+    def kernel_rows(self) -> list[tuple[list[tuple[int, int]], int]]:
+        """The nonzero rows rank.. of `left`, a basis of the left kernel of
+        M, each as its nonzero (index, entry) pairs and its squared norm."""
+        supports = [[(i, x) for i, x in enumerate(row) if x] for row in self.left[self.rank:]]
+        return [(s, sum(x * x for _, x in s)) for s in supports if s]
 
     def diagonal_matrix(self) -> IntegerMatrix:
         D = [[0] * self.cols for _ in range(self.rows)]
@@ -304,20 +312,17 @@ def solve_row_lattice(M: IntegerMatrix, target: list[int],
     # y = z * L
     y = [sum(z[i] * form.left[i][j] for i in range(r)) for j in range(m)]
     # size-reduce against the kernel lattice (rows r..m-1 of L) to keep the
-    # resulting relator powers short
-    kernel = [form.left[i] for i in range(r, m)]
+    # resulting relator powers short; UCE kernel rows are mostly unit vectors
     changed = True
     while changed:
         changed = False
-        for kv in kernel:
-            norm = sum(x * x for x in kv)
-            if norm == 0:
-                continue
-            t, rem = divmod(sum(a * b for a, b in zip(y, kv)), norm)
+        for support, norm in form.kernel_rows:
+            t, rem = divmod(sum(y[i] * x for i, x in support), norm)
             if 2 * rem > norm or (2 * rem == norm and t % 2):
                 t += 1  # exact round-half-to-even of dot / norm
             if t:
-                y = [a - t * b for a, b in zip(y, kv)]
+                for i, x in support:
+                    y[i] -= t * x
                 changed = True
     if [sum(y[i] * M[i][j] for i in range(m)) for j in range(n)] != list(target):
         raise AssertionError("row-lattice solution fails y*M == target (internal error)")

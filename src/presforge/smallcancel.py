@@ -9,13 +9,14 @@ certificate condition C'(lambda): every piece is strictly shorter than
 lambda times the length of every relator containing it.
 
 The scanner sorts rotation slots, offsets into the doubled encoded
-relator texts, without writing any rotation out: bounded-length prefix
-keys first, longer keys only for runs still tied.  The longest piece
-touching a given rotation is then the longest common prefix with one of
-its sorted neighbours, found by slice comparisons.  Memory is linear in
-the relator letters when rotations part after a few letters, as on
-C'(lambda) input, and quadratic only in a relator whose rotations tie
-over its whole length, such as a long proper power.
+relator texts, without writing any rotation out: prefix keys that grow
+only for runs still tied, and one comparison with its first member for a
+run of equal rotation words.  The longest piece touching a rotation is
+its longest common prefix with a sorted neighbour; Kasai's walk finds
+them all, each from the one before less a letter.  Memory is linear in
+the relator letters on C'(lambda) input, proper powers and repeated
+relators, and quadratic only in rotations that agree over most of their
+length without being equal, such as those of a^k b.
 
 Dehn's algorithm repeatedly replaces a subword that is more than half of
 a symmetrized relator (strict inequality; leftmost match) by the inverse
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, compress, count
+from operator import eq
 from typing import Sequence
 
 from .freewords import (
@@ -64,53 +67,101 @@ def _encoded_cores(texts: Sequence[str]) -> tuple[str, ...]:
     return tuple(D[:len(D) // 2] for D in texts[::2])
 
 
-def _common_prefix(a: str, b: str, m: int) -> int:
-    """Length of the longest common prefix of a and b, whose first m
-    letters agree, by slice bisection."""
-    hi = min(len(a), len(b))
-    while m < hi:
-        mid = (m + hi + 1) // 2
-        if a[m:mid] == b[m:mid]:
-            m = mid
-        else:
-            hi = mid - 1
-    return m
-
-
 def _sorted_rotations(texts: Sequence[str]) -> tuple[list[tuple[int, int, int]], list[int]]:
     """Every rotation slot (text id, offset, length) of the doubled texts,
-    sorted by its rotation word with equal words in slot order, plus
-    lcp[k], the common-prefix length of sorted slots k and k + 1.
+    sorted by its rotation word with equal words in slot order, plus a
+    list with one entry per sorted neighbour pair (k, k + 1): the rotation
+    length where the two rotation words are equal, else 0.
 
     Slots are sorted by keys, the first K letters of their rotations.  A
     key is a prefix of its rotation, so unequal keys already order their
-    rotations, and their common prefix is that of the rotations.  A run
-    of equal keys, so of rotations agreeing on K letters, is sorted again
-    with K doubled while some member's rotation is longer than K.
+    rotations.  A run of equal keys whose members all have the first
+    member's length and rotation word is settled; any other run is sorted
+    again with K four times as long.
     """
-    slots = [(tid, o, len(D) // 2) for tid, D in enumerate(texts) for o in range(len(D) // 2)]
-    lcp = [0] * (len(slots) - 1)
-    tied = [(0, len(slots), 8, 0)]  # (lo, hi, K, letters the run agrees on)
+    slots = [(t, o, L) for t, D in enumerate(texts) for L in (len(D) // 2,) for o in range(L)]
+    equal = [0] * (len(slots) - 1)
+    tied = [(0, len(slots), 16)]  # (lo, hi, K)
     while tied:
-        lo, hi, K, agree = tied.pop()
+        lo, hi, K = tied.pop()
         seg = slots[lo:hi]  # in slot order, and the sort is stable
         keys = [texts[t][o:o + K] if K <= L else texts[t][o:o + L] for t, o, L in seg]
         order = sorted(range(len(seg)), key=keys.__getitem__)
-        slots[lo:hi] = [seg[x] for x in order]
+        slots[lo:hi] = seg = [seg[x] for x in order]
         keys = [keys[x] for x in order]
-        start = 0
-        for j in range(1, len(keys) + 1):
-            if j < len(keys) and keys[j] == keys[start]:
+        runs: list[list[int]] = []  # [first, last] of each run of equal keys
+        for j in compress(count(1), map(eq, keys, keys[1:])):
+            if runs and runs[-1][1] == j - 1:
+                runs[-1][1] = j
+            else:
+                runs.append([j - 1, j])
+        for a, b in runs:
+            t0, o0, L0 = seg[a]
+            w = texts[t0][o0:o0 + L0]
+            if all(L == L0 and texts[t].startswith(w, o) for t, o, L in seg[a + 1:b + 1]):
+                equal[lo + a:lo + b] = [L0] * (b - a)
+            else:
+                tied.append((lo + a, lo + b + 1, 4 * K))
+    return slots, equal
+
+
+def _extend(a: str, i: int, b: str, j: int, h: int, m: int) -> int:
+    """Length of the longest common prefix of a[i:i + m] and b[j:j + m],
+    whose first h letters agree: letter steps, then, once eight more
+    letters match, slices of doubling length, halved after a mismatch."""
+    stop = min(m, h + 8)
+    while h < stop and a[i + h] == b[j + h]:
+        h += 1
+    step, grow = 16 if h == stop else 0, True
+    while step and h < m:
+        n = min(step, m - h)
+        if a[i + h:i + h + n] == b[j + h:j + h + n]:
+            h += n
+            step = 2 * step if grow else step // 2
+        else:  # the first mismatch lies in the next n <= step letters
+            grow, step = False, step // 2
+    return h
+
+
+def _piece_walk(texts: Sequence[str], slots: Sequence[tuple[int, int, int]],
+                lcp: list[int]) -> tuple[list[int], list[int]]:
+    """Kasai's walk: complete lcp[k], the common-prefix length of sorted
+    slots k and k + 1, and return per relator the longest piece and the
+    least k whose pair reaches it (-1 if none).
+
+    Each text's offsets are taken in order.  If the rotation at offset o
+    shares h letters with its sorted predecessor, h less than both their
+    lengths, then dropping both first letters keeps their order, so the
+    rotation at o + 1 shares at least h - 1 letters with its predecessor.
+    Equal-word pairs settled by the sort keep their entry and restart the
+    bound from 0.
+    """
+    base = list(accumulate((len(D) // 2 for D in texts), initial=0))
+    pred = [0] * len(slots)  # per slot id: the sorted index of its predecessor
+    for k, (t, o, _) in enumerate(slots, -1):
+        pred[base[t] + o] = k
+    longest, first = [0] * (len(texts) // 2), [-1] * (len(texts) // 2)
+    for t, D in enumerate(texts):
+        L, r, h = len(D) // 2, t >> 1, 0
+        for o, k in enumerate(pred[base[t]:base[t + 1]]):
+            if k < 0:  # the first sorted slot has no predecessor
+                h = 0
                 continue
-            if j - start > 1:
-                if any(L > K for _, _, L in slots[lo + start:lo + j]):
-                    tied.append((lo + start, lo + j, 2 * K, K))
-                else:  # equal rotation words
-                    lcp[lo + start:lo + j - 1] = [len(keys[start])] * (j - start - 1)
-            if j < len(keys):
-                lcp[lo + j - 1] = _common_prefix(keys[j - 1], keys[j], agree)
-            start = j
-    return slots, lcp
+            t2, o2, L2 = slots[k]
+            E, m = texts[t2], L if L < L2 else L2
+            if lcp[k]:
+                h = m
+            elif h < m and D[o + h] == E[o2 + h]:
+                h = lcp[k] = _extend(D, o, E, o2, h + 1, m)
+            elif h:
+                lcp[k] = h
+            else:
+                continue
+            for q in (r, t2 >> 1):
+                if h > longest[q] or (h == longest[q] and k < first[q]):
+                    longest[q], first[q] = h, k
+            h = h - 1 if h < m else 0
+    return longest, first
 
 
 @dataclass
@@ -158,15 +209,7 @@ def metric_certificate(P: FinitePresentation,
         return MetricCertificate(lam, True, (), (), None, None, ())
     texts = _doubled_texts(cores)
     slots, lcp = _sorted_rotations(texts)
-    maxes = [0] * len(cores)
-    witness_for: dict[int, int] = {}  # relator -> sorted position k of its pair (k, k + 1)
-    for k, n in enumerate(lcp):
-        if n == 0:
-            continue
-        for tid, _, _ in (slots[k], slots[k + 1]):
-            if n > maxes[tid // 2]:
-                maxes[tid // 2] = n
-                witness_for[tid // 2] = k
+    maxes, witness_for = _piece_walk(texts, slots, lcp)
     passed = True
     offending = None
     for t, L in enumerate(lengths):

@@ -6,7 +6,9 @@ orbit closure, `word_problem_oracle` decides the word problem of a finite
 group from a completed coset table over the trivial subgroup, and
 `minors_gcd` (over the
 Bareiss determinant `det`) gives the products d_1 * ... * d_k of a Smith
-form's invariant factors.
+form's invariant factors, and `dense_solve_row_lattice` is
+`solve_row_lattice` with its size reduction over the dense kernel rows of
+the left transform, the reference for the sparse one.
 
 `search_commutator_witnesses` is the classical blind diagonal search for
 the commutator witnesses of a universal central extension, over
@@ -23,7 +25,7 @@ from math import gcd
 from typing import Callable, Iterator, Sequence
 
 from presforge.freewords import Alphabet, Word, commutator, exponent_vector, free_reduce
-from presforge.homology import IntegerMatrix
+from presforge.homology import IntegerMatrix, SmithForm
 from presforge.presentations import FinitePresentation
 from presforge.quotients import (
     BudgetExhausted,
@@ -132,6 +134,36 @@ def minors_gcd(M: IntegerMatrix, k: int) -> int:
             sub = [[M[i][j] for j in cols] for i in rows]
             g = gcd(g, det(sub))
     return g
+
+
+def dense_solve_row_lattice(M: IntegerMatrix, target: list[int],
+                            form: SmithForm) -> list[int] | None:
+    """y with y*M == target, size-reduced against every kernel row of
+    `form.left` read densely, with norms and dot products over all m
+    entries; None if target is outside the row lattice."""
+    m, n = len(M), len(M[0])
+    tR = [sum(target[i] * form.right[i][j] for i in range(n)) for j in range(n)]
+    diag = form.diagonal
+    r = len(diag)
+    if any(tR[j] for j in range(r, n)) or any(tR[i] % diag[i] for i in range(r)):
+        return None
+    z = [tR[i] // diag[i] for i in range(r)]
+    y = [sum(z[i] * form.left[i][j] for i in range(r)) for j in range(m)]
+    kernel = [form.left[i] for i in range(r, m)]
+    changed = True
+    while changed:
+        changed = False
+        for kv in kernel:
+            norm = sum(x * x for x in kv)
+            if norm == 0:
+                continue
+            t, rem = divmod(sum(a * b for a, b in zip(y, kv)), norm)
+            if 2 * rem > norm or (2 * rem == norm and t % 2):
+                t += 1
+            if t:
+                y = [a - t * b for a, b in zip(y, kv)]
+                changed = True
+    return y
 
 
 def commutator_subgroup_words(alphabet: Alphabet) -> Iterator[Word]:

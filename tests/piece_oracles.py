@@ -2,9 +2,11 @@
 
 `slots_sorted` is the rotation-string scanner: it writes every rotation of
 every symmetrized relator out as its own string and sorts those, which
-costs memory quadratic in the relator length.  `reference_certificate`
-runs the certificate rule over it, so the rotation-free scanner in
-`metric_certificate` can be compared with it field for field.
+costs memory quadratic in the relator length; its sorted slots and
+common-prefix list are the reference for the rotation sort and Kasai's
+walk in `metric_certificate`.  `reference_certificate` runs the
+certificate rule over it, so the two scanners can be compared field for
+field.
 `piece_table` and `threshold_scan` are independent cross-checks of the
 piece lengths and of the pass/fail verdict.
 """

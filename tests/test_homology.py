@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import presforge
 
@@ -21,7 +23,7 @@ from presforge.homology import (
 )
 from presforge.presentations import presentation
 
-from oracles import det, minors_gcd
+from oracles import dense_solve_row_lattice, det, minors_gcd
 
 
 def rand_matrix(rng, max_dim=6, bound=9):
@@ -187,6 +189,33 @@ class TestSolveRowLattice:
                              capture_output=True, text=True, timeout=60)
         assert res.returncode != 0, res.stdout
         assert "AssertionError" in res.stderr and "(internal error)" in res.stderr
+
+
+@st.composite
+def lattice_systems(draw):
+    """(M, target): random rows plus zero rows and repeated rows, so the
+    left kernel has unit vectors and rows such as e_i - e_j; the target is
+    y * M, shifted off the lattice in one coordinate half the time."""
+    n = draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=1, max_size=5))
+    rows += [[0] * n] * draw(st.integers(0, 2))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    M = draw(st.permutations(rows))
+    y = draw(st.lists(st.integers(-3, 3), min_size=len(M), max_size=len(M)))
+    target = [sum(y[i] * M[i][j] for i in range(len(M))) for j in range(n)]
+    target[draw(st.integers(0, n - 1))] += draw(st.sampled_from((0, 1)))
+    return M, target
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(system=lattice_systems())
+def test_fuzz_sparse_size_reduction_matches_dense(system):
+    """The size reduction over the kernel rows' supports gives the dense
+    reduction's y, so the UCE witnesses do not change."""
+    M, target = system
+    form = smith_normal_form(M)
+    assert solve_row_lattice(M, target, form) == dense_solve_row_lattice(M, target, form)
 
 
 class TestDescriptor:

@@ -1,17 +1,22 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piece_oracles import piece_table, reference_certificate, threshold_scan
+from piece_oracles import piece_table, reference_certificate, slots_sorted, threshold_scan
 from presforge.freewords import Alphabet, Word, free_reduce, render_word
 from presforge.presentations import FinitePresentation, presentation
 from presforge.smallcancel import (
     CertificateRequired,
     DehnSolver,
+    _cores,
+    _doubled_texts,
+    _piece_walk,
+    _sorted_rotations,
     dehn_word_problem,
     metric_certificate,
 )
@@ -160,6 +165,37 @@ def test_fuzz_certificate_matches_rotation_strings(P, lam):
     cert = metric_certificate(P, lam)
     assert cert == reference_certificate(P, lam)
     assert cert.passed == threshold_scan(P, lam)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(P=fuzz_presentations())
+def test_fuzz_lcp_list_matches_rotation_strings(P):
+    """The sort gives the rotation-string scanner's sorted rotation words,
+    equal words in slot order, and Kasai's walk its full list of
+    neighbour common-prefix lengths."""
+    cores = _cores(P)
+    texts = _doubled_texts(cores)
+    slots, lcp = _sorted_rotations(texts)
+    _piece_walk(texts, slots, lcp)
+    ref_slots, ref_lcp = slots_sorted(cores)
+    assert [(texts[t][o:o + L], t // 2) for t, o, L in slots] == [
+        (sl.text, sl.rel) for sl in ref_slots]
+    assert lcp == ref_lcp
+
+
+def test_proper_power_certificate_memory_is_linear():
+    """Every rotation of a^4000 ties with every other over its whole
+    length; the sort settles the run by comparing words, not by growing
+    8,000 keys to 4,000 letters each."""
+    P = presentation(["a"], ["a^4000"])
+    tracemalloc.start()
+    try:
+        cert = metric_certificate(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.max_piece_by_relator == (4000,) and not cert.passed
+    assert peak < 6_000_000
 
 
 class TestPieceTable:

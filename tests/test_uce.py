@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from presforge.constructions import super_perfectify
 from presforge.freewords import (
     Alphabet,
     AlphabetMismatchError,
@@ -161,6 +163,18 @@ class TestWitnesses:
         assert [w.generator for w in ws] == ["a", "b", "c", "d"]
         for w in ws:
             assert w.verify(higman_J)
+
+    def test_superperfect_higman_witnesses_golden(self, higman_J):
+        # 500 relators, 480 of them with zero exponent vectors: every
+        # kernel row of the Smith form is a unit vector, and the size
+        # reduction over their supports must keep these witnesses
+        S = super_perfectify(higman_J).presentation
+        digest = hashlib.sha256()
+        for w in find_commutator_witnesses(S):
+            powers = [(i, s) for _, i, s in w.rho.factors]
+            digest.update(f"{w.generator}\0{render_word(w.c)}\0{powers}\n".encode())
+        assert digest.hexdigest() == (
+            "043670d3473948a3535fd7e7f505d1fa31873a98518b9490d9a96b1f3772a1a9")
 
     def test_non_perfect_rejected(self, higman_D):
         with pytest.raises(PerfectionRequired):
