@@ -104,6 +104,15 @@ class Word:
             if not (0 <= idx < n) or sign not in (1, -1):
                 raise MalformedWordError(f"bad letter ({idx},{sign}) for rank-{n} alphabet")
 
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, letters: tuple[Letter, ...]) -> "Word":
+        """A word from a tuple of letters already known to be valid for
+        `alphabet`, skipping the per-letter check of the public constructor."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -116,10 +125,10 @@ class Word:
     def concat(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise AlphabetMismatchError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word._trusted(self.alphabet, self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, tuple((i, -s) for i, s in reversed(self.letters)))
+        return Word._trusted(self.alphabet, tuple([(i, -s) for i, s in reversed(self.letters)]))
 
     def __invert__(self) -> "Word":
         return self.inverse()
@@ -161,7 +170,7 @@ def free_reduce(w: Word) -> Word:
             out.append((idx, sign))
     if len(out) == len(w.letters):
         return w
-    return Word(w.alphabet, tuple(out))
+    return Word._trusted(w.alphabet, tuple(out))
 
 
 def cyclically_reduce(w: Word) -> tuple[Word, Word]:
@@ -261,14 +270,14 @@ def encode_letters(letters: Iterable[Letter]) -> str:
     """Compact injective string encoding of a letter sequence, for substring
     searches and sorting at C speed: code c of `letter_codes` becomes
     chr(256 + c), exact for any rank."""
-    return "".join([chr(256 + c) for c in letter_codes(letters)])
+    return "".join([chr(256 + 2 * i + (s < 0)) for i, s in letters])
 
 
 def decode_letters(alphabet: Alphabet, s: str) -> Word:
     """Inverse of `encode_letters`."""
     letters = [(i, e) for i in range(alphabet.rank) for e in (1, -1)]
     table = dict(zip(encode_letters(letters), letters))
-    return Word(alphabet, tuple([table[ch] for ch in s]))
+    return Word._trusted(alphabet, tuple([table[ch] for ch in s]))
 
 
 def reduce_join(u: str, v: str) -> tuple[str, int]:

@@ -23,7 +23,10 @@ a symmetrized relator (strict inequality; leftmost match) by the inverse
 of the remainder.  On C'(1/6)-certified input a freely reduced word
 represents the identity iff this terminates at the empty word, and every
 "trivial" verdict carries a product-of-conjugates certificate that
-re-expands to the input.
+re-expands to the input.  The solver reads its input into
+`encode_letters` text once and works on that text to the end; a trivial
+verdict is re-checked by writing the returned factors out over P's own
+relators, cancelling only at the joins between pieces.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from operator import eq
 from typing import Sequence
 
 from .freewords import (
+    AlphabetMismatchError,
     Word,
     cyclically_reduce,
     decode_letters,
@@ -268,11 +272,22 @@ class DehnSolver:
     themselves at one position (their common prefix would be a piece
     longer than half the shorter relator): at most one slot matches at
     any position, and the first match found is the only one.
+
+    `solve` encodes its input once and works on text throughout.  The
+    input is freely reduced (and encoded again) only if it contains a
+    letter next to its inverse, which a substring search per pair finds
+    at C speed; conjugators stay text until the result is built, and a word
+    with no replacement is its own residual.  A trivial verdict is
+    re-checked from the returned factors and P's relators alone (see
+    `_recheck`), and a failed re-check raises AssertionError, an internal
+    error.
     """
 
     def __init__(self, P: FinitePresentation,
                  certificate: MetricCertificate | None = None):
-        cores = _cores(P)
+        # per relator: its cyclic core and the conjugator c with r = c core c^-1
+        split = [cyclically_reduce(r) for r in P.relators]
+        cores = [core for core, _ in split]
         if certificate is None:
             certificate = metric_certificate(P)
         if not certificate.passed:
@@ -288,8 +303,13 @@ class DehnSolver:
         self.presentation = P
         self.certificate = certificate
         # per relator: the inverse of its cyclic conjugator
-        self.conj_inv = [encode_letters(cyclically_reduce(r)[1].inverse().letters)
-                         for r in P.relators]
+        self.conj_inv = [encode_letters(c.inverse().letters) for _, c in split]
+        # for the re-check only: each relator of P and its inverse, as text
+        self.relator_texts = [(encode_letters(r.letters), encode_letters(r.inverse().letters))
+                              for r in P.relators]
+        # each letter followed by its inverse, as text
+        self.inverse_pairs = [encode_letters(((i, e), (i, -e)))
+                              for i in range(P.alphabet.rank) for e in (1, -1)]
         halves = [len(c) // 2 + 1 for c in cores if c]  # more-than-half lengths
         self.k = min(halves, default=1)
         self.max_h = max(halves, default=1)
@@ -302,14 +322,19 @@ class DehnSolver:
                 self.slots.append((tid, o, L))
 
     def solve(self, w: Word, collect_trace: bool = False) -> DehnResult:
-        P = self.presentation
-        reduced = free_reduce(w)
-        cur = encode_letters(reduced.letters)
-        factors: list[tuple[Word, int, int]] = []
+        alph = self.presentation.alphabet
+        if w.alphabet != alph:
+            raise AlphabetMismatchError("word and presentation have different alphabets")
+        reduced = encode_letters(w.letters)
+        if any(pair in reduced for pair in self.inverse_pairs):
+            w = free_reduce(w)
+            reduced = encode_letters(w.letters)
+        cur = reduced
+        found: list[tuple[str, int, int]] = []  # (conjugator text, relator, sign)
         trace: list[str] = []
         scan_from = 0
-        while (found := self._find(cur, scan_from)) is not None:
-            i, m, sid = found
+        while (match := self._find(cur, scan_from)) is not None:
+            i, m, sid = match
             tid, o, L = self.slots[sid]
             D_inv = self.texts[tid ^ 1]
             rel, sign = tid // 2, -1 if tid & 1 else 1
@@ -317,7 +342,7 @@ class DehnSolver:
             # prefix p = D[:o]; the factor's conjugator is left * (c p)^-1
             left = cur[:i]
             g, _ = reduce_join(left, D_inv[2 * L - o:] + self.conj_inv[rel])
-            factors.append((decode_letters(P.alphabet, g), rel, sign))
+            found.append((g, rel, sign))
             if collect_trace:
                 trace.append(
                     f"pos {i}: matched {m}/{L} letters of relator "
@@ -331,15 +356,36 @@ class DehnSolver:
             scan_from = max(0, first_change - self.max_h + 1)
         result = DehnResult(
             trivial=not cur,
-            residual=decode_letters(P.alphabet, cur),
-            factors=tuple(factors),
-            replacements=len(factors),
+            residual=decode_letters(alph, cur) if found else Word._trusted(alph, tuple(w.letters)),
+            factors=tuple((decode_letters(alph, g), rel, sign) for g, rel, sign in found),
+            replacements=len(found),
             trace=tuple(trace),
         )
-        # re-expanded from P.relators, never from the solver's texts
-        if result.trivial and result.closure_certificate(P).expanded != reduced:
-            raise AssertionError("Dehn certificate failed to re-expand (internal error)")
+        if result.trivial:
+            self._recheck(result.factors, reduced)
         return result
+
+    def _recheck(self, factors: Sequence[tuple[Word, int, int]], reduced: str) -> None:
+        """Raise unless the product of the factors' g r^sign g^-1 is freely
+        equal to the word with reduced text `reduced`.
+
+        The factors are the returned ones, re-encoded, and the relators are
+        P's own, never the solver's texts.  Their pieces g, r^sign and g^-1
+        are written out one after another, cancelling only where a piece
+        meets the product so far.  Each cancellation keeps the group
+        element, so a match with `reduced` proves the certificate.  Every
+        piece is freely reduced, so by induction so is each product, and
+        the reduction of u v for reduced u and v cancels only at the join:
+        the end product is the free reduction of the whole expansion, and
+        no valid certificate is refused.
+        """
+        out = ""
+        for g, rel, sign in factors:
+            for piece in (encode_letters(g.letters), self.relator_texts[rel][sign < 0],
+                          encode_letters(g.inverse().letters)):
+                out, _ = reduce_join(out, piece)
+        if out != reduced:
+            raise AssertionError("Dehn certificate failed to re-expand (internal error)")
 
     def _find(self, cur: str, start: int) -> tuple[int, int, int] | None:
         """(position, match length, slot id): the leftmost position where

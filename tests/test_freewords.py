@@ -308,7 +308,18 @@ class TestWordAlgebra:
         assert (AB.word("a") ** 0) == AB.identity()
 
     def test_malformed_letters(self):
-        with pytest.raises(MalformedWordError):
-            Word(AB, ((5, 1),))
-        with pytest.raises(MalformedWordError):
-            Word(AB, ((0, 2),))
+        # free_reduce, inverse, concat and decode_letters build their words
+        # without the letter check; the public constructor keeps it
+        for alph in (AB, ABCD):
+            for bad in (((5, 1),), ((alph.rank, 1),), ((-1, 1),), ((0, 2),), ((0, 0),),
+                        ((0, 1), (1, -2))):
+                with pytest.raises(MalformedWordError):
+                    Word(alph, bad)
+
+    def test_unchecked_paths_give_valid_words(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            u, v = rand_word(ABCD, rng.randrange(10), rng), rand_word(ABCD, rng.randrange(10), rng)
+            for w in (u.inverse(), u.concat(v), free_reduce(u.concat(v)),
+                      decode_letters(ABCD, encode_letters(u.letters))):
+                assert type(w.letters) is tuple and w == Word(ABCD, w.letters)

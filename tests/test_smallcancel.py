@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piece_oracles import piece_table, reference_certificate, slots_sorted, threshold_scan
-from presforge.freewords import Alphabet, Word, free_reduce, render_word
+from presforge.freewords import (
+    Alphabet,
+    AlphabetMismatchError,
+    Word,
+    encode_letters,
+    free_reduce,
+    render_word,
+)
 from presforge.presentations import FinitePresentation, presentation
 from presforge.smallcancel import (
     CertificateRequired,
@@ -423,3 +430,88 @@ def test_fuzz_dehn_certificate_checks(trivial_solver, conjugates, splice_at, gen
     twin = free_reduce(Word(G.alphabet, w.letters[:k] + (letter,) + w.letters[k:]))
     res = trivial_solver.solve(twin)
     assert not res.trivial
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(conjugates=st.lists(st.tuples(st.integers(0, 6), st.booleans(), _letters), max_size=4),
+       tail=_letters,
+       pairs=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from((1, -1))),
+                      min_size=1, max_size=4))
+def test_fuzz_dehn_unreduced_input(trivial_solver, conjugates, tail, pairs):
+    """A word with letter-inverse pairs spliced in is decided exactly like
+    its free reduction, and every returned word is a valid word."""
+    G = trivial_solver.presentation
+    alph = G.alphabet
+    letters = ()
+    for t, inv, conj in conjugates:
+        r = G.relators[t % len(G.relators)]
+        c = Word(alph, tuple(conj))
+        letters += c.concat(r.inverse() if inv else r).concat(c.inverse()).letters
+    letters += tuple(tail)
+    for at, i, e in pairs:
+        k = at % (len(letters) + 1)
+        letters = letters[:k] + ((i, e), (i, -e)) + letters[k:]
+    w = Word(alph, letters)
+    res = trivial_solver.solve(w, collect_trace=True)
+    ref = trivial_solver.solve(free_reduce(w), collect_trace=True)
+    assert res.trivial == ref.trivial and res.residual == ref.residual
+    assert res.factors == ref.factors and res.replacements == ref.replacements
+    assert res.trace == ref.trace
+    if not res.replacements:
+        assert res.residual == free_reduce(w)
+    for u in (res.residual, *(g for g, _, _ in res.factors)):
+        assert type(u.letters) is tuple and u == Word(alph, u.letters)
+    # letters handed over as a list still give a hashable tuple residual
+    listed = trivial_solver.solve(Word(alph, list(free_reduce(w).letters)))
+    assert type(listed.residual.letters) is tuple and listed.residual == ref.residual
+
+
+def test_dehn_without_relators():
+    # the free group: a word is trivial iff it freely reduces to 1
+    F = presentation(["a", "b"], [])
+    solver = DehnSolver(F)
+    for text, trivial in (("1", True), ("a*a^-1", True), ("a*b*b^-1*a^-1", True),
+                          ("a*b*a^-1", False), ("b^-1*a*a^-1*b*a", False)):
+        w = F.word(text)
+        res = solver.solve(w)
+        assert res.trivial == trivial and res.residual == free_reduce(w)
+        assert res.replacements == 0 and res.factors == ()
+    with pytest.raises(AlphabetMismatchError):
+        solver.solve(Alphabet(["a", "c"]).gen("a"))
+
+
+def test_dehn_recheck_refuses_wrong_factors(rips_trivial):
+    """Corrupting the solver's own conjugator texts makes every factor
+    conjugator wrong by a trailing letter; the re-check expands the
+    returned factors over P's relators, so it must refuse them (by a
+    raise, which python -O keeps)."""
+    G = rips_trivial.gamma
+    solver = DehnSolver(G, certificate=rips_trivial.certificate)
+    good = solver.solve(G.relators[1])
+    assert good.trivial
+    # a flipped sign in a valid certificate is refused too
+    flipped = tuple((g, t, -s) for g, t, s in good.factors)
+    with pytest.raises(AssertionError, match=r"\(internal error\)"):
+        solver._recheck(flipped, encode_letters(G.relators[1].letters))
+    x = encode_letters(((0, 1),))
+    solver.conj_inv = [c + x for c in solver.conj_inv]
+    assert not solver.solve(G.alphabet.gen("x")).trivial  # no certificate, no re-check
+    for r in G.relators[:3]:
+        with pytest.raises(AssertionError, match=r"\(internal error\)"):
+            solver.solve(r)
+
+
+def test_dehn_relators_not_cyclically_reduced():
+    # each relator is a conjugate of its cyclic core, so a factor's
+    # conjugator carries the relator's own conjugator and the re-check
+    # must expand P's relators, not the cores the solver scans
+    P = presentation(list("abcdefghkmnp"), ["g*a*b*c*d*e*f*g^-1", "a^-1*g*h*k*m*n*p*a"])
+    solver = DehnSolver(P)
+    rng = random.Random(44)
+    done = 0
+    while done < 30:
+        w = conjugate_product(P, rng.randint(1, 4), rng)
+        if w.letters:
+            res = solver.solve(w)
+            assert res.trivial and res.verify_certificate(P, w)
+            done += 1
