@@ -26,6 +26,7 @@ from .freewords import (
     Word,
     conjugacy_test,
     cyclically_reduce,
+    decode_letters,
     free_reduce,
     relabel,
     render_word,
@@ -94,17 +95,13 @@ def product_word_to_pair(w: Word, factor: Alphabet) -> PairWord:
     """Componentwise projections of a tagged product word; interleaving is
     not remembered (the ambient commutators justify this only inside the
     product presentation)."""
-    left: list = []
-    right: list = []
-    for idx, sign in w.letters:
-        name = w.alphabet.symbols[idx]
-        if name.endswith("_L"):
-            left.append((factor.index(name[:-2]), sign))
-        elif name.endswith("_R"):
-            right.append((factor.index(name[:-2]), sign))
-        else:
-            raise ConstructionError(f"untagged generator {name!r} in product word")
-    return PairWord(Word(factor, tuple(left)), Word(factor, tuple(right)))
+    syms = w.alphabet.symbols
+    left, = relabel([w], factor, [s[:-2] if s.endswith("_L") else None for s in syms])
+    right, = relabel([w], factor, [s[:-2] if s.endswith("_R") else None for s in syms])
+    if len(left) + len(right) != len(w):
+        untagged = [s for s in syms if not s.endswith(("_L", "_R"))]
+        raise ConstructionError(f"untagged generator among {untagged} in product word")
+    return PairWord(left, right)
 
 
 # --- the small-cancellation transform ----------------------------------------
@@ -137,13 +134,8 @@ def _padding_word(alph: Alphabet, kernel: tuple[str, str, str],
     """Block word a1 a2^(j+2) a3^(t+2), j = 0..blocks-1: the a2 run walks
     the block index, the a3 run pins the relator index, so no run pattern
     repeats across distinct cyclic positions of distinct relators."""
-    i1, i2, i3 = (alph.index(k) for k in kernel)
-    letters: list[tuple[int, int]] = []
-    for j in range(blocks):
-        letters.append((i1, 1))
-        letters.extend([(i2, 1)] * (j + 2))
-        letters.extend([(i3, 1)] * (t + 2))
-    return Word(alph, tuple(letters))
+    a1, a2, a3 = (alph.gen(k).text for k in kernel)
+    return Word._trusted(alph, "".join(a1 + a2 * (j + 2) + a3 * (t + 2) for j in range(blocks)))
 
 
 _RIPS_MAX_DOUBLINGS = 8
@@ -202,7 +194,7 @@ def killed_quotient(rips: RipsOutput) -> FinitePresentation:
     rels = []
     for r in rips.gamma.relators:
         img = rips.p.apply(r)
-        if img.letters:
+        if img:
             rels.append(img)
     return FinitePresentation(rips.p.target.alphabet, tuple(rels))
 
@@ -369,7 +361,7 @@ def fibre_generators(kind: str, **inputs) -> GeneratingSet:
         F = presentation(Q.alphabet.symbols, [])
         ambient = direct_product_presentation(F, F)
         elems = [PairWord(F.alphabet.gen(x), F.alphabet.gen(x)) for x in F.alphabet.symbols]
-        elems += [PairWord(Word(F.alphabet, r.letters), F.alphabet.identity())
+        elems += [PairWord(decode_letters(F.alphabet, r.text), F.alphabet.identity())
                   for r in Q.relators]
         return GeneratingSet("S", ambient, tuple(elems), factor=F,
                              notes="diagonal generators plus left relator slices")
@@ -389,7 +381,7 @@ def fibre_generators(kind: str, **inputs) -> GeneratingSet:
         ambient = direct_product_presentation(H, H)
         one = H.alphabet.identity()
         elems = [PairWord(H.alphabet.gen(y), H.alphabet.gen(y)) for y in H.alphabet.symbols]
-        elems += [PairWord(Word(H.alphabet, v.letters), one) for v in kill.v_words]
+        elems += [PairWord(decode_letters(H.alphabet, v.text), one) for v in kill.v_words]
         return GeneratingSet("theta", ambient, tuple(elems), factor=H,
                              notes="diagonal plus left rewritten-relator slices")
     if kind == "theta_tilde":
@@ -425,7 +417,7 @@ def fibre_membership(pw: PairWord, p: PresentationMorphism,
     target; the caller supplies the target's word-problem oracle."""
     diff = free_reduce(pw.left.concat(pw.right.inverse()))
     image = p.apply(diff)
-    if not image.letters:
+    if not image:
         return True
     return wp_oracle(image)
 
@@ -454,9 +446,8 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     for d in range(1, L + 1):
         if L % d:
             continue
-        z = Word(core.alphabet, core.letters[:d])
-        if (z ** (L // d)).letters == core.letters:
-            return z, L // d
+        if core.text[:d] * (L // d) == core.text:
+            return Word._trusted(core.alphabet, core.text[:d]), L // d
     raise AssertionError("unreachable")
 
 

@@ -1,8 +1,12 @@
 """Exact free-group word algebra over a named finite alphabet.
 
-Words are immutable sequences of signed letters over an :class:`Alphabet`.
-All operations are pure; nothing here mutates shared state, so everything
-is safe to call concurrently.
+A word is its letter-code text over an :class:`Alphabet`: letter i^+1 is
+chr(256 + 2i) and i^-1 is chr(257 + 2i), so the codes of a letter and of
+its inverse differ in the lowest bit.  Words are compared, hashed, sliced,
+searched and sorted as strings, at C speed, and every engine reads that
+text (or its `letter_codes`) directly; `Word.letters` derives the
+(index, sign) pairs on each access.  All operations are pure; nothing
+here mutates shared state, so everything is safe to call concurrently.
 
 Word text syntax (used by the whole package): juxtaposition with optional
 ``*``, integer exponents with ``^`` (negative as ``^-k``), parenthesized
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -36,6 +41,10 @@ class AlphabetMismatchError(WordError):
     """Two operands live over different alphabets."""
 
 
+# Letters are (symbol index, sign) with sign in {+1, -1}.
+Letter = tuple[int, int]
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered list of distinct generator names.
@@ -46,6 +55,12 @@ class Alphabet:
 
     symbols: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    # the text of each (index, sign) letter; a str.translate table taking
+    # each letter code to its inverse's; every two-letter text of a letter
+    # followed by its inverse
+    _codes: dict[Letter, str] = field(init=False, repr=False, compare=False, hash=False)
+    _flip: dict[int, int] = field(init=False, repr=False, compare=False, hash=False)
+    _pairs: tuple[str, ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -54,8 +69,13 @@ class Alphabet:
                 raise MalformedWordError(f"bad generator name {s!r}")
         if len(set(syms)) != len(syms):
             raise MalformedWordError(f"duplicate generator names in {syms}")
+        codes = range(256, 256 + 2 * len(syms))
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(syms)})
+        object.__setattr__(self, "_codes", {(i, s): chr(256 + 2 * i + (s < 0))
+                                            for i in range(len(syms)) for s in (1, -1)})
+        object.__setattr__(self, "_flip", {c: c ^ 1 for c in codes})
+        object.__setattr__(self, "_pairs", tuple(chr(c) + chr(c ^ 1) for c in codes))
 
     @property
     def rank(self) -> int:
@@ -77,47 +97,54 @@ class Alphabet:
         return parse_word(self, text)
 
     def gen(self, name: str) -> "Word":
-        return Word(self, ((self.index(name), 1),))
+        return Word._trusted(self, chr(256 + 2 * self.index(name)))
 
     def identity(self) -> "Word":
-        return Word(self, ())
-
-
-# Letters are (symbol index, sign) with sign in {+1, -1}.
-Letter = tuple[int, int]
+        return Word._trusted(self, "")
 
 
 @dataclass(frozen=True)
 class Word:
-    """A word over an alphabet; not necessarily freely reduced.
+    """A word over an alphabet, held as its `encode_letters` text; not
+    necessarily freely reduced.
 
+    ``Word(alphabet, letters)`` checks each (index, sign) letter;
+    ``Word._trusted(alphabet, text)`` is the one unchecked constructor.
     ``*`` multiplies and freely reduces (group semantics); use
     :meth:`concat` for raw juxtaposition.
     """
 
     alphabet: Alphabet
-    letters: tuple[Letter, ...]
+    text: str
 
-    def __post_init__(self):
-        n = self.alphabet.rank
-        for idx, sign in self.letters:
-            if not (0 <= idx < n) or sign not in (1, -1):
-                raise MalformedWordError(f"bad letter ({idx},{sign}) for rank-{n} alphabet")
+    def __init__(self, alphabet: Alphabet, letters: Iterable[Letter]):
+        try:
+            text = "".join(map(alphabet._codes.__getitem__, letters))
+        except (KeyError, TypeError) as e:
+            raise MalformedWordError(
+                f"bad letter for a rank-{alphabet.rank} alphabet: {e}") from None
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "text", text)
 
     @classmethod
-    def _trusted(cls, alphabet: Alphabet, letters: tuple[Letter, ...]) -> "Word":
-        """A word from a tuple of letters already known to be valid for
-        `alphabet`, skipping the per-letter check of the public constructor."""
+    def _trusted(cls, alphabet: Alphabet, text: str) -> "Word":
+        """A word from text already known to hold only letter codes of
+        `alphabet`, skipping the check of the public constructor."""
         w = object.__new__(cls)
         object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "text", text)
         return w
 
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The (symbol index, sign) letters, built on each access."""
+        return tuple([((c - 256) >> 1, -1 if c & 1 else 1) for c in map(ord, self.text)])
+
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.text)
 
     def __bool__(self) -> bool:
-        return bool(self.letters)
+        return bool(self.text)
 
     def __mul__(self, other: "Word") -> "Word":
         return free_reduce(self.concat(other))
@@ -125,28 +152,24 @@ class Word:
     def concat(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise AlphabetMismatchError("cannot concatenate words over different alphabets")
-        return Word._trusted(self.alphabet, self.letters + other.letters)
+        return Word._trusted(self.alphabet, self.text + other.text)
 
     def inverse(self) -> "Word":
-        return Word._trusted(self.alphabet, tuple([(i, -s) for i, s in reversed(self.letters)]))
+        return Word._trusted(self.alphabet, self.text[::-1].translate(self.alphabet._flip))
 
     def __invert__(self) -> "Word":
         return self.inverse()
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word(self.alphabet, ())
-        base = self if n > 0 else self.inverse()
-        return free_reduce(Word(self.alphabet, base.letters * abs(n)))
+        base = self if n >= 0 else self.inverse()
+        return free_reduce(Word._trusted(self.alphabet, base.text * abs(n)))
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g^-1 * self * g, freely reduced."""
         return free_reduce(g.inverse().concat(self).concat(g))
 
     def is_reduced(self) -> bool:
-        ls = self.letters
-        return all(ls[k][0] != ls[k + 1][0] or ls[k][1] == ls[k + 1][1]
-                   for k in range(len(ls) - 1))
+        return not any(pair in self.text for pair in self.alphabet._pairs)
 
     def __repr__(self) -> str:
         return f"Word({render_word(self)!r})"
@@ -161,16 +184,18 @@ def commutator(u: Word, v: Word) -> Word:
 
 
 def free_reduce(w: Word) -> Word:
-    """The unique reduced word freely equal to w (stack cancellation)."""
-    out: list[Letter] = []
-    for idx, sign in w.letters:
-        if out and out[-1][0] == idx and out[-1][1] == -sign:
+    """The unique reduced word freely equal to w: w itself when no letter
+    meets its inverse (a substring search per pair), else by stack
+    cancellation."""
+    if w.is_reduced():
+        return w
+    out: list[int] = []
+    for c in map(ord, w.text):
+        if out and out[-1] == c ^ 1:
             out.pop()
         else:
-            out.append((idx, sign))
-    if len(out) == len(w.letters):
-        return w
-    return Word._trusted(w.alphabet, tuple(out))
+            out.append(c)
+    return Word._trusted(w.alphabet, "".join(map(chr, out)))
 
 
 def cyclically_reduce(w: Word) -> tuple[Word, Word]:
@@ -178,14 +203,10 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
     conjugator * core * conjugator^-1 freely equal to w.
     """
     w = free_reduce(w)
-    ls = list(w.letters)
-    pre: list[Letter] = []
-    while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
-        pre.append(ls[0])
-        ls = ls[1:-1]
-    core = Word(w.alphabet, tuple(ls))
-    conj = Word(w.alphabet, tuple(pre))
-    return core, conj
+    t, n, k = w.text, len(w.text), 0
+    while 2 * k + 2 <= n and ord(t[k]) ^ 1 == ord(t[n - 1 - k]):
+        k += 1
+    return Word._trusted(w.alphabet, t[k:n - k]), Word._trusted(w.alphabet, t[:k])
 
 
 def apply_map(w: Word, images: Mapping[str, Word], target: Alphabet | None = None) -> Word:
@@ -193,7 +214,8 @@ def apply_map(w: Word, images: Mapping[str, Word], target: Alphabet | None = Non
 
     Every symbol occurring in w must have an image; images must all live
     over one alphabet (pass `target` explicitly if the mapping is empty or
-    ambiguous).  Each image is checked and inverted once per call.
+    ambiguous).  Each image is checked and inverted once per call, in the
+    order the symbols first occur in w.
     """
     if target is None:
         for im in images.values():
@@ -201,33 +223,25 @@ def apply_map(w: Word, images: Mapping[str, Word], target: Alphabet | None = Non
             break
         if target is None:
             raise UnmappedSymbolError("cannot infer target alphabet from empty image map")
-    out: list[Letter] = []
-    src = w.alphabet
-    seqs: dict[int, tuple[tuple[Letter, ...], tuple[Letter, ...]]] = {}
-    for idx, sign in w.letters:
-        pair = seqs.get(idx)
-        if pair is None:
-            name = src.symbols[idx]
-            if name not in images:
-                raise UnmappedSymbolError(f"no image for symbol {name!r}")
-            im = images[name]
-            if im.alphabet != target:
-                raise AlphabetMismatchError(f"image of {name!r} lives over a different alphabet")
-            pair = seqs[idx] = (im.letters, tuple((j, -s) for j, s in reversed(im.letters)))
-        for jdx, jsign in pair[sign < 0]:
-            if out and out[-1][0] == jdx and out[-1][1] == -jsign:
-                out.pop()
-            else:
-                out.append((jdx, jsign))
-    return Word(target, tuple(out))
+    table: dict[int, str] = {}
+    for c in map(ord, dict.fromkeys(w.text)):
+        name = w.alphabet.symbols[(c - 256) >> 1]
+        if name not in images:
+            raise UnmappedSymbolError(f"no image for symbol {name!r}")
+        im = images[name]
+        if im.alphabet != target:
+            raise AlphabetMismatchError(f"image of {name!r} lives over a different alphabet")
+        table[c] = im.inverse().text if c & 1 else im.text
+    return free_reduce(Word._trusted(target, w.text.translate(table)))
 
 
 def relabel(words: Iterable[Word], target: Alphabet,
-            names: Sequence[str] | None = None) -> list[Word]:
+            names: Sequence[str | None] | None = None) -> list[Word]:
     """Carry words over one common alphabet into `target` letter by letter:
     symbol i becomes `target.index(names[i])`, by default the symbol's own
-    name.  The renaming must be injective; it then keeps freely reduced
-    words reduced, so nothing is reduced here.
+    name, and its letters are deleted where names[i] is None.  The renaming
+    must be injective; without deletions it then keeps freely reduced words
+    reduced.  Nothing is reduced here.
     """
     words = list(words)
     if not words:
@@ -237,14 +251,16 @@ def relabel(words: Iterable[Word], target: Alphabet,
         names = src.symbols
     elif len(names) != src.rank:
         raise AlphabetMismatchError(f"{len(names)} names for a rank-{src.rank} alphabet")
-    if len(set(names)) != len(names):
+    kept = [n for n in names if n is not None]
+    if len(set(kept)) != len(kept):
         raise MalformedWordError(f"renaming onto {list(names)} is not injective")
-    table = [target.index(n) for n in names]
+    table = {256 + 2 * i + b: None if n is None else 256 + 2 * target.index(n) + b
+             for i, n in enumerate(names) for b in (0, 1)}
     out = []
     for w in words:
         if w.alphabet != src:
             raise AlphabetMismatchError("cannot relabel words over different alphabets")
-        out.append(Word(target, tuple((table[i], s) for i, s in w.letters)))
+        out.append(Word._trusted(target, w.text.translate(table)))
     return out
 
 
@@ -255,35 +271,35 @@ def identity_images(alphabet: Alphabet) -> dict[str, Word]:
 def exponent_vector(w: Word) -> tuple[int, ...]:
     """Per-symbol signed letter counts; zero vector iff w is in [F,F]."""
     v = [0] * w.alphabet.rank
-    for idx, sign in w.letters:
-        v[idx] += sign
+    for ch in set(w.text):
+        c, k = ord(ch) - 256, w.text.count(ch)
+        v[c >> 1] += -k if c & 1 else k
     return tuple(v)
 
 
-def letter_codes(letters: Iterable[Letter]) -> list[int]:
-    """The integer code of each letter: (i, s) becomes 2*i + (s < 0), so
+def letter_codes(w: Word) -> list[int]:
+    """The integer code of each letter of w: (i, s) is 2*i + (s < 0), so
     the codes of a letter and of its inverse differ in the lowest bit."""
-    return [2 * i + (s < 0) for i, s in letters]
+    return [c - 256 for c in map(ord, w.text)]
 
 
 def encode_letters(letters: Iterable[Letter]) -> str:
-    """Compact injective string encoding of a letter sequence, for substring
-    searches and sorting at C speed: code c of `letter_codes` becomes
-    chr(256 + c), exact for any rank."""
+    """The text of a letter sequence: the `letter_codes` code c of each
+    letter becomes chr(256 + c), exact for any rank."""
     return "".join([chr(256 + 2 * i + (s < 0)) for i, s in letters])
 
 
 def decode_letters(alphabet: Alphabet, s: str) -> Word:
-    """Inverse of `encode_letters`."""
-    letters = [(i, e) for i in range(alphabet.rank) for e in (1, -1)]
-    table = dict(zip(encode_letters(letters), letters))
-    return Word._trusted(alphabet, tuple([table[ch] for ch in s]))
+    """The word whose text is s, checked to hold only letter codes of
+    `alphabet`: the inverse of `encode_letters`."""
+    if s and not (chr(256) <= min(s) and max(s) < chr(256 + 2 * alphabet.rank)):
+        raise MalformedWordError(f"text holds no word over a rank-{alphabet.rank} alphabet")
+    return Word._trusted(alphabet, s)
 
 
 def reduce_join(u: str, v: str) -> tuple[str, int]:
-    """Free reduction of u + v for freely reduced `encode_letters` texts,
-    with the number of letters cancelled on each side of the join (the
-    codes of a letter and of its inverse differ in the lowest bit)."""
+    """Free reduction of u + v for freely reduced word texts, with the
+    number of letters cancelled on each side of the join."""
     j, n = 0, min(len(u), len(v))
     while j < n and ord(u[-1 - j]) ^ 1 == ord(v[j]):
         j += 1
@@ -294,11 +310,10 @@ def _find_rotation(cu: Word, cv: Word) -> int | None:
     """Index j with rot_j(cu) == cv, or None; both words the same length."""
     if len(cu) != len(cv):
         return None
-    if not cu.letters:
+    if not cu:
         return 0
-    s = encode_letters(cu.letters)
-    idx = (s + s).find(encode_letters(cv.letters))
-    return idx if 0 <= idx < len(s) else None
+    idx = (cu.text + cu.text).find(cv.text)
+    return idx if 0 <= idx < len(cu) else None
 
 
 def conjugacy_test(
@@ -335,7 +350,7 @@ def conjugacy_test(
         # u = gu cu gu^-1, v = gv rot_j(cu) gv^-1, rot_j(cu) = x^-1 cu x
         # with x the length-j prefix of cu; hence u = w v w^-1 for
         # w = gu x gv^-1.
-        x = Word(cu.alphabet, cu.letters[:found])
+        x = Word._trusted(cu.alphabet, cu.text[:found])
         w = free_reduce(gu.concat(x).concat(gv.inverse()))
         witnesses.append(w)
     return True, tuple(witnesses)
@@ -394,27 +409,28 @@ class _Tokens:
         return MalformedWordError(f"{msg} at {where}")
 
 
-def _parse_word_tokens(toks: _Tokens, alphabet: Alphabet) -> list[Letter]:
-    letters: list[Letter] = []
+def _parse_word_tokens(toks: _Tokens, alphabet: Alphabet) -> str:
+    """The text of the word read up to the next delimiter."""
+    parts: list[str] = []
     while True:
         t = toks.peek()
         if t is None or t[1] in (",", ")", "]", ">", "|", "="):
-            return letters
+            return "".join(parts)
         if t[1] == "*":
             toks.next()
             continue
-        letters.extend(_parse_factor(toks, alphabet))
+        parts.append(_parse_factor(toks, alphabet))
 
 
-def _parse_factor(toks: _Tokens, alphabet: Alphabet) -> list[Letter]:
+def _parse_factor(toks: _Tokens, alphabet: Alphabet) -> str:
     t = toks.next()
     if t is None:
         raise toks.error("expected a word factor")
     kind, val, _ = t
     if kind == "name":
-        atom = [(alphabet.index(val), 1)]
+        atom = chr(256 + 2 * alphabet.index(val))
     elif kind == "int" and val == "1":
-        atom = []  # identity literal
+        atom = ""  # identity literal
     elif val == "(":
         atom = _parse_word_tokens(toks, alphabet)
         toks.expect(")")
@@ -423,9 +439,7 @@ def _parse_factor(toks: _Tokens, alphabet: Alphabet) -> list[Letter]:
         toks.expect(",")
         v = _parse_word_tokens(toks, alphabet)
         toks.expect("]")
-        uw = Word(alphabet, tuple(u))
-        vw = Word(alphabet, tuple(v))
-        atom = list(commutator(uw, vw).letters)
+        atom = commutator(Word._trusted(alphabet, u), Word._trusted(alphabet, v)).text
     else:
         raise toks.error(f"unexpected {val!r} in word", t)
     nxt = toks.peek()
@@ -434,36 +448,27 @@ def _parse_factor(toks: _Tokens, alphabet: Alphabet) -> list[Letter]:
         e = toks.next()
         if e is None or e[0] != "int":
             raise toks.error("expected integer exponent after '^'", e)
-        n = int(e[1])
-        w = Word(alphabet, tuple(atom)) ** n
-        return list(w.letters)
+        return (Word._trusted(alphabet, atom) ** int(e[1])).text
     return atom
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse word text syntax over the given alphabet."""
     toks = _Tokens(text)
-    letters = _parse_word_tokens(toks, alphabet)
+    w = Word._trusted(alphabet, _parse_word_tokens(toks, alphabet))
     t = toks.peek()
     if t is not None:
         raise toks.error(f"trailing {t[1]!r} after word", t)
-    return Word(alphabet, tuple(letters))
+    return w
 
 
 def render_word(w: Word) -> str:
     """Canonical text: runs collapsed, '*' separators, '^-k' for negatives."""
-    if not w.letters:
+    if not w.text:
         return "1"
     parts: list[str] = []
-    i = 0
-    ls = w.letters
-    while i < len(ls):
-        idx, sign = ls[i]
-        j = i
-        while j < len(ls) and ls[j] == (idx, sign):
-            j += 1
-        k = (j - i) * sign
-        name = w.alphabet.symbols[idx]
-        parts.append(name if k == 1 else f"{name}^{k}")
-        i = j
+    for ch, run in groupby(w.text):
+        c, k = ord(ch) - 256, len(list(run))
+        name = w.alphabet.symbols[c >> 1]
+        parts.append(name if k == 1 and not c & 1 else f"{name}^{-k if c & 1 else k}")
     return "*".join(parts)

@@ -61,7 +61,7 @@ class FinitePresentation:
                 raise PresentationError("relator over a different alphabet")
             if not r.is_reduced():
                 raise PresentationError(f"relator {render_word(r)!r} is not freely reduced")
-            if not r.letters:
+            if not r:
                 raise PresentationError("empty relator (freely trivial) rejected")
 
     @property
@@ -81,19 +81,24 @@ class FinitePresentation:
         return self.render()
 
 
+def _parse_relator_tokens(toks: _Tokens, alphabet: Alphabet) -> Word:
+    """Read `word` or `word = word` (the latter as u*v^-1), freely reduced."""
+    u = Word._trusted(alphabet, _parse_word_tokens(toks, alphabet))
+    t = toks.peek()
+    if t is not None and t[1] == "=":
+        toks.next()
+        u = u.concat(Word._trusted(alphabet, _parse_word_tokens(toks, alphabet)).inverse())
+    return free_reduce(u)
+
+
 def parse_relator(alphabet: Alphabet, text: str) -> Word:
     """Parse `word` or `word = word` (the latter normalized to u*v^-1)."""
     toks = _Tokens(text)
-    u = Word(alphabet, tuple(_parse_word_tokens(toks, alphabet)))
-    t = toks.next()
+    r = _parse_relator_tokens(toks, alphabet)
+    t = toks.peek()
     if t is not None:
-        if t[1] != "=":
-            raise toks.error(f"trailing {t[1]!r} after relator", t)
-        v = Word(alphabet, tuple(_parse_word_tokens(toks, alphabet)))
-        if toks.peek() is not None:
-            raise toks.error("trailing input after relator", toks.peek())
-        u = u.concat(v.inverse())
-    return free_reduce(u)
+        raise toks.error(f"trailing {t[1]!r} after relator", t)
+    return r
 
 
 def presentation(
@@ -167,14 +172,9 @@ def parse_presentation(text: str) -> FinitePresentation:
         toks.next()
     else:
         while True:
-            u = Word(alph, tuple(_parse_word_tokens(toks, alph)))
+            r = _parse_relator_tokens(toks, alph)
             t = toks.next()
-            if t is not None and t[1] == "=":
-                v = Word(alph, tuple(_parse_word_tokens(toks, alph)))
-                t = toks.next()
-                u = u.concat(v.inverse())
-            r = free_reduce(u)
-            if not r.letters:
+            if not r:
                 raise PresentationError("relator freely reduces to the empty word")
             relators.append(r)
             if t is None:
@@ -208,14 +208,16 @@ class TietzeElimination:
     to_old: PresentationMorphism
 
 
-def _eliminable_shape(r: Word, g_idx: int) -> Word | None:
-    """If r or r^-1 is g*w^-1 or w^-1*g with w free of g, return w."""
+def _eliminable_shape(r: Word, gen: Word) -> Word | None:
+    """If r or r^-1 is g*w^-1 or w^-1*g with w free of the generator
+    g = `gen`, return w."""
+    g, g_inv = gen.text, gen.inverse().text
     for cand in (r, r.inverse()):
-        ls = cand.letters
-        if ls and ls[0] == (g_idx, 1) and all(i != g_idx for i, _ in ls[1:]):
-            return Word(r.alphabet, ls[1:]).inverse()
-        if ls and ls[-1] == (g_idx, 1) and all(i != g_idx for i, _ in ls[:-1]):
-            return Word(r.alphabet, ls[:-1]).inverse()
+        t = cand.text
+        if t[:1] == g and g not in t[1:] and g_inv not in t[1:]:
+            return Word._trusted(r.alphabet, t[1:]).inverse()
+        if t[-1:] == g and g not in t[:-1] and g_inv not in t[:-1]:
+            return Word._trusted(r.alphabet, t[:-1]).inverse()
     return None
 
 
@@ -228,23 +230,23 @@ def tietze_eliminate_generator(
     Every other occurrence of g is replaced by w; relators that become
     freely trivial are dropped (they were copies of the defining relation).
     """
-    g_idx = P.alphabet.index(g)
+    gen = P.alphabet.gen(g)
     if not (0 <= defining < len(P.relators)):
         raise NotEliminableError(f"no relator with index {defining}")
-    w = _eliminable_shape(P.relators[defining], g_idx)
+    w = _eliminable_shape(P.relators[defining], gen)
     if w is None:
         raise NotEliminableError(
             f"relator {render_word(P.relators[defining])!r} does not define {g!r}")
     new_alph = Alphabet(s for s in P.alphabet.symbols if s != g)
     down = {s: new_alph.gen(s) for s in new_alph.symbols}
-    # w avoids g, so it reads over new_alph with the later indices shifted down
-    down[g] = Word(new_alph, tuple((i - (i > g_idx), s) for i, s in w.letters))
+    # w avoids g, so deleting g's letters only renames the others
+    down[g], = relabel([w], new_alph, [None if s == g else s for s in P.alphabet.symbols])
     new_rels = []
     for k, r in enumerate(P.relators):
         if k == defining:
             continue
         img = apply_map(r, down, target=new_alph)
-        if img.letters:
+        if img:
             new_rels.append(img)
     newP = FinitePresentation(new_alph, tuple(new_rels), aspherical=P.aspherical)
     up = {s: P.alphabet.gen(s) for s in new_alph.symbols}
@@ -261,7 +263,7 @@ def rename_generators(P: FinitePresentation, mapping: Mapping[str, str]) -> Fini
     """Bijectively rename generators; relators carried along letterwise."""
     new_names = [mapping.get(s, s) for s in P.alphabet.symbols]
     new_alph = Alphabet(new_names)
-    rels = tuple(Word(new_alph, r.letters) for r in P.relators)
+    rels = tuple(Word._trusted(new_alph, r.text) for r in P.relators)
     return FinitePresentation(new_alph, rels, aspherical=P.aspherical)
 
 
@@ -319,7 +321,7 @@ def amalgamated_product(
     vs = relabel([v for _, v in pairs], alph, n2)
     for uu, vv in zip(us, vs):
         r = free_reduce(uu.concat(vv.inverse()))
-        if not r.letters:
+        if not r:
             raise PresentationError("identified pair freely cancels; not a valid amalgam relator")
         rels.append(r)
     note = None
@@ -346,7 +348,7 @@ def hnn_extension(
             raise PresentationError("associated pair over the wrong alphabet")
         uu, vv = relabel([u, v], alph)
         r = free_reduce(tw.concat(uu).concat(tw.inverse()).concat(vv.inverse()))
-        if not r.letters:
+        if not r:
             raise PresentationError("associated pair freely cancels")
         rels.append(r)
     note = None

@@ -46,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .freewords import Alphabet, Letter, Word, cyclically_reduce, letter_codes
+from .freewords import Alphabet, Word, cyclically_reduce, letter_codes, relabel
 from .presentations import FinitePresentation
 
 Perm = tuple[int, ...]
@@ -121,33 +121,34 @@ class PermAssignment:
         table = dict(self.images)
         neg = {name: inverse_perm(p) for name, p in table.items()}
         acc = identity_perm(self.degree)
-        for idx, sign in w.letters:
-            name = w.alphabet.symbols[idx]
-            acc = compose(acc, table[name] if sign > 0 else neg[name])
+        for c in letter_codes(w):
+            name = w.alphabet.symbols[c >> 1]
+            acc = compose(acc, neg[name] if c & 1 else table[name])
         return acc
 
     def verify(self, P: FinitePresentation, fixing: Sequence[Word] = ()) -> bool:
         """Whether every generator of P has an image that is a permutation
         of range(degree), every relator fixes every point, and every word
         in `fixing` fixes point 0.  Each image is inverted once and the
-        words are walked point by point, so this costs
+        words are walked letter by letter, so this costs
         O(degree * (gens + relator letters))."""
-        points = set(range(self.degree))
+        points = list(range(self.degree))
         table = dict(self.images)
-        act: dict[Letter, Perm] = {}
-        for idx, name in enumerate(P.alphabet.symbols):
+        act: list[Perm] = []  # by letter code
+        for name in P.alphabet.symbols:
             p = table.get(name)
-            if p is None or len(p) != self.degree or set(p) != points:
+            if p is None or len(p) != self.degree or sorted(p) != points:
                 return False
-            act[idx, 1], act[idx, -1] = p, inverse_perm(p)
+            act += (p, inverse_perm(p))
 
-        def image(w: Word, point: int) -> int:
-            for letter in w.letters:
-                point = act[letter][point]
-            return point
+        def image(w: Word, pts: list[int]) -> list[int]:
+            for c in letter_codes(w):
+                a = act[c]
+                pts = [a[x] for x in pts]
+            return pts
 
-        return (all(image(r, c) == c for r in P.relators for c in points)
-                and all(image(w, 0) == 0 for w in fixing))
+        return (all(image(r, points) == points for r in P.relators)
+                and all(image(w, [0]) == [0] for w in fixing))
 
     def is_transitive(self) -> bool:
         """Whether the images, taken as permutations, move point 0 to every
@@ -160,15 +161,6 @@ class PermAssignment:
                     reached.add(p[c])
                     todo.append(p[c])
         return len(reached) == self.degree
-
-
-def _compiled_relators(P: FinitePresentation) -> list[tuple[int, list[tuple[int, int]]]]:
-    """(latest generator index used, letters) per relator."""
-    out = []
-    for r in P.relators:
-        latest = max(idx for idx, _ in r.letters)
-        out.append((latest, list(r.letters)))
-    return out
 
 
 def hom_search(
@@ -197,19 +189,21 @@ def hom_search(
     all_perms = [tuple(p) for p in itertools.permutations(range(k))]
     ident = identity_perm(k)
     first = conjugacy_class_reps(k) if prune else all_perms
-    rel_by_latest: dict[int, list[list[tuple[int, int]]]] = {}
-    for latest, letters in _compiled_relators(P):
-        rel_by_latest.setdefault(latest, []).append(letters)
+    # the letter codes of each relator, by the latest generator it uses
+    rel_by_latest: dict[int, list[list[int]]] = {}
+    for r in P.relators:
+        codes = letter_codes(r)
+        rel_by_latest.setdefault(max(codes) >> 1, []).append(codes)
 
     assigned: list[Perm] = []
-    inverses: list[Perm] = []
+    acts: list[Perm] = []  # by letter code: each assigned image and its inverse
     results: list[PermAssignment] = []
 
     def relators_ok(level: int) -> bool:
-        for letters in rel_by_latest.get(level, ()):
+        for codes in rel_by_latest.get(level, ()):
             acc = ident
-            for idx, sign in letters:
-                acc = compose(acc, assigned[idx] if sign > 0 else inverses[idx])
+            for c in codes:
+                acc = compose(acc, acts[c])
             if acc != ident:
                 return False
         return True
@@ -224,11 +218,11 @@ def hom_search(
         candidates = first if level == 0 else all_perms
         for p in candidates:
             assigned.append(p)
-            inverses.append(inverse_perm(p))
+            acts.extend((p, inverse_perm(p)))
             if relators_ok(level) and rec(level + 1):
                 return True
             assigned.pop()
-            inverses.pop()
+            del acts[-2:]
         return False
 
     rec(0)
@@ -262,13 +256,12 @@ def low_index_subgroups(P: FinitePresentation, n: int, nodes: list[int] | None =
     if nodes is None:
         nodes = [0]
     ncols = 2 * P.alphabet.rank
-    gen_cols = letter_codes((i, 1) for i in range(P.alphabet.rank))
     # scans[x]: the distinct cyclic conjugates starting with x of the
     # relators and their inverses
     scans: list[dict[tuple[int, ...], None]] = [{} for _ in range(ncols)]
     for r in P.relators:
         for w in (r, r.inverse()):
-            cols = letter_codes(w.letters)
+            cols = letter_codes(w)
             for k in range(len(cols)):
                 scans[cols[k]][tuple(cols[k:] + cols[:k])] = None
     tab = [-1] * (n * ncols)  # tab[c * ncols + x]: coset c times letter x
@@ -313,7 +306,7 @@ def low_index_subgroups(P: FinitePresentation, n: int, nodes: list[int] | None =
         if pos == end:
             yield PermAssignment(ncos, tuple(
                 (g, tuple(tab[c * ncols + x] for c in range(ncos)))
-                for g, x in zip(P.alphabet.symbols, gen_cols)))
+                for g, x in zip(P.alphabet.symbols, range(0, ncols, 2))))
             return
         c, x = divmod(pos, ncols)
         for d in range(ncos + (ncos < n)):
@@ -388,13 +381,14 @@ def _restrict(P: FinitePresentation, keep: Sequence[int],
     `relators` with every other generator deleted, cyclically reduced, with
     empty and repeated words dropped."""
     alph = Alphabet(P.alphabet.symbols[i] for i in keep)
-    new = {old: i for i, old in enumerate(keep)}
-    rels: dict[tuple[Letter, ...], Word] = {}
-    for r in relators:
-        w = Word(alph, tuple((new[i], s) for i, s in r.letters if i in new))
+    names: list[str | None] = [None] * P.alphabet.rank
+    for i in keep:
+        names[i] = P.alphabet.symbols[i]
+    rels: dict[str, Word] = {}
+    for w in relabel(relators, alph, names):
         core, _ = cyclically_reduce(w)
         if core:
-            rels.setdefault(core.letters, core)
+            rels.setdefault(core.text, core)
     return FinitePresentation(alph, tuple(rels.values()))
 
 
@@ -434,7 +428,7 @@ def finite_quotient_certificate(P: FinitePresentation, K: int,
     reduced = True
     while reduced:
         reduced = False
-        supports = [frozenset(idx for idx, _ in r.letters) for r in Q.relators]
+        supports = [frozenset(c >> 1 for c in letter_codes(r)) for r in Q.relators]
         for Y in _candidate_blocks(supports, Q.alphabet.rank):
             inside = set(Y)
             block = _restrict(Q, Y, (r for r, s in zip(Q.relators, supports)
@@ -609,7 +603,7 @@ def todd_coxeter(
             fwd[i][f], bwd[i][n] = n, f
 
     def columns(w: Word) -> tuple[list[list[int]], list[list[int]]]:
-        xs = letter_codes(w.letters)
+        xs = letter_codes(w)
         return [cols[x] for x in xs], [cols[x ^ 1] for x in xs]
 
     relators = [columns(r) for r in P.relators]
@@ -634,7 +628,7 @@ def todd_coxeter(
     alive = [c for c in range(1, len(rep)) if rep[c] == c]
     renum = {c: i for i, c in enumerate(alive)}
     images = []
-    for name, x in zip(P.alphabet.symbols, letter_codes((i, 1) for i in range(P.alphabet.rank))):
+    for name, x in zip(P.alphabet.symbols, range(0, 2 * P.alphabet.rank, 2)):
         if any(cols[x][c] not in renum for c in alive):
             raise AssertionError("incomplete table at termination (internal error)")
         images.append((name, tuple(renum[cols[x][c]] for c in alive)))

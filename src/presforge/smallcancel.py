@@ -8,8 +8,8 @@ subword that repeats at two positions of the same relator counts.  The
 certificate condition C'(lambda): every piece is strictly shorter than
 lambda times the length of every relator containing it.
 
-The scanner sorts rotation slots, offsets into the doubled encoded
-relator texts, without writing any rotation out: prefix keys that grow
+The scanner sorts rotation slots, offsets into the doubled relator
+texts, without writing any rotation out: prefix keys that grow
 only for runs still tied, and one comparison with its first member for a
 run of equal rotation words.  The longest piece touching a rotation is
 its longest common prefix with a sorted neighbour; Kasai's walk finds
@@ -23,10 +23,9 @@ a symmetrized relator (strict inequality; leftmost match) by the inverse
 of the remainder.  On C'(1/6)-certified input a freely reduced word
 represents the identity iff this terminates at the empty word, and every
 "trivial" verdict carries a product-of-conjugates certificate that
-re-expands to the input.  The solver reads its input into
-`encode_letters` text once and works on that text to the end; a trivial
-verdict is re-checked by writing the returned factors out over P's own
-relators, cancelling only at the joins between pieces.
+re-expands to the input.  The solver works on word texts throughout; a
+trivial verdict is re-checked by writing the returned factors out over
+P's own relators, cancelling only at the joins between pieces.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ from .freewords import (
     AlphabetMismatchError,
     Word,
     cyclically_reduce,
-    decode_letters,
-    encode_letters,
     free_reduce,
     reduce_join,
     render_word,
@@ -60,15 +57,9 @@ def _cores(P: FinitePresentation) -> list[Word]:
 
 
 def _doubled_texts(cores: Sequence[Word]) -> list[str]:
-    """Entries 2t and 2t + 1: the encoded core of relator t and of its
+    """Entries 2t and 2t + 1: the text of the core of relator t and of its
     inverse, each written twice so that every rotation is a substring."""
-    return [s + s for core in cores
-            for s in (encode_letters(core.letters), encode_letters(core.inverse().letters))]
-
-
-def _encoded_cores(texts: Sequence[str]) -> tuple[str, ...]:
-    """The encoded core of each relator, read back from its doubled text."""
-    return tuple(D[:len(D) // 2] for D in texts[::2])
+    return [s + s for core in cores for s in (core.text, core.inverse().text)]
 
 
 def _sorted_rotations(texts: Sequence[str]) -> tuple[list[tuple[int, int, int]], list[int]]:
@@ -179,7 +170,7 @@ class PieceWitness:
 @dataclass
 class MetricCertificate:
     """Outcome of the exhaustive C'(lambda) piece check; `cores` are the
-    `encode_letters` texts of the cyclic cores it scanned."""
+    texts of the cyclic cores it scanned."""
 
     lam: Fraction
     passed: bool
@@ -222,12 +213,12 @@ def metric_certificate(P: FinitePresentation,
             passed = False
             k = witness_for[t]
             (ta, oa, _), (tb, _, _) = slots[k], slots[k + 1]
-            piece = decode_letters(P.alphabet, texts[ta][oa:oa + lcp[k]])
+            piece = Word._trusted(P.alphabet, texts[ta][oa:oa + lcp[k]])
             offending = PieceWitness(min(ta // 2, tb // 2), max(ta // 2, tb // 2),
                                      piece, maxes[t])
             break
     return MetricCertificate(lam, passed, lengths, tuple(maxes), min(lengths),
-                             offending, _encoded_cores(texts))
+                             offending, tuple(c.text for c in cores))
 
 
 # --- Dehn's algorithm -------------------------------------------------------
@@ -254,8 +245,8 @@ class DehnResult:
 
 
 class DehnSolver:
-    """Reusable Dehn reducer for one certified presentation, on
-    `encode_letters` text.
+    """Reusable Dehn reducer for one certified presentation, on word
+    texts.
 
     A slot is a rotation of a symmetrized relator (an offset into its
     doubled text).  One dict maps the first k letters of each slot to slot
@@ -273,11 +264,8 @@ class DehnSolver:
     longer than half the shorter relator): at most one slot matches at
     any position, and the first match found is the only one.
 
-    `solve` encodes its input once and works on text throughout.  The
-    input is freely reduced (and encoded again) only if it contains a
-    letter next to its inverse, which a substring search per pair finds
-    at C speed; conjugators stay text until the result is built, and a word
-    with no replacement is its own residual.  A trivial verdict is
+    `solve` freely reduces its input (which returns a reduced word as it
+    is) and rewrites the text of the result.  A trivial verdict is
     re-checked from the returned factors and P's relators alone (see
     `_recheck`), and a failed re-check raises AssertionError, an internal
     error.
@@ -297,19 +285,13 @@ class DehnSolver:
                 f"C'({certificate.lam}) certificate is weaker than C'(1/6)")
         # a subword of texts[tid] is inverted by slicing texts[tid ^ 1]
         self.texts = _doubled_texts(cores)
-        if certificate.cores != _encoded_cores(self.texts):
+        if certificate.cores != tuple(c.text for c in cores):
             raise CertificateRequired(
                 "certificate was computed for other relators than the presentation's")
         self.presentation = P
         self.certificate = certificate
         # per relator: the inverse of its cyclic conjugator
-        self.conj_inv = [encode_letters(c.inverse().letters) for _, c in split]
-        # for the re-check only: each relator of P and its inverse, as text
-        self.relator_texts = [(encode_letters(r.letters), encode_letters(r.inverse().letters))
-                              for r in P.relators]
-        # each letter followed by its inverse, as text
-        self.inverse_pairs = [encode_letters(((i, e), (i, -e)))
-                              for i in range(P.alphabet.rank) for e in (1, -1)]
+        self.conj_inv = [c.inverse().text for _, c in split]
         halves = [len(c) // 2 + 1 for c in cores if c]  # more-than-half lengths
         self.k = min(halves, default=1)
         self.max_h = max(halves, default=1)
@@ -325,11 +307,7 @@ class DehnSolver:
         alph = self.presentation.alphabet
         if w.alphabet != alph:
             raise AlphabetMismatchError("word and presentation have different alphabets")
-        reduced = encode_letters(w.letters)
-        if any(pair in reduced for pair in self.inverse_pairs):
-            w = free_reduce(w)
-            reduced = encode_letters(w.letters)
-        cur = reduced
+        cur = reduced = free_reduce(w).text
         found: list[tuple[str, int, int]] = []  # (conjugator text, relator, sign)
         trace: list[str] = []
         scan_from = 0
@@ -356,8 +334,8 @@ class DehnSolver:
             scan_from = max(0, first_change - self.max_h + 1)
         result = DehnResult(
             trivial=not cur,
-            residual=decode_letters(alph, cur) if found else Word._trusted(alph, tuple(w.letters)),
-            factors=tuple((decode_letters(alph, g), rel, sign) for g, rel, sign in found),
+            residual=Word._trusted(alph, cur),
+            factors=tuple((Word._trusted(alph, g), rel, sign) for g, rel, sign in found),
             replacements=len(found),
             trace=tuple(trace),
         )
@@ -369,8 +347,8 @@ class DehnSolver:
         """Raise unless the product of the factors' g r^sign g^-1 is freely
         equal to the word with reduced text `reduced`.
 
-        The factors are the returned ones, re-encoded, and the relators are
-        P's own, never the solver's texts.  Their pieces g, r^sign and g^-1
+        The factors are the returned ones and the relators are P's own,
+        never the solver's texts.  Their pieces g, r^sign and g^-1
         are written out one after another, cancelling only where a piece
         meets the product so far.  Each cancellation keeps the group
         element, so a match with `reduced` proves the certificate.  Every
@@ -379,10 +357,10 @@ class DehnSolver:
         the end product is the free reduction of the whole expansion, and
         no valid certificate is refused.
         """
-        out = ""
+        out, rels = "", self.presentation.relators
         for g, rel, sign in factors:
-            for piece in (encode_letters(g.letters), self.relator_texts[rel][sign < 0],
-                          encode_letters(g.inverse().letters)):
+            r = rels[rel] if sign > 0 else rels[rel].inverse()
+            for piece in (g.text, r.text, g.inverse().text):
                 out, _ = reduce_join(out, piece)
         if out != reduced:
             raise AssertionError("Dehn certificate failed to re-expand (internal error)")

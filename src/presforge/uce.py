@@ -23,7 +23,6 @@ from typing import Callable, Iterator, Sequence
 from .freewords import (
     Alphabet,
     AlphabetMismatchError,
-    Letter,
     Word,
     apply_map,
     commutator,
@@ -52,25 +51,20 @@ class NormalClosureElement:
     @staticmethod
     def build(P: FinitePresentation,
               factors: Sequence[tuple[Word, int, int]]) -> "NormalClosureElement":
-        """Expand the factors by one stack-based free reduction over the
-        letters of every conj * r^sign * conj^-1, linear in their total
+        """Expand the factors by one free reduction of the text of every
+        conj * r^sign * conj^-1 written out, linear in their total
         length."""
         alph = P.alphabet
-        out: list[Letter] = []
+        parts: list[str] = []
         for conj, idx, sign in factors:
             if not (0 <= idx < len(P.relators)) or sign not in (1, -1):
                 raise PresentationError(f"bad closure factor ({idx}, {sign})")
             if conj.alphabet != alph:
                 raise AlphabetMismatchError("cannot concatenate words over different alphabets")
-            r = P.relators[idx].letters
-            for i, s in itertools.chain(conj.letters,
-                                        r if sign > 0 else [(j, -t) for j, t in reversed(r)],
-                                        [(j, -t) for j, t in reversed(conj.letters)]):
-                if out and out[-1][0] == i and out[-1][1] == -s:
-                    out.pop()
-                else:
-                    out.append((i, s))
-        return NormalClosureElement(tuple(factors), Word(alph, tuple(out)))
+            r = P.relators[idx]
+            parts += (conj.text, (r if sign > 0 else r.inverse()).text, conj.inverse().text)
+        return NormalClosureElement(tuple(factors),
+                                    free_reduce(Word._trusted(alph, "".join(parts))))
 
     def verify(self, P: FinitePresentation) -> bool:
         return NormalClosureElement.build(P, self.factors).expanded == self.expanded
@@ -88,12 +82,13 @@ def _reduced_word_levels(alphabet: Alphabet) -> Iterator[tuple[Word, ...]]:
     """The freely reduced words of length 0, 1, 2, ..., one tuple per
     length, each lexicographic in the letter order (0,+1) < (0,-1) <
     (1,+1) < ... and built from the one before."""
-    letters = [(i, s) for i in range(alphabet.rank) for s in (1, -1)]
+    gens = [alphabet.gen(s) for s in alphabet.symbols]
+    letters = [(x.text, x.inverse().text) for g in gens for x in (g, g.inverse())]
     level = (alphabet.identity(),)
     while True:
         yield level
-        level = tuple(Word(alphabet, w.letters + ((i, s),)) for w in level
-                      for i, s in letters if not w.letters or w.letters[-1] != (i, -s))
+        level = tuple(Word._trusted(alphabet, w.text + x) for w in level
+                      for x, x_inv in letters if w.text[-1:] != x_inv)
 
 
 def reduced_words(alphabet: Alphabet) -> Iterator[Word]:
@@ -228,7 +223,7 @@ def miller_uce(P: FinitePresentation) -> UcePresentation:
     for name in alph.symbols:
         for r in P.relators:
             cw = commutator(alph.gen(name), r)
-            if cw.letters:
+            if cw:
                 rels.append(cw)
             else:
                 dropped += 1
@@ -307,7 +302,7 @@ def express_in_generators(
             pis.append(pi)
             targets.append(target_of(pi))
             checks += 1
-            if not targets[-1].letters:
+            if not targets[-1]:
                 cert = NormalClosureElement.build(G, ())
                 return ExpressResult("found", pis[-1], sym, subst, cert, checks)
         while not rho_done and len(rhos) <= diag:
@@ -398,11 +393,11 @@ def uce_word_transfer(
         lift = word  # same letters reinterpreted in the extension
         for name in U.base.alphabet.symbols:
             t = commutator(lift, U.base.alphabet.gen(name))
-            if t.letters and not oracle(t):
+            if t and not oracle(t):
                 return TransferResult("nontrivial", "centrality", witness=name)
         for j, z in enumerate(U.central_kernel_words):
             t = commutator(lift, z)
-            if t.letters and not oracle(t):
+            if t and not oracle(t):
                 return TransferResult("nontrivial", "centrality", witness=f"kernel[{j}]")
         expr = express_in_generators(U.result, list(U.central_kernel_words), lift,
                                      budget=budget)
@@ -415,7 +410,7 @@ def uce_word_transfer(
         if word.alphabet != ext:
             raise PresentationError("to_cover expects a word over the extended alphabet")
         projected = apply_map(word, delete, target=U.base.alphabet)
-        if projected.letters and not oracle(projected):
+        if projected and not oracle(projected):
             return TransferResult("nontrivial", "base-projection",
                                   witness=render_word(projected))
         substituted = apply_map(word, subst, target=U.base.alphabet)

@@ -16,6 +16,10 @@ the commutator witnesses of a universal central extension, over
 presents the extension from any witness set, so its order can be checked
 against `miller_uce`'s.  `stream_fairness_bound` bounds where the closure
 stream reaches short products.
+
+The `tuple_*` functions are the word algebra on tuples of (index, sign)
+letters, as presforge computed it before words became their letter-code
+text: the reference the text implementation is fuzzed against.
 """
 
 from __future__ import annotations
@@ -260,3 +264,95 @@ def search_extension(P: FinitePresentation,
     rels += [cw for name in alph.symbols for r in P.relators
              if (cw := commutator(alph.gen(name), r)).letters]
     return FinitePresentation(alph, tuple(rels))
+
+
+# --- the tuple word algebra --------------------------------------------------
+
+Letters = tuple[tuple[int, int], ...]
+
+
+def tuple_free_reduce(ls: Letters) -> Letters:
+    out: list[tuple[int, int]] = []
+    for idx, sign in ls:
+        if out and out[-1][0] == idx and out[-1][1] == -sign:
+            out.pop()
+        else:
+            out.append((idx, sign))
+    return tuple(out)
+
+
+def tuple_is_reduced(ls: Letters) -> bool:
+    return all(ls[k][0] != ls[k + 1][0] or ls[k][1] == ls[k + 1][1]
+               for k in range(len(ls) - 1))
+
+
+def tuple_inverse(ls: Letters) -> Letters:
+    return tuple((i, -s) for i, s in reversed(ls))
+
+
+def tuple_pow(ls: Letters, n: int) -> Letters:
+    if n == 0:
+        return ()
+    base = ls if n > 0 else tuple_inverse(ls)
+    return tuple_free_reduce(base * abs(n))
+
+
+def tuple_cyclically_reduce(ls: Letters) -> tuple[Letters, Letters]:
+    """(core, conjugator), peeling one letter from each end at a time."""
+    core = list(tuple_free_reduce(ls))
+    pre = []
+    while len(core) >= 2 and core[0][0] == core[-1][0] and core[0][1] == -core[-1][1]:
+        pre.append(core[0])
+        core = core[1:-1]
+    return tuple(core), tuple(pre)
+
+
+def tuple_apply_map(ls: Letters, images: Sequence[Letters]) -> Letters:
+    """images[i]: the letters of the image of symbol i; reduced as it goes."""
+    out: list[tuple[int, int]] = []
+    for idx, sign in ls:
+        for jdx, jsign in (images[idx] if sign > 0 else tuple_inverse(images[idx])):
+            if out and out[-1][0] == jdx and out[-1][1] == -jsign:
+                out.pop()
+            else:
+                out.append((jdx, jsign))
+    return tuple(out)
+
+
+def tuple_relabel(ls: Letters, table: Sequence[int]) -> Letters:
+    return tuple((table[i], s) for i, s in ls)
+
+
+def tuple_exponent_vector(ls: Letters, rank: int) -> tuple[int, ...]:
+    v = [0] * rank
+    for idx, sign in ls:
+        v[idx] += sign
+    return tuple(v)
+
+
+def tuple_render(ls: Letters, symbols: Sequence[str]) -> str:
+    if not ls:
+        return "1"
+    parts, i = [], 0
+    while i < len(ls):
+        j = i
+        while j < len(ls) and ls[j] == ls[i]:
+            j += 1
+        k = (j - i) * ls[i][1]
+        name = symbols[ls[i][0]]
+        parts.append(name if k == 1 else f"{name}^{k}")
+        i = j
+    return "*".join(parts)
+
+
+def tuple_conjugacy_witness(u: Letters, v: Letters) -> Letters | None:
+    """w with u = w v w^-1 in the free group, or None: v's cyclic core must
+    be a rotation of u's, the least one found."""
+    cu, gu = tuple_cyclically_reduce(u)
+    cv, gv = tuple_cyclically_reduce(v)
+    if len(cu) != len(cv):
+        return None
+    for j in range(max(len(cu), 1)):
+        if cu[j:] + cu[:j] == cv:
+            return tuple_free_reduce(gu + cu[:j] + tuple_inverse(gv))
+    return None

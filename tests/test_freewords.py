@@ -24,6 +24,8 @@ from presforge.freewords import (
     render_word,
 )
 
+import oracles
+
 AB = Alphabet(["a", "b"])
 ABCD = Alphabet(["a", "b", "c", "d"])
 
@@ -323,3 +325,66 @@ class TestWordAlgebra:
             for w in (u.inverse(), u.concat(v), free_reduce(u.concat(v)),
                       decode_letters(ABCD, encode_letters(u.letters))):
                 assert type(w.letters) is tuple and w == Word(ABCD, w.letters)
+
+
+class TestWordValues:
+    def test_word_from_a_list_is_a_value(self):
+        w = Word(AB, [(0, 1)])
+        assert w == Word(AB, ((0, 1),)) and hash(w) == hash(Word(AB, ((0, 1),)))
+        assert w.concat(AB.gen("b")) == parse_word(AB, "a*b")
+
+    def test_decode_letters_rejects_foreign_text(self):
+        for text in ("x", encode_letters(((2, 1),)), encode_letters(((0, 1), (1, -1))) + "x"):
+            with pytest.raises(MalformedWordError):
+                decode_letters(AB, text)
+
+    def test_cyclically_reduce_long_conjugator(self):
+        n = 10**5
+        core, conj = cyclically_reduce(AB.gen("b") ** n * AB.gen("a") ** 7 * AB.gen("b") ** -n)
+        assert core == AB.gen("a") ** 7 and conj == AB.gen("b") ** n
+
+
+# words over a rank-3 alphabet, drawn so that cancellations are common
+ABC = Alphabet(["a", "b", "c"])
+_LETTERS3 = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))),
+                     max_size=24).map(tuple)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(u=_LETTERS3, v=_LETTERS3, n=st.integers(-3, 3))
+def test_fuzz_word_algebra_matches_tuple_reference(u, v, n):
+    U, V = Word(ABC, u), Word(ABC, v)
+    assert U.letters == u and Word(ABC, U.letters) == U
+    assert free_reduce(U).letters == oracles.tuple_free_reduce(u)
+    assert U.is_reduced() == oracles.tuple_is_reduced(u)
+    assert U.inverse().letters == oracles.tuple_inverse(u)
+    assert U.concat(V).letters == u + v
+    assert (U ** n).letters == oracles.tuple_pow(u, n)
+    core, conj = cyclically_reduce(U)
+    assert (core.letters, conj.letters) == oracles.tuple_cyclically_reduce(u)
+    assert exponent_vector(U) == oracles.tuple_exponent_vector(u, 3)
+    assert render_word(U) == oracles.tuple_render(u, ABC.symbols)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(u=_LETTERS3, images=st.lists(_LETTERS3, min_size=3, max_size=3),
+       names=st.permutations(["a", "b", "c", "d"]))
+def test_fuzz_maps_match_tuple_reference(u, images, names):
+    U = Word(ABC, u)
+    mapped = apply_map(U, {s: Word(ABC, im) for s, im in zip(ABC.symbols, images)})
+    assert mapped.letters == oracles.tuple_apply_map(u, images)
+    out, = relabel([U], ABCD, names[:3])
+    assert out.letters == oracles.tuple_relabel(u, [ABCD.index(x) for x in names[:3]])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(u=_LETTERS3, g=_LETTERS3, v=_LETTERS3, j=st.integers(0, 23), conjugate=st.booleans())
+def test_fuzz_conjugacy_witness_matches_tuple_reference(u, g, v, j, conjugate):
+    if conjugate:  # v is g rot_j(core of u) g^-1
+        core = oracles.tuple_cyclically_reduce(u)[0]
+        j %= max(len(core), 1)
+        v = g + core[j:] + core[:j] + oracles.tuple_inverse(g)
+    ok, witness = conjugacy_test(Word(ABC, u), Word(ABC, v))
+    expected = oracles.tuple_conjugacy_witness(u, v)
+    assert ok == (expected is not None)
+    assert (witness[0].letters if ok else None) == expected
