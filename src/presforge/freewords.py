@@ -410,7 +410,15 @@ class _Tokens:
 
 
 def _parse_word_tokens(toks: _Tokens, alphabet: Alphabet) -> str:
-    """The text of the word read up to the next delimiter."""
+    """The text of the word read up to the next delimiter.  Brackets nested
+    deeper than the interpreter's recursion limit are an input error."""
+    try:
+        return _read_word(toks, alphabet)
+    except RecursionError:
+        raise MalformedWordError("brackets nested too deeply") from None
+
+
+def _read_word(toks: _Tokens, alphabet: Alphabet) -> str:
     parts: list[str] = []
     while True:
         t = toks.peek()
@@ -432,12 +440,12 @@ def _parse_factor(toks: _Tokens, alphabet: Alphabet) -> str:
     elif kind == "int" and val == "1":
         atom = ""  # identity literal
     elif val == "(":
-        atom = _parse_word_tokens(toks, alphabet)
+        atom = _read_word(toks, alphabet)
         toks.expect(")")
     elif val == "[":
-        u = _parse_word_tokens(toks, alphabet)
+        u = _read_word(toks, alphabet)
         toks.expect(",")
-        v = _parse_word_tokens(toks, alphabet)
+        v = _read_word(toks, alphabet)
         toks.expect("]")
         atom = commutator(Word._trusted(alphabet, u), Word._trusted(alphabet, v)).text
     else:

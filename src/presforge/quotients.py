@@ -34,7 +34,8 @@ subgroup.  `PermAssignment.verify` is the one checker: the generators act
 by permutations and every relator fixes every point.  A completed table
 is re-checked before it is returned, the subgroup generators fixing coset
 0 and the action transitive; so is a counterexample, which must also be
-nontrivial.
+nontrivial.  One walk over letter codes, `_walk`, carries `evaluate`,
+`verify` and the relator pruning of `hom_search`.
 
 Both coset tables have one column per letter, numbered by its
 `freewords.letter_codes` code, so a letter's inverse has column `x ^ 1`.
@@ -70,6 +71,15 @@ def inverse_perm(p: Perm) -> Perm:
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
+
+
+def _walk(act: Sequence[Perm], codes: Iterable[int], points: Sequence[int]) -> Sequence[int]:
+    """The images of `points` under the word with letter codes `codes`,
+    letters applied left to right and letter code c acting by act[c]."""
+    for c in codes:
+        a = act[c]
+        points = [a[x] for x in points]
+    return points
 
 
 def _partitions(k: int) -> Iterator[tuple[int, ...]]:
@@ -117,14 +127,25 @@ class PermAssignment:
         ident = identity_perm(self.degree)
         return all(p == ident for _, p in self.images)
 
-    def evaluate(self, w: Word) -> Perm:
+    def _action(self, alphabet: Alphabet) -> list[Perm] | None:
+        """The image of each letter of `alphabet` by its letter code, or None
+        unless every generator has an image that permutes range(degree)."""
+        points = list(range(self.degree))
         table = dict(self.images)
-        neg = {name: inverse_perm(p) for name, p in table.items()}
-        acc = identity_perm(self.degree)
-        for c in letter_codes(w):
-            name = w.alphabet.symbols[c >> 1]
-            acc = compose(acc, neg[name] if c & 1 else table[name])
-        return acc
+        act: list[Perm] = []
+        for name in alphabet.symbols:
+            p = table.get(name)
+            if p is None or sorted(p) != points:
+                return None
+            act += (p, inverse_perm(p))
+        return act
+
+    def evaluate(self, w: Word) -> Perm:
+        """The permutation by which w acts, its letters applied left to
+        right; ValueError unless the images permute range(degree)."""
+        if (act := self._action(w.alphabet)) is None:
+            raise ValueError("generator images do not permute the points")
+        return tuple(_walk(act, letter_codes(w), range(self.degree)))
 
     def verify(self, P: FinitePresentation, fixing: Sequence[Word] = ()) -> bool:
         """Whether every generator of P has an image that is a permutation
@@ -132,23 +153,10 @@ class PermAssignment:
         in `fixing` fixes point 0.  Each image is inverted once and the
         words are walked letter by letter, so this costs
         O(degree * (gens + relator letters))."""
-        points = list(range(self.degree))
-        table = dict(self.images)
-        act: list[Perm] = []  # by letter code
-        for name in P.alphabet.symbols:
-            p = table.get(name)
-            if p is None or len(p) != self.degree or sorted(p) != points:
-                return False
-            act += (p, inverse_perm(p))
-
-        def image(w: Word, pts: list[int]) -> list[int]:
-            for c in letter_codes(w):
-                a = act[c]
-                pts = [a[x] for x in pts]
-            return pts
-
-        return (all(image(r, points) == points for r in P.relators)
-                and all(image(w, [0]) == [0] for w in fixing))
+        act, points = self._action(P.alphabet), list(range(self.degree))
+        return act is not None and (
+            all(_walk(act, letter_codes(r), points) == points for r in P.relators)
+            and all(_walk(act, letter_codes(w), [0]) == [0] for w in fixing))
 
     def is_transitive(self) -> bool:
         """Whether the images, taken as permutations, move point 0 to every
@@ -187,7 +195,7 @@ def hom_search(
     gens = P.alphabet.symbols
     n = len(gens)
     all_perms = [tuple(p) for p in itertools.permutations(range(k))]
-    ident = identity_perm(k)
+    points = list(range(k))
     first = conjugacy_class_reps(k) if prune else all_perms
     # the letter codes of each relator, by the latest generator it uses
     rel_by_latest: dict[int, list[list[int]]] = {}
@@ -200,13 +208,8 @@ def hom_search(
     results: list[PermAssignment] = []
 
     def relators_ok(level: int) -> bool:
-        for codes in rel_by_latest.get(level, ()):
-            acc = ident
-            for c in codes:
-                acc = compose(acc, acts[c])
-            if acc != ident:
-                return False
-        return True
+        return all(_walk(acts, codes, points) == points
+                   for codes in rel_by_latest.get(level, ()))
 
     def rec(level: int) -> bool:
         if level == n:

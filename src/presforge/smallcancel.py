@@ -24,8 +24,8 @@ of the remainder.  On C'(1/6)-certified input a freely reduced word
 represents the identity iff this terminates at the empty word, and every
 "trivial" verdict carries a product-of-conjugates certificate that
 re-expands to the input.  The solver works on word texts throughout; a
-trivial verdict is re-checked by writing the returned factors out over
-P's own relators, cancelling only at the joins between pieces.
+trivial verdict is re-checked by `NormalClosureElement.expand`, the one
+expander of every closure certificate.
 """
 
 from __future__ import annotations
@@ -266,9 +266,9 @@ class DehnSolver:
 
     `solve` freely reduces its input (which returns a reduced word as it
     is) and rewrites the text of the result.  A trivial verdict is
-    re-checked from the returned factors and P's relators alone (see
-    `_recheck`), and a failed re-check raises AssertionError, an internal
-    error.
+    re-checked from the returned factors and P's relators alone, by
+    `NormalClosureElement.expand`, and a failed re-check raises
+    AssertionError, an internal error.
     """
 
     def __init__(self, P: FinitePresentation,
@@ -339,31 +339,10 @@ class DehnSolver:
             replacements=len(found),
             trace=tuple(trace),
         )
-        if result.trivial:
-            self._recheck(result.factors, reduced)
-        return result
-
-    def _recheck(self, factors: Sequence[tuple[Word, int, int]], reduced: str) -> None:
-        """Raise unless the product of the factors' g r^sign g^-1 is freely
-        equal to the word with reduced text `reduced`.
-
-        The factors are the returned ones and the relators are P's own,
-        never the solver's texts.  Their pieces g, r^sign and g^-1
-        are written out one after another, cancelling only where a piece
-        meets the product so far.  Each cancellation keeps the group
-        element, so a match with `reduced` proves the certificate.  Every
-        piece is freely reduced, so by induction so is each product, and
-        the reduction of u v for reduced u and v cancels only at the join:
-        the end product is the free reduction of the whole expansion, and
-        no valid certificate is refused.
-        """
-        out, rels = "", self.presentation.relators
-        for g, rel, sign in factors:
-            r = rels[rel] if sign > 0 else rels[rel].inverse()
-            for piece in (g.text, r.text, g.inverse().text):
-                out, _ = reduce_join(out, piece)
-        if out != reduced:
+        if result.trivial and NormalClosureElement.expand(
+                self.presentation, result.factors) != reduced:
             raise AssertionError("Dehn certificate failed to re-expand (internal error)")
+        return result
 
     def _find(self, cur: str, start: int) -> tuple[int, int, int] | None:
         """(position, match length, slot id): the leftmost position where

@@ -11,7 +11,9 @@ subgroup-expression search, and the word-problem transfer between a
 perfect group and its universal central extension.  The searches take
 explicit step budgets and return three-valued answers; a positive or
 negative answer always carries a certificate that is re-verified before
-being returned.
+being returned.  `NormalClosureElement.expand` is the one place where a
+product of relator conjugates is written out, for these certificates and
+for the verdicts of Dehn's algorithm alike.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .freewords import (
     commutator,
     exponent_vector,
     free_reduce,
+    reduce_join,
     render_word,
 )
 from .homology import h1, relation_matrix, solve_row_lattice
@@ -49,22 +52,33 @@ class NormalClosureElement:
     expanded: Word
 
     @staticmethod
-    def build(P: FinitePresentation,
-              factors: Sequence[tuple[Word, int, int]]) -> "NormalClosureElement":
-        """Expand the factors by one free reduction of the text of every
-        conj * r^sign * conj^-1 written out, linear in their total
-        length."""
-        alph = P.alphabet
-        parts: list[str] = []
+    def expand(P: FinitePresentation, factors: Sequence[tuple[Word, int, int]]) -> str:
+        """The text of the product of the factors' conj * r^sign * conj^-1
+        over P's relators, each piece joined to the product so far with
+        `reduce_join`.  Cancelling keeps the group element, so the text is
+        freely equal to the product.  When every conjugator is reduced, so
+        is every piece, and by induction each product, since u v for reduced
+        u and v cancels only at the join: the text is then the free
+        reduction of the expansion, so no valid certificate is refused."""
+        alph, rels = P.alphabet, P.relators
+        out = ""
         for conj, idx, sign in factors:
-            if not (0 <= idx < len(P.relators)) or sign not in (1, -1):
+            if not (0 <= idx < len(rels)) or sign not in (1, -1):
                 raise PresentationError(f"bad closure factor ({idx}, {sign})")
             if conj.alphabet != alph:
                 raise AlphabetMismatchError("cannot concatenate words over different alphabets")
-            r = P.relators[idx]
-            parts += (conj.text, (r if sign > 0 else r.inverse()).text, conj.inverse().text)
-        return NormalClosureElement(tuple(factors),
-                                    free_reduce(Word._trusted(alph, "".join(parts))))
+            r = rels[idx] if sign > 0 else rels[idx].inverse()
+            for piece in (conj.text, r.text, conj.inverse().text):
+                out, _ = reduce_join(out, piece)
+        return out
+
+    @staticmethod
+    def build(P: FinitePresentation,
+              factors: Sequence[tuple[Word, int, int]]) -> "NormalClosureElement":
+        """The factors with their `expand` text freely reduced, one scan
+        when every conjugator is reduced."""
+        return NormalClosureElement(tuple(factors), free_reduce(
+            Word._trusted(P.alphabet, NormalClosureElement.expand(P, factors))))
 
     def verify(self, P: FinitePresentation) -> bool:
         return NormalClosureElement.build(P, self.factors).expanded == self.expanded

@@ -1,6 +1,8 @@
 """Test-only oracles that re-derive answers of presforge by brute force.
 
 `brute_force_homs` enumerates every tuple of generator images in S_k,
+`compose_evaluate` and `compose_verify` evaluate and check an action by
+composing permutations, the reference for its letter-code walk,
 `group_order` and `image_order` give the order of a permutation group by
 orbit closure, `word_problem_oracle` decides the word problem of a finite
 group from a completed coset table over the trivial subgroup, and
@@ -37,6 +39,7 @@ from presforge.quotients import (
     PermAssignment,
     compose,
     identity_perm,
+    inverse_perm,
     todd_coxeter,
 )
 from presforge.uce import (
@@ -59,6 +62,34 @@ def brute_force_homs(P: FinitePresentation, k: int) -> list[PermAssignment]:
         if all(hom.evaluate(r) == ident for r in P.relators):
             out.append(hom)
     return out
+
+
+def compose_evaluate(hom: PermAssignment, w: Word) -> Perm:
+    """The permutation by which w acts, by composing each letter's image
+    (or its inverse) onto the product so far, as `PermAssignment.evaluate`
+    computed it before one letter-code walk carried every action."""
+    table = dict(hom.images)
+    neg = {name: inverse_perm(p) for name, p in table.items()}
+    acc = identity_perm(hom.degree)
+    for i, s in w.letters:
+        name = w.alphabet.symbols[i]
+        acc = compose(acc, neg[name] if s < 0 else table[name])
+    return acc
+
+
+def compose_verify(hom: PermAssignment, P: FinitePresentation,
+                   fixing: Sequence[Word] = ()) -> bool:
+    """`PermAssignment.verify` over `compose_evaluate`: every generator of P
+    has an image holding each of range(degree) once, every relator acts
+    trivially and every word in `fixing` fixes point 0."""
+    table = dict(hom.images)
+    points = set(range(hom.degree))
+    if any(name not in table or len(table[name]) != hom.degree
+           or set(table[name]) != points for name in P.generators):
+        return False
+    ident = identity_perm(hom.degree)
+    return (all(compose_evaluate(hom, r) == ident for r in P.relators)
+            and all(compose_evaluate(hom, w)[0] == 0 for w in fixing))
 
 
 def group_order(perms: Sequence[Perm], k: int) -> int:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from presforge import quotients
 from presforge.constructions import delta_amalgam, kill_finite_quotients, super_perfectify
 from presforge.freewords import Alphabet, Word, free_reduce, render_word
-from presforge.presentations import presentation
+from presforge.presentations import FinitePresentation, presentation
 from presforge.quotients import (
     BudgetExhausted,
     CosetTable,
@@ -24,7 +24,14 @@ from presforge.quotients import (
     todd_coxeter,
 )
 
-from oracles import brute_force_homs, group_order, image_order, word_problem_oracle
+from oracles import (
+    brute_force_homs,
+    compose_evaluate,
+    compose_verify,
+    group_order,
+    image_order,
+    word_problem_oracle,
+)
 
 PSL27 = presentation(["a", "b"], ["a^2", "b^3", "(a*b)^7", "[a,b]^4"])
 Z2_TIMES_Z = presentation(["a", "b"], ["a^2", "[a,b]"])
@@ -54,6 +61,46 @@ class TestPermBasics:
         assert not PermAssignment(2, (("a", (0, 0)),)).verify(free)
         assert not PermAssignment(2, (("a", (1,)),)).verify(free)
         assert PermAssignment(2, (("a", (1, 0)),)).verify(free)
+
+
+_ABC = Alphabet(["a", "b", "c"])
+_letters = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=7)
+
+
+@st.composite
+def _actions(draw):
+    """A degree k <= 4 and permutations of range(k) as the images of a, b
+    and c, or with one image replaced by a tuple that may repeat, miss or
+    overshoot points, or with the image of c missing."""
+    k = draw(st.integers(1, 4))
+    images = [draw(st.permutations(range(k)).map(tuple)) for _ in "abc"]
+    fault = draw(st.sampled_from((None, None, "image", "missing")))
+    if fault == "image":
+        images[draw(st.integers(0, 2))] = draw(
+            st.lists(st.integers(-1, k), max_size=k + 1).map(tuple))
+    return PermAssignment(k, tuple(zip("ab" if fault == "missing" else "abc", images)))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(hom=_actions(), relators=st.lists(st.tuples(_letters, st.booleans()), max_size=3),
+       words=st.lists(_letters, max_size=3))
+def test_fuzz_action_matches_compose(hom, relators, words):
+    """`evaluate` and `verify` against composing permutations.  A relator
+    may be a 12th power, which every permutation of at most 4 points
+    satisfies; images that are not permutations make `evaluate` raise and
+    `verify` refuse."""
+    rels = [free_reduce(Word(_ABC, tuple(ls)) ** (12 if power else 1))
+            for ls, power in relators]
+    P = FinitePresentation(_ABC, tuple(r for r in rels if r))
+    fixing = [Word(_ABC, tuple(ls)) for ls in words]
+    assert hom.verify(P, fixing) == compose_verify(hom, P, fixing)
+    if compose_verify(hom, presentation(["a", "b", "c"], [])):
+        for w in fixing:
+            assert hom.evaluate(w) == compose_evaluate(hom, w)
+    else:
+        for w in fixing:
+            with pytest.raises(ValueError, match="do not permute"):
+                hom.evaluate(w)
 
 
 class TestHomSearch:

@@ -124,7 +124,9 @@ def test_fuzz_build_matches_concat_then_reduce(relators, factors, fault, at):
     """Conjugators are random letter strings, not freely reduced; relators
     are freely reduced, as a presentation demands, but not cyclically.  A
     bad index, a bad sign or a conjugator over another alphabet raises
-    the reference's exception with the reference's message."""
+    the reference's exception with the reference's message.  When every
+    conjugator is freely reduced, `expand` is already the reduced
+    expansion, the completeness Dehn's re-check relies on."""
     rels = [w for w in (free_reduce(Word(_ABC, tuple(ls))) for ls in relators) if w]
     if not rels:
         rels = [_ABC.gen("a")]
@@ -141,6 +143,10 @@ def test_fuzz_build_matches_concat_then_reduce(relators, factors, fault, at):
     built = _built(NormalClosureElement.build, P, fs)
     assert built == _built(concat_build, P, fs)
     assert isinstance(built, NormalClosureElement) == (fault is None)
+    reduced = [(free_reduce(c), i, s) for c, i, s in fs]
+    if fault is None:
+        assert (NormalClosureElement.expand(P, reduced)
+                == concat_build(P, reduced).expanded.text)
 
 
 class TestWitnesses:
