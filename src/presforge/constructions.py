@@ -117,10 +117,6 @@ class RipsOutput:
     certificate: MetricCertificate
     blocks: int
 
-    @property
-    def presentation(self) -> FinitePresentation:
-        return self.gamma
-
 
 def _fresh_kernel_names(alphabet: Alphabet) -> tuple[str, str, str]:
     base = ["a1", "a2", "a3"]
@@ -427,15 +423,11 @@ def conjugacy_gadget(w: Word, a: Word) -> tuple[PairWord, PairWord]:
 def primitive_root(w: Word) -> tuple[Word, int]:
     """Write the cyclic core of w as z^k with z primitive; returns (z, k)."""
     core, _ = cyclically_reduce(w)
-    L = len(core)
-    if L == 0:
+    t = core.text
+    if not t:
         return core, 0
-    for d in range(1, L + 1):
-        if L % d:
-            continue
-        if core.text[:d] * (L // d) == core.text:
-            return Word._trusted(core.alphabet, core.text[:d]), L // d
-    raise AssertionError("unreachable")
+    d = (t + t).find(t, 1)  # the least rotation fixing t: t is t[:d] repeated
+    return Word._trusted(core.alphabet, t[:d]), len(t) // d
 
 
 def gadget_conjugacy_decision(

@@ -410,54 +410,54 @@ class _Tokens:
 
 
 def _parse_word_tokens(toks: _Tokens, alphabet: Alphabet) -> str:
-    """The text of the word read up to the next delimiter.  Brackets nested
-    deeper than the interpreter's recursion limit are an input error."""
-    try:
-        return _read_word(toks, alphabet)
-    except RecursionError:
-        raise MalformedWordError("brackets nested too deeply") from None
-
-
-def _read_word(toks: _Tokens, alphabet: Alphabet) -> str:
+    """The text of the word read up to the next delimiter outside brackets.
+    Each open bracket waits on an explicit stack with the factors read
+    before it, so brackets nest to any depth."""
+    # per open bracket: the factors before it, "(" or "[" (or "," once "[u,"
+    # is read) and the text of u
+    stack: list[tuple[list[str], str, str]] = []
     parts: list[str] = []
     while True:
         t = toks.peek()
-        if t is None or t[1] in (",", ")", "]", ">", "|", "="):
-            return "".join(parts)
-        if t[1] == "*":
+        if t is not None and t[1] == "*":
             toks.next()
             continue
-        parts.append(_parse_factor(toks, alphabet))
-
-
-def _parse_factor(toks: _Tokens, alphabet: Alphabet) -> str:
-    t = toks.next()
-    if t is None:
-        raise toks.error("expected a word factor")
-    kind, val, _ = t
-    if kind == "name":
-        atom = chr(256 + 2 * alphabet.index(val))
-    elif kind == "int" and val == "1":
-        atom = ""  # identity literal
-    elif val == "(":
-        atom = _read_word(toks, alphabet)
-        toks.expect(")")
-    elif val == "[":
-        u = _read_word(toks, alphabet)
-        toks.expect(",")
-        v = _read_word(toks, alphabet)
-        toks.expect("]")
-        atom = commutator(Word._trusted(alphabet, u), Word._trusted(alphabet, v)).text
-    else:
-        raise toks.error(f"unexpected {val!r} in word", t)
-    nxt = toks.peek()
-    if nxt is not None and nxt[1] == "^":
-        toks.next()
-        e = toks.next()
-        if e is None or e[0] != "int":
-            raise toks.error("expected integer exponent after '^'", e)
-        return (Word._trusted(alphabet, atom) ** int(e[1])).text
-    return atom
+        if t is None or t[1] in (",", ")", "]", ">", "|", "="):
+            if not stack:
+                return "".join(parts)
+            outer, opener, u = stack.pop()
+            if opener == "[":
+                toks.expect(",")
+                stack.append((outer, ",", "".join(parts)))
+                parts = []
+                continue
+            toks.expect(")" if opener == "(" else "]")
+            atom = "".join(parts)
+            if opener == ",":
+                u_word, v_word = Word._trusted(alphabet, u), Word._trusted(alphabet, atom)
+                atom = commutator(u_word, v_word).text
+            parts = outer
+        else:
+            toks.next()
+            kind, val, _ = t
+            if val in ("(", "["):
+                stack.append((parts, val, ""))
+                parts = []
+                continue
+            if kind == "name":
+                atom = chr(256 + 2 * alphabet.index(val))
+            elif kind == "int" and val == "1":
+                atom = ""  # identity literal
+            else:
+                raise toks.error(f"unexpected {val!r} in word", t)
+        nxt = toks.peek()
+        if nxt is not None and nxt[1] == "^":
+            toks.next()
+            e = toks.next()
+            if e is None or e[0] != "int":
+                raise toks.error("expected integer exponent after '^'", e)
+            atom = (Word._trusted(alphabet, atom) ** int(e[1])).text
+        parts.append(atom)
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:

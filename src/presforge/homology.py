@@ -1,9 +1,9 @@
 """Integer linear algebra for presentation homology.
 
-Smith normal form over Z with verified unimodular transforms, first
-homology (abelianization) of a finite presentation, the perfection test,
-and second homology of aspherical presentations via the rank formula
-(kernel of the abelianized boundary map, always free).
+Smith normal form over Z by one elimination loop whose working rows carry
+the left transform, with left*M*right == D re-checked; first homology
+(abelianization) of a finite presentation, the perfection test, and second
+homology of aspherical presentations via the rank formula (always free).
 
 Everything uses Python's arbitrary-precision integers; pivot growth is a
 correctness issue, not an overflow risk.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd, lcm
 
 from .freewords import exponent_vector
 from .presentations import FinitePresentation
@@ -72,14 +73,24 @@ class SmithForm:
         supports = [[(i, x) for i, x in enumerate(row) if x] for row in self.left[self.rank:]]
         return [(s, sum(x * x for _, x in s)) for s in supports if s]
 
-    def diagonal_matrix(self) -> IntegerMatrix:
+    def verify(self, M: IntegerMatrix) -> bool:
         D = [[0] * self.cols for _ in range(self.rows)]
         for i, d in enumerate(self.diagonal):
             D[i][i] = d
-        return D
+        return mat_mul(mat_mul(self.left, M), self.right) == D
 
-    def verify(self, M: IntegerMatrix) -> bool:
-        return mat_mul(mat_mul(self.left, M), self.right) == self.diagonal_matrix()
+
+def _pivot(rows: IntegerMatrix, k: int, m: int, n: int) -> tuple[int, int] | None:
+    """(row, column) of the first least nonzero |entry| of the block from (k, k)
+    in row-major order; nothing is smaller than 1, so a 1 ends the scan."""
+    best = None
+    for i in range(k, m):
+        for j, a in enumerate(rows[i][k:n], k):
+            if a and (best is None or abs(a) < best[0]):
+                best = abs(a), i, j
+                if best[0] == 1:
+                    return i, j
+    return None if best is None else best[1:]
 
 
 def smith_normal_form(M: IntegerMatrix) -> SmithForm:
@@ -87,97 +98,57 @@ def smith_normal_form(M: IntegerMatrix) -> SmithForm:
 
     Pivot rule: smallest nonzero absolute value in the working block,
     ties broken by (row, column) index, so the transforms are reproducible.
-    The computed identity left*M*right == D is re-checked on every call.
+    Working row i is row i of A followed by row i of the left transform, so
+    one row operation moves both; the rows of the right transform follow
+    them, so one column operation moves A and the right transform.  The
+    computed identity left*M*right == D is re-checked on every call.
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    A = [row[:] for row in M]
-    L = _identity(m)
-    R = _identity(n)
+    rows = [list(M[i]) + e for i, e in enumerate(_identity(m))] + _identity(n)
 
-    def row_op(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
-        Ai, Aj = A[i], A[j]
-        for t in range(n):
-            Ai[t] -= q * Aj[t]
-        Li, Lj = L[i], L[j]
-        for t in range(m):
-            Li[t] -= q * Lj[t]
-
-    def col_op(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
-        for r in range(m):
-            A[r][i] -= q * A[r][j]
-        for r in range(n):
-            R[r][i] -= q * R[r][j]
-
-    def swap_rows(i: int, j: int) -> None:
-        A[i], A[j] = A[j], A[i]
-        L[i], L[j] = L[j], L[i]
+    def add_row(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
+        rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
 
     def swap_cols(i: int, j: int) -> None:
-        for r in range(m):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            R[r][i], R[r][j] = R[r][j], R[r][i]
+        for row in rows:
+            row[i], row[j] = row[j], row[i]
 
-    def negate_row(i: int) -> None:
-        A[i] = [-x for x in A[i]]
-        L[i] = [-x for x in L[i]]
-
-    k = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                a = A[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
+    for k in range(min(m, n)):
+        pivot = _pivot(rows, k, m, n)
         if pivot is None:
             break
-        swap_rows(k, pivot[0])
+        rows[k], rows[pivot[0]] = rows[pivot[0]], rows[k]
         swap_cols(k, pivot[1])
-        while True:
-            if A[k][k] < 0:
-                negate_row(k)
-            dirty = False
-            for i in range(k + 1, m):
-                if A[i][k]:
-                    q = A[i][k] // A[k][k]
-                    row_op(i, k, q)
-                    if A[i][k]:  # nonzero remainder becomes the new pivot
-                        swap_rows(k, i)
-                        dirty = True
-                        break
-            if dirty:
+        while True:  # one elementary operation per round until the pivot settles
+            if rows[k][k] < 0:
+                rows[k] = [-x for x in rows[k]]
+            d = rows[k][k]
+            i = next((i for i in range(k + 1, m) if rows[i][k]), None)
+            if i is not None:
+                add_row(i, k, rows[i][k] // d)
+                if rows[i][k]:  # nonzero remainder becomes the new pivot
+                    rows[k], rows[i] = rows[i], rows[k]
                 continue
-            for j in range(k + 1, n):
-                if A[k][j]:
-                    q = A[k][j] // A[k][k]
-                    col_op(j, k, q)
-                    if A[k][j]:
-                        swap_cols(k, j)
-                        dirty = True
-                        break
-            if dirty:
+            j = next((j for j in range(k + 1, n) if rows[k][j]), None)
+            if j is not None:
+                q = rows[k][j] // d
+                for row in rows:  # col_j -= q * col_k
+                    row[j] -= q * row[k]
+                if rows[k][j]:
+                    swap_cols(k, j)
                 continue
             # row and column are clear; enforce divisibility of the block
-            d = A[k][k]
-            offender = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if A[i][j] % d != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            if d == 1:
                 break
-            row_op(k, offender, -1)  # pull the offending row up, keep reducing
-        k += 1
+            i = next((i for i in range(k + 1, m)
+                      if any(x % d for x in rows[i][k + 1:n])), None)
+            if i is None:
+                break
+            add_row(k, i, -1)  # pull the offending row up, keep reducing
 
-    diagonal = [A[i][i] for i in range(min(m, n)) if A[i][i] != 0]
-    form = SmithForm(diagonal=diagonal, left=L, right=R, rows=m, cols=n)
+    diagonal = [rows[i][i] for i in range(min(m, n)) if rows[i][i] != 0]
+    form = SmithForm(diagonal, [row[n:] for row in rows[:m]], rows[m:], m, n)
     if not form.verify(M):
         raise AssertionError("SNF transform verification failed (internal error)")
     return form
@@ -203,13 +174,12 @@ class AbelianGroupDescriptor:
         return self.rank == 0 and not self.torsion
 
     def direct_sum(self, other: "AbelianGroupDescriptor") -> "AbelianGroupDescriptor":
-        if not self.torsion and not other.torsion:
-            return AbelianGroupDescriptor(self.rank + other.rank)
-        k = len(self.torsion) + len(other.torsion)
-        D = [[0] * k for _ in range(k)]
-        for i, t in enumerate(self.torsion + other.torsion):
-            D[i][i] = t
-        chain = smith_normal_form(D).diagonal
+        """Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b); applied to every pair i < j
+        in turn, this leaves each entry dividing all the entries after it."""
+        chain = list(self.torsion + other.torsion)
+        for i in range(len(chain)):
+            for j in range(i + 1, len(chain)):
+                chain[i], chain[j] = gcd(chain[i], chain[j]), lcm(chain[i], chain[j])
         return AbelianGroupDescriptor(
             self.rank + other.rank, tuple(t for t in chain if t > 1))
 
@@ -243,10 +213,7 @@ def h1(P: FinitePresentation) -> H1Result:
     """
     M = relation_matrix(P)
     n = P.alphabet.rank
-    if not M:
-        form = SmithForm([], _identity(0), _identity(n), 0, n)
-    else:
-        form = smith_normal_form(M)
+    form = smith_normal_form(M) if M else SmithForm([], [], _identity(n), 0, n)
     diag = form.diagonal
     r = len(diag)
     torsion_pos = [i for i in range(r) if diag[i] > 1]
@@ -281,9 +248,8 @@ def h2_aspherical(P: FinitePresentation) -> H2Result:
         raise AsphericityRequired(
             "presentation carries no asphericity assertion; h2 unavailable")
     M = relation_matrix(P)
-    m = len(M)
-    r = smith_normal_form(M).rank if M else 0
-    return H2Result(group=AbelianGroupDescriptor(rank=m - r),
+    rank = len(M) - smith_normal_form(M).rank
+    return H2Result(group=AbelianGroupDescriptor(rank=rank),
                     asphericity_note=P.aspherical)
 
 
@@ -304,11 +270,9 @@ def solve_row_lattice(M: IntegerMatrix, target: list[int],
     r = len(diag)
     if any(tR[j] != 0 for j in range(r, n)):
         return None
-    z = [0] * m
-    for i in range(r):
-        if tR[i] % diag[i] != 0:
-            return None
-        z[i] = tR[i] // diag[i]
+    if any(tR[i] % diag[i] for i in range(r)):
+        return None
+    z = [tR[i] // diag[i] for i in range(r)]
     # y = z * L
     y = [sum(z[i] * form.left[i][j] for i in range(r)) for j in range(m)]
     # size-reduce against the kernel lattice (rows r..m-1 of L) to keep the

@@ -61,11 +61,6 @@ def identity_perm(k: int) -> Perm:
     return tuple(range(k))
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """Apply p first, then q."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
 def inverse_perm(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, j in enumerate(p):

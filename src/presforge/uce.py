@@ -87,10 +87,6 @@ class NormalClosureElement:
         rev = tuple((conj, idx, -sign) for conj, idx, sign in reversed(self.factors))
         return NormalClosureElement.build(P, rev)
 
-    @property
-    def size(self) -> int:
-        return len(self.factors) + sum(len(c) for c, _, _ in self.factors)
-
 
 def _reduced_word_levels(alphabet: Alphabet) -> Iterator[tuple[Word, ...]]:
     """The freely reduced words of length 0, 1, 2, ..., one tuple per

@@ -2,15 +2,23 @@
 
 `brute_force_homs` enumerates every tuple of generator images in S_k,
 `compose_evaluate` and `compose_verify` evaluate and check an action by
-composing permutations, the reference for its letter-code walk,
+composing permutations (`compose`), the reference for its letter-code walk,
 `group_order` and `image_order` give the order of a permutation group by
 orbit closure, `word_problem_oracle` decides the word problem of a finite
 group from a completed coset table over the trivial subgroup, and
 `minors_gcd` (over the
 Bareiss determinant `det`) gives the products d_1 * ... * d_k of a Smith
-form's invariant factors, and `dense_solve_row_lattice` is
-`solve_row_lattice` with its size reduction over the dense kernel rows of
-the left transform, the reference for the sparse one.
+form's invariant factors, `reference_smith_normal_form` is the Smith form
+that updates the matrix and each transform in separate steps, the
+reference whose transforms the one-loop elimination must reproduce, and
+`dense_solve_row_lattice` is `solve_row_lattice` with its size reduction
+over the dense kernel rows of the left transform, the reference for the
+sparse one.
+
+`recursive_parse_word` is the word grammar parsed by recursive descent, two
+frames per bracket, the reference for the parser with an explicit stack,
+and `divisor_primitive_root` finds a word's primitive root by trying every
+divisor of its length.
 
 `search_commutator_witnesses` is the classical blind diagonal search for
 the commutator witnesses of a universal central extension, over
@@ -30,14 +38,21 @@ import itertools
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
-from presforge.freewords import Alphabet, Word, commutator, exponent_vector, free_reduce
-from presforge.homology import IntegerMatrix, SmithForm
+from presforge.freewords import (
+    Alphabet,
+    Word,
+    _Tokens,
+    commutator,
+    cyclically_reduce,
+    exponent_vector,
+    free_reduce,
+)
+from presforge.homology import IntegerMatrix, SmithForm, _identity
 from presforge.presentations import FinitePresentation
 from presforge.quotients import (
     BudgetExhausted,
     Perm,
     PermAssignment,
-    compose,
     identity_perm,
     inverse_perm,
     todd_coxeter,
@@ -62,6 +77,11 @@ def brute_force_homs(P: FinitePresentation, k: int) -> list[PermAssignment]:
         if all(hom.evaluate(r) == ident for r in P.relators):
             out.append(hom)
     return out
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """Apply p first, then q."""
+    return tuple(q[p[i]] for i in range(len(p)))
 
 
 def compose_evaluate(hom: PermAssignment, w: Word) -> Perm:
@@ -171,6 +191,107 @@ def minors_gcd(M: IntegerMatrix, k: int) -> int:
     return g
 
 
+def reference_smith_normal_form(M: IntegerMatrix) -> SmithForm:
+    """Exact SNF with transforms.
+
+    Pivot rule: smallest nonzero absolute value in the working block,
+    ties broken by (row, column) index, so the transforms are reproducible.
+    The computed identity left*M*right == D is re-checked on every call.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    A = [row[:] for row in M]
+    L = _identity(m)
+    R = _identity(n)
+
+    def row_op(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
+        Ai, Aj = A[i], A[j]
+        for t in range(n):
+            Ai[t] -= q * Aj[t]
+        Li, Lj = L[i], L[j]
+        for t in range(m):
+            Li[t] -= q * Lj[t]
+
+    def col_op(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
+        for r in range(m):
+            A[r][i] -= q * A[r][j]
+        for r in range(n):
+            R[r][i] -= q * R[r][j]
+
+    def swap_rows(i: int, j: int) -> None:
+        A[i], A[j] = A[j], A[i]
+        L[i], L[j] = L[j], L[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        for r in range(m):
+            A[r][i], A[r][j] = A[r][j], A[r][i]
+        for r in range(n):
+            R[r][i], R[r][j] = R[r][j], R[r][i]
+
+    def negate_row(i: int) -> None:
+        A[i] = [-x for x in A[i]]
+        L[i] = [-x for x in L[i]]
+
+    k = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(k, m):
+            for j in range(k, n):
+                a = A[i][j]
+                if a != 0 and (best is None or abs(a) < best):
+                    best = abs(a)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(k, pivot[0])
+        swap_cols(k, pivot[1])
+        while True:
+            if A[k][k] < 0:
+                negate_row(k)
+            dirty = False
+            for i in range(k + 1, m):
+                if A[i][k]:
+                    q = A[i][k] // A[k][k]
+                    row_op(i, k, q)
+                    if A[i][k]:  # nonzero remainder becomes the new pivot
+                        swap_rows(k, i)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(k + 1, n):
+                if A[k][j]:
+                    q = A[k][j] // A[k][k]
+                    col_op(j, k, q)
+                    if A[k][j]:
+                        swap_cols(k, j)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # row and column are clear; enforce divisibility of the block
+            d = A[k][k]
+            offender = None
+            for i in range(k + 1, m):
+                for j in range(k + 1, n):
+                    if A[i][j] % d != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(k, offender, -1)  # pull the offending row up, keep reducing
+        k += 1
+
+    diagonal = [A[i][i] for i in range(min(m, n)) if A[i][i] != 0]
+    form = SmithForm(diagonal=diagonal, left=L, right=R, rows=m, cols=n)
+    if not form.verify(M):
+        raise AssertionError("SNF transform verification failed (internal error)")
+    return form
+
+
 def dense_solve_row_lattice(M: IntegerMatrix, target: list[int],
                             form: SmithForm) -> list[int] | None:
     """y with y*M == target, size-reduced against every kernel row of
@@ -199,6 +320,72 @@ def dense_solve_row_lattice(M: IntegerMatrix, target: list[int],
                 y = [a - t * b for a, b in zip(y, kv)]
                 changed = True
     return y
+
+
+def recursive_parse_word(alphabet: Alphabet, text: str) -> Word:
+    """`parse_word` by recursive descent: a word is factors up to the next
+    delimiter, and a bracketed factor reads its inner words by recursion."""
+    toks = _Tokens(text)
+
+    def read_word() -> str:
+        parts: list[str] = []
+        while True:
+            t = toks.peek()
+            if t is None or t[1] in (",", ")", "]", ">", "|", "="):
+                return "".join(parts)
+            if t[1] == "*":
+                toks.next()
+                continue
+            parts.append(parse_factor())
+
+    def parse_factor() -> str:
+        t = toks.next()
+        if t is None:
+            raise toks.error("expected a word factor")
+        kind, val, _ = t
+        if kind == "name":
+            atom = chr(256 + 2 * alphabet.index(val))
+        elif kind == "int" and val == "1":
+            atom = ""  # identity literal
+        elif val == "(":
+            atom = read_word()
+            toks.expect(")")
+        elif val == "[":
+            u = read_word()
+            toks.expect(",")
+            v = read_word()
+            toks.expect("]")
+            atom = commutator(Word._trusted(alphabet, u), Word._trusted(alphabet, v)).text
+        else:
+            raise toks.error(f"unexpected {val!r} in word", t)
+        nxt = toks.peek()
+        if nxt is not None and nxt[1] == "^":
+            toks.next()
+            e = toks.next()
+            if e is None or e[0] != "int":
+                raise toks.error("expected integer exponent after '^'", e)
+            return (Word._trusted(alphabet, atom) ** int(e[1])).text
+        return atom
+
+    w = Word._trusted(alphabet, read_word())
+    t = toks.peek()
+    if t is not None:
+        raise toks.error(f"trailing {t[1]!r} after word", t)
+    return w
+
+
+def divisor_primitive_root(w: Word) -> tuple[Word, int]:
+    """(z, k) with the cyclic core of w equal to z^k and z primitive: the
+    shortest prefix z whose length divides the core's and which repeats
+    to the whole core."""
+    core, _ = cyclically_reduce(w)
+    L = len(core)
+    if L == 0:
+        return core, 0
+    for d in range(1, L + 1):
+        if L % d == 0 and core.text[:d] * (L // d) == core.text:
+            return Word._trusted(core.alphabet, core.text[:d]), L // d
+    raise AssertionError("unreachable")
 
 
 def commutator_subgroup_words(alphabet: Alphabet) -> Iterator[Word]:

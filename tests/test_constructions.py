@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presforge.constructions import (
     ConstructionError,
@@ -20,7 +22,7 @@ from presforge.constructions import (
     rips_wise,
     super_perfectify,
 )
-from presforge.freewords import Word, apply_map, free_reduce, render_word
+from presforge.freewords import Alphabet, Word, apply_map, free_reduce, render_word
 from presforge.homology import h1, h2_aspherical, is_perfect
 from presforge.presentations import (
     PresentationMorphism,
@@ -31,7 +33,7 @@ from presforge.presentations import (
 from presforge.quotients import finite_quotient_certificate, todd_coxeter
 from presforge.smallcancel import DehnSolver
 
-from oracles import word_problem_oracle
+from oracles import divisor_primitive_root, word_problem_oracle
 
 
 def rand_reduced(alph, n, rng):
@@ -372,3 +374,15 @@ class TestAcyclicSubdirect:
         oracle = word_problem_oracle(kill_trivial.simplified)
         for pw in res.theta.elements:
             assert fibre_membership(pw, res.q, oracle)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(root=st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=6),
+       power=st.integers(1, 5),
+       conj=st.lists(st.tuples(st.integers(0, 1), st.just(1)), max_size=3))
+def test_fuzz_primitive_root_matches_divisor_loop(root, power, conj):
+    """Powers of short words, conjugated, so proper powers are common."""
+    AB = Alphabet(["a", "b"])
+    g = Word(AB, conj)
+    w = free_reduce(g.concat(Word(AB, root) ** power).concat(g.inverse()))
+    assert primitive_root(w) == divisor_primitive_root(w)

@@ -98,6 +98,10 @@ class TestParsing:
             w = rand_word(ABCD, rng.randrange(12), rng)
             assert parse_word(ABCD, render_word(w)) == w
 
+    def test_parentheses_nest_to_any_depth(self):
+        n = 100_000
+        assert parse_word(AB, "(" * n + "a*b^-1" + ")" * n) == AB.word("a*b^-1")
+
 
 class TestFreeReduce:
     def test_adjacent_cancellation(self):
@@ -342,6 +346,39 @@ class TestWordValues:
         n = 10**5
         core, conj = cyclically_reduce(AB.gen("b") ** n * AB.gen("a") ** 7 * AB.gen("b") ** -n)
         assert core == AB.gen("a") ** 7 and conj == AB.gen("b") ** n
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "word", parse(ABC, text).text
+    except MalformedWordError as e:
+        return "error", str(e)
+
+
+# well-formed word texts, and token soups that are mostly malformed
+_WORD_TEXTS = st.recursive(
+    st.sampled_from(["a", "b^-2", "c^3", "1", "a^0"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner, st.sampled_from(["*", " ", " * "])).map("".join),
+        inner.map(lambda w: f"({w})"),
+        st.tuples(inner, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(inner, inner).map(lambda t: f"[{t[0]},{t[1]}]"),
+    ),
+    max_leaves=12)
+_TOKEN_SOUPS = st.lists(st.sampled_from(
+    ["a", "b", "zz", "1", "2", "-1", "*", "^", "(", ")", "[", "]", ",", "<", ">", "|", "=",
+     " ", "\n", "$"]), max_size=16).map("".join)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(body=st.one_of(_WORD_TEXTS, _TOKEN_SOUPS), opened=st.integers(0, 300),
+       closed=st.integers(0, 300))
+def test_fuzz_parser_matches_recursive_reference(body, opened, closed):
+    """The explicit-stack parser gives the recursive parser's word, or its
+    error message, on well-formed and malformed texts nested below 400."""
+    for text in (body, "(" * opened + body + ")" * closed, "(" * opened + body + ")" * opened):
+        expected = _parse_outcome(oracles.recursive_parse_word, text)
+        assert _parse_outcome(parse_word, text) == expected
 
 
 # words over a rank-3 alphabet, drawn so that cancellations are common

@@ -21,9 +21,10 @@ from presforge.homology import (
     smith_normal_form,
     solve_row_lattice,
 )
+from presforge.constructions import super_perfectify
 from presforge.presentations import presentation
 
-from oracles import dense_solve_row_lattice, det, minors_gcd
+from oracles import dense_solve_row_lattice, det, minors_gcd, reference_smith_normal_form
 
 
 def rand_matrix(rng, max_dim=6, bound=9):
@@ -216,6 +217,53 @@ def test_fuzz_sparse_size_reduction_matches_dense(system):
     M, target = system
     form = smith_normal_form(M)
     assert solve_row_lattice(M, target, form) == dense_solve_row_lattice(M, target, form)
+
+
+@st.composite
+def badly_presented_matrices(draw):
+    """A few random rows, then many zero rows and many copies of those rows,
+    shuffled: the shape of a relation matrix with many commutator relators."""
+    n = draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=1, max_size=4))
+    rows += [[0] * n] * draw(st.integers(0, 6))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6))
+    return [list(row) for row in draw(st.permutations(rows))]
+
+
+def assert_same_smith_form(M):
+    new, ref = smith_normal_form(M), reference_smith_normal_form(M)
+    assert (new.diagonal, new.left, new.right) == (ref.diagonal, ref.left, ref.right)
+    assert (new.rows, new.cols) == (ref.rows, ref.cols)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(M=badly_presented_matrices())
+def test_fuzz_smith_form_matches_reference(M):
+    """The one-loop elimination makes the reference's elementary operations
+    in the reference's order, so both transforms come out identical."""
+    assert_same_smith_form(M)
+
+
+@pytest.mark.parametrize("name", ["higman_J", "higman_D", "icosahedral"])
+def test_super_perfect_relation_matrix_matches_reference(name, request):
+    P = super_perfectify(request.getfixturevalue(name)).presentation
+    assert_same_smith_form(relation_matrix(P))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(a=st.lists(st.integers(2, 60), max_size=4),
+       b=st.lists(st.integers(2, 60), max_size=4),
+       ranks=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_fuzz_direct_sum_matches_smith_form(a, b, ranks):
+    """Pairwise gcd/lcm gives the invariant factors that a Smith form of the
+    diagonal matrix of all torsion orders gives."""
+    def chain(orders):
+        D = [[t if i == j else 0 for j in range(len(orders))] for i, t in enumerate(orders)]
+        return tuple(d for d in reference_smith_normal_form(D).diagonal if d > 1)
+    A = AbelianGroupDescriptor(ranks[0], chain(a))
+    B = AbelianGroupDescriptor(ranks[1], chain(b))
+    assert A.direct_sum(B) == AbelianGroupDescriptor(sum(ranks), chain(a + b))
 
 
 class TestDescriptor:

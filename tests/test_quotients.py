@@ -14,7 +14,6 @@ from presforge.quotients import (
     BudgetExhausted,
     CosetTable,
     PermAssignment,
-    compose,
     conjugacy_class_reps,
     finite_quotient_certificate,
     hom_search,
@@ -26,6 +25,7 @@ from presforge.quotients import (
 
 from oracles import (
     brute_force_homs,
+    compose,
     compose_evaluate,
     compose_verify,
     group_order,
