@@ -28,6 +28,7 @@ from .freewords import (
     cyclically_reduce,
     decode_letters,
     free_reduce,
+    identity_images,
     relabel,
     render_word,
 )
@@ -150,28 +151,19 @@ def rips_wise(P: FinitePresentation, initial_blocks: int = 16) -> RipsOutput:
     """
     kernel = _fresh_kernel_names(P.alphabet)
     alph = Alphabet(P.alphabet.symbols + kernel)
-    lifted = relabel(P.relators, alph)
+    prefixes = relabel(P.relators, alph) + [
+        xw.concat(alph.gen(ai)).concat(xw.inverse())
+        for x in P.alphabet.symbols for ai in kernel
+        for xw in (alph.gen(x), alph.gen(x).inverse())]
 
     blocks = initial_blocks
     for _ in range(_RIPS_MAX_DOUBLINGS + 1):
-        rels: list[Word] = []
-        t = 0
-        for prefix in lifted:
-            rels.append(free_reduce(prefix.concat(_padding_word(alph, kernel, t, blocks).inverse())))
-            t += 1
-        for x in P.alphabet.symbols:
-            for ai in kernel:
-                for eps in (1, -1):
-                    xw = alph.gen(x) if eps > 0 else alph.gen(x).inverse()
-                    prefix = xw.concat(alph.gen(ai)).concat(xw.inverse())
-                    rels.append(free_reduce(prefix.concat(
-                        _padding_word(alph, kernel, t, blocks).inverse())))
-                    t += 1
-        gamma = FinitePresentation(alph, tuple(rels))
+        gamma = FinitePresentation(alph, tuple(
+            free_reduce(prefix.concat(_padding_word(alph, kernel, t, blocks).inverse()))
+            for t, prefix in enumerate(prefixes)))
         cert = metric_certificate(gamma)
         if cert.passed:
-            images = {s: P.alphabet.gen(s) for s in P.alphabet.symbols}
-            images.update({k: P.alphabet.identity() for k in kernel})
+            images = identity_images(P.alphabet) | dict.fromkeys(kernel, P.alphabet.identity())
             p = PresentationMorphism(
                 gamma, P, images,
                 witness="padding letters die; each relator maps to an input "
@@ -451,12 +443,11 @@ def gadget_conjugacy_decision(
             f"kernel element {render_word(kernel_word)} is a proper power "
             f"({render_word(root)})^{k}; the centralizer argument needs a primitive element")
     first, second = conjugacy_gadget(w, kernel_word)
-    ok, witness = conjugacy_test(
-        (first.left, first.right), (second.left, second.right), factors=2)
-    if not ok:
+    left = conjugacy_test(first.left, second.left)
+    right = conjugacy_test(first.right, second.right)
+    if left is None or right is None:
         return False
-    assert witness is not None
-    return fibre_membership(PairWord(witness[0], witness[1]), p, wp_oracle)
+    return fibre_membership(PairWord(left, right), p, wp_oracle)
 
 
 # --- subdirect product with acyclic factors ---------------------------------

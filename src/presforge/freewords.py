@@ -306,54 +306,23 @@ def reduce_join(u: str, v: str) -> tuple[str, int]:
     return u[:len(u) - j] + v[j:], j
 
 
-def _find_rotation(cu: Word, cv: Word) -> int | None:
-    """Index j with rot_j(cu) == cv, or None; both words the same length."""
-    if len(cu) != len(cv):
+def conjugacy_test(u: Word, v: Word) -> Word | None:
+    """A witness w with w v w^-1 = u in the free group, or None when u and
+    v are not conjugate.  Conjugacy in a direct product of free groups is
+    componentwise: one test per component."""
+    if u.alphabet != v.alphabet:
+        raise AlphabetMismatchError("conjugacy operands over different alphabets")
+    cu, gu = cyclically_reduce(u)
+    cv, gv = cyclically_reduce(v)
+    # the least j with rot_j(cu) == cv; a match at len(cu) would repeat j = 0
+    j = (cu.text + cu.text).find(cv.text) if len(cu) == len(cv) else -1
+    if j < 0:
         return None
-    if not cu:
-        return 0
-    idx = (cu.text + cu.text).find(cv.text)
-    return idx if 0 <= idx < len(cu) else None
-
-
-def conjugacy_test(
-    u: Word | Sequence[Word],
-    v: Word | Sequence[Word],
-    factors: int = 1,
-) -> tuple[bool, tuple[Word, ...] | None]:
-    """Decide conjugacy in a free group (factors=1) or componentwise in a
-    direct product of free groups (factors>1).
-
-    Returns (conjugate?, witness).  The witness w satisfies
-    `free_reduce(w v w^-1) == free_reduce-normal form of u` in each factor.
-    """
-    if factors == 1 and isinstance(u, Word):
-        us, vs = (u,), (v,)  # type: ignore[assignment]
-    else:
-        us, vs = tuple(u), tuple(v)  # type: ignore[arg-type]
-        if len(us) != factors or len(vs) != factors:
-            raise AlphabetMismatchError(
-                f"expected {factors} components, got {len(us)} and {len(vs)}")
-    witnesses: list[Word] = []
-    for uu, vv in zip(us, vs):
-        if uu.alphabet != vv.alphabet:
-            raise AlphabetMismatchError("conjugacy operands over different alphabets")
-        cu, gu = cyclically_reduce(uu)
-        cv, gv = cyclically_reduce(vv)
-        if len(cu) != len(cv):
-            return False, None
-        if exponent_vector(cu) != exponent_vector(cv):
-            return False, None
-        found = _find_rotation(cu, cv)
-        if found is None:
-            return False, None
-        # u = gu cu gu^-1, v = gv rot_j(cu) gv^-1, rot_j(cu) = x^-1 cu x
-        # with x the length-j prefix of cu; hence u = w v w^-1 for
-        # w = gu x gv^-1.
-        x = Word._trusted(cu.alphabet, cu.text[:found])
-        w = free_reduce(gu.concat(x).concat(gv.inverse()))
-        witnesses.append(w)
-    return True, tuple(witnesses)
+    # u = gu cu gu^-1, v = gv rot_j(cu) gv^-1, rot_j(cu) = x^-1 cu x
+    # with x the length-j prefix of cu; hence u = w v w^-1 for
+    # w = gu x gv^-1.
+    x = Word._trusted(cu.alphabet, cu.text[:j])
+    return free_reduce(gu.concat(x).concat(gv.inverse()))
 
 
 # --- text syntax -----------------------------------------------------------

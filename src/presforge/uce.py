@@ -6,9 +6,12 @@ generators by ``{x c_x : x in X} u {[x, r] : x in X, r in R}`` where each
 of R.  Witnesses are found constructively, by an integer solve against
 the relation lattice.
 
-Also here: the fair enumeration of the normal closure, the certified
-subgroup-expression search, and the word-problem transfer between a
-perfect group and its universal central extension.  The searches take
+Also here: the fair enumeration of the normal closure, and the certified
+subgroup-expression search, which walks diagonal d of the reduced words
+against that enumeration, pairing the i-th word with the (d - i)-th
+closure element.  Both directions of the word-problem transfer between a
+perfect group and its universal central extension end in that one
+search, after their own cheap tests.  The searches take
 explicit step budgets and return three-valued answers; a positive or
 negative answer always carries a certificate that is re-verified before
 being returned.  `NormalClosureElement.expand` is the one place where a
@@ -30,6 +33,7 @@ from .freewords import (
     commutator,
     exponent_vector,
     free_reduce,
+    identity_images,
     reduce_join,
     render_word,
 )
@@ -91,11 +95,12 @@ class NormalClosureElement:
 def _reduced_word_levels(alphabet: Alphabet) -> Iterator[tuple[Word, ...]]:
     """The freely reduced words of length 0, 1, 2, ..., one tuple per
     length, each lexicographic in the letter order (0,+1) < (0,-1) <
-    (1,+1) < ... and built from the one before."""
+    (1,+1) < ... and built from the one before; they stop at the first
+    empty level, so over the empty alphabet after the identity."""
     gens = [alphabet.gen(s) for s in alphabet.symbols]
     letters = [(x.text, x.inverse().text) for g in gens for x in (g, g.inverse())]
     level = (alphabet.identity(),)
-    while True:
+    while level:
         yield level
         level = tuple(Word._trusted(alphabet, w.text + x) for w in level
                       for x, x_inv in letters if w.text[-1:] != x_inv)
@@ -104,11 +109,7 @@ def _reduced_word_levels(alphabet: Alphabet) -> Iterator[tuple[Word, ...]]:
 def reduced_words(alphabet: Alphabet) -> Iterator[Word]:
     """All freely reduced words in (length, lex) order, identity first.
     Finite (just the identity) over the empty alphabet."""
-    if alphabet.rank == 0:
-        yield alphabet.identity()
-        return
-    for level in _reduced_word_levels(alphabet):
-        yield from level
+    return itertools.chain.from_iterable(_reduced_word_levels(alphabet))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -134,20 +135,16 @@ def normal_closure_stream(P: FinitePresentation) -> Iterator[NormalClosureElemen
     if m == 0:
         return
     levels = _reduced_word_levels(P.alphabet)
-    by_length = [next(levels)]
-    size = 1
-    while True:
+    by_length: list[tuple[Word, ...]] = []
+    for size in itertools.count(1):
+        by_length.append(next(levels))  # conjugators of length size - 1
         for k in range(1, size + 1):
-            clen = size - k
             for signs in itertools.product((1, -1), repeat=k):
                 for indices in itertools.product(range(m), repeat=k):
-                    for comp in _compositions(clen, k):
-                        pools = [by_length[l] for l in comp]
-                        for conjs in itertools.product(*pools):
+                    for comp in _compositions(size - k, k):
+                        for conjs in itertools.product(*[by_length[l] for l in comp]):
                             yield NormalClosureElement.build(
                                 P, tuple(zip(conjs, indices, signs)))
-        by_length.append(next(levels))
-        size += 1
 
 
 @dataclass(frozen=True)
@@ -290,52 +287,34 @@ def express_in_generators(
     sym = Alphabet([f"s{i}" for i in range(len(subgens))])
     subst = {f"s{i}": subgens[i] for i in range(len(subgens))}
 
-    def target_of(pi: Word) -> Word:
-        image = apply_map(pi, subst, target=G.alphabet)
-        return free_reduce(w.concat(image.inverse()))
-
     pis: list[Word] = []
     targets: list[Word] = []
     rhos: list[NormalClosureElement] = []
-    pi_iter = reduced_words(sym)
-    rho_iter = normal_closure_stream(G)
-    pi_done = False
-    rho_done = False
+    pi_iter, rho_iter = reduced_words(sym), normal_closure_stream(G)
     checks = 0
-    diag = 0
+    d = 0
     while checks < budget:
-        while not pi_done and len(pis) <= diag:
-            pi = next(pi_iter, None)
-            if pi is None:
-                pi_done = True
-                break
+        # a stream grows by one per diagonal, so only a running one holds d
+        if len(pis) == d and (pi := next(pi_iter, None)) is not None:
             pis.append(pi)
-            targets.append(target_of(pi))
+            image = apply_map(pi, subst, target=G.alphabet)
+            targets.append(free_reduce(w.concat(image.inverse())))
             checks += 1
             if not targets[-1]:
                 cert = NormalClosureElement.build(G, ())
-                return ExpressResult("found", pis[-1], sym, subst, cert, checks)
-        while not rho_done and len(rhos) <= diag:
-            nxt = next(rho_iter, None)
-            if nxt is None:
-                rho_done = True
-            else:
-                rhos.append(nxt)
-        for i in range(min(diag + 1, len(pis))):
-            j = diag - i
-            if j >= len(rhos):
-                continue
+                return ExpressResult("found", pi, sym, subst, cert, checks)
+        if len(rhos) == d and (rho := next(rho_iter, None)) is not None:
+            rhos.append(rho)
+        for i in range(max(0, d + 1 - len(rhos)), min(d + 1, len(pis))):
             checks += 1
             if checks > budget:
                 return ExpressResult("exhausted", checks=checks)
-            if targets[i] == rhos[j].expanded:
-                cert = rhos[j]
-                if not cert.verify(G):
-                    continue
-                return ExpressResult("found", pis[i], sym, subst, cert, checks)
-        if pi_done and rho_done and diag > len(pis) + len(rhos):
+            rho = rhos[d - i]
+            if targets[i] == rho.expanded and rho.verify(G):
+                return ExpressResult("found", pis[i], sym, subst, rho, checks)
+        if len(pis) + len(rhos) < d:  # both streams have ended
             return ExpressResult("exhausted", checks=checks)
-        diag += 1
+        d += 1
     return ExpressResult("exhausted", checks=checks)
 
 
@@ -357,21 +336,15 @@ def kernel_symbols(U: UcePresentation) -> tuple[Alphabet, dict[str, Word], dict[
     j-th base relator viewed in the extension.
     """
     base = U.base.alphabet
-    names = list(base.symbols)
     zs = []
-    for j in range(len(U.central_kernel_words)):
-        name = f"z{j + 1}"
+    for j in range(1, len(U.central_kernel_words) + 1):
+        name = f"z{j}"
         while name in base:
             name = name + "_k"
         zs.append(name)
-        names.append(name)
-    ext = Alphabet(names)
-    delete = {s: base.gen(s) for s in base.symbols}
-    subst = {s: base.gen(s) for s in base.symbols}
-    for name, rel in zip(zs, U.central_kernel_words):
-        delete[name] = base.identity()
-        subst[name] = rel
-    return ext, delete, subst
+    delete = identity_images(base) | dict.fromkeys(zs, base.identity())
+    subst = identity_images(base) | dict(zip(zs, U.central_kernel_words))
+    return Alphabet(list(base.symbols) + zs), delete, subst
 
 
 def uce_word_transfer(
@@ -397,36 +370,29 @@ def uce_word_transfer(
     otherwise the word is central and a normal-closure certificate for the
     substituted word is searched within the budget.
     """
+    base = U.base.alphabet
     if direction == "to_base":
-        if word.alphabet != U.base.alphabet:
+        if word.alphabet != base:
             raise PresentationError("to_base expects a word over the base generators")
-        lift = word  # same letters reinterpreted in the extension
-        for name in U.base.alphabet.symbols:
-            t = commutator(lift, U.base.alphabet.gen(name))
+        # the same letters reinterpreted in the extension
+        central = [(name, base.gen(name)) for name in base.symbols]
+        central += [(f"kernel[{j}]", z) for j, z in enumerate(U.central_kernel_words)]
+        for label, z in central:
+            t = commutator(word, z)
             if t and not oracle(t):
-                return TransferResult("nontrivial", "centrality", witness=name)
-        for j, z in enumerate(U.central_kernel_words):
-            t = commutator(lift, z)
-            if t and not oracle(t):
-                return TransferResult("nontrivial", "centrality", witness=f"kernel[{j}]")
-        expr = express_in_generators(U.result, list(U.central_kernel_words), lift,
-                                     budget=budget)
-        if expr.status == "found":
-            return TransferResult("trivial", "kernel-membership", expression=expr)
-        return TransferResult("inconclusive", "kernel-membership", expression=expr)
-
-    if direction == "to_cover":
+                return TransferResult("nontrivial", "centrality", witness=label)
+        stage, subgens, target = "kernel-membership", list(U.central_kernel_words), word
+    elif direction == "to_cover":
         ext, delete, subst = kernel_symbols(U)
         if word.alphabet != ext:
             raise PresentationError("to_cover expects a word over the extended alphabet")
-        projected = apply_map(word, delete, target=U.base.alphabet)
+        projected = apply_map(word, delete, target=base)
         if projected and not oracle(projected):
             return TransferResult("nontrivial", "base-projection",
                                   witness=render_word(projected))
-        substituted = apply_map(word, subst, target=U.base.alphabet)
-        expr = express_in_generators(U.result, [], substituted, budget=budget)
-        if expr.status == "found":
-            return TransferResult("trivial", "central-triviality", expression=expr)
-        return TransferResult("inconclusive", "central-triviality", expression=expr)
-
-    raise ValueError(f"unknown direction {direction!r}")
+        stage, subgens, target = "central-triviality", [], apply_map(word, subst, target=base)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    expr = express_in_generators(U.result, subgens, target, budget=budget)
+    return TransferResult("trivial" if expr.status == "found" else "inconclusive", stage,
+                          expression=expr)

@@ -27,6 +27,15 @@ presents the extension from any witness set, so its order can be checked
 against `miller_uce`'s.  `stream_fairness_bound` bounds where the closure
 stream reaches short products.
 
+`reference_express_in_generators`, `reference_normal_closure_stream`,
+`reference_reduced_words`, `reference_kernel_symbols` and
+`reference_uce_word_transfer` (with their helpers) are the subgroup
+expression, closure stream and word transfer as written before the search
+walked one index range per diagonal: streams grown in `while` loops behind
+done-flags, a skip test for missing closure elements and two copies of the
+transfer verdict.  The rewritten code must give the same answers, checks
+and certificates.
+
 The `tuple_*` functions are the word algebra on tuples of (index, sign)
 letters, as presforge computed it before words became their letter-code
 text: the reference the text implementation is fuzzed against.
@@ -42,13 +51,15 @@ from presforge.freewords import (
     Alphabet,
     Word,
     _Tokens,
+    apply_map,
     commutator,
     cyclically_reduce,
     exponent_vector,
     free_reduce,
+    render_word,
 )
 from presforge.homology import IntegerMatrix, SmithForm, _identity
-from presforge.presentations import FinitePresentation
+from presforge.presentations import FinitePresentation, PresentationError
 from presforge.quotients import (
     BudgetExhausted,
     Perm,
@@ -58,8 +69,12 @@ from presforge.quotients import (
     todd_coxeter,
 )
 from presforge.uce import (
+    DEFAULT_BUDGET,
     CommutatorWitness,
+    ExpressResult,
     NormalClosureElement,
+    TransferResult,
+    UcePresentation,
     normal_closure_stream,
     reduced_words,
 )
@@ -574,3 +589,222 @@ def tuple_conjugacy_witness(u: Letters, v: Letters) -> Letters | None:
         if cu[j:] + cu[:j] == cv:
             return tuple_free_reduce(gu + cu[:j] + tuple_inverse(gv))
     return None
+
+
+# --- the blind closure search with explicit stream flags ---------------------
+
+def reference_reduced_word_levels(alphabet: Alphabet) -> Iterator[tuple[Word, ...]]:
+    """The freely reduced words of length 0, 1, 2, ..., one tuple per
+    length, each lexicographic in the letter order (0,+1) < (0,-1) <
+    (1,+1) < ... and built from the one before."""
+    gens = [alphabet.gen(s) for s in alphabet.symbols]
+    letters = [(x.text, x.inverse().text) for g in gens for x in (g, g.inverse())]
+    level = (alphabet.identity(),)
+    while True:
+        yield level
+        level = tuple(Word._trusted(alphabet, w.text + x) for w in level
+                      for x, x_inv in letters if w.text[-1:] != x_inv)
+
+
+def reference_reduced_words(alphabet: Alphabet) -> Iterator[Word]:
+    """All freely reduced words in (length, lex) order, identity first.
+    Finite (just the identity) over the empty alphabet."""
+    if alphabet.rank == 0:
+        yield alphabet.identity()
+        return
+    for level in reference_reduced_word_levels(alphabet):
+        yield from level
+
+
+def reference_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in reference_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_normal_closure_stream(P: FinitePresentation) -> Iterator[NormalClosureElement]:
+    """Fair deterministic enumeration of products of conjugates of relators.
+
+    Order: by size (factor count + total conjugator length); within a
+    size, by factor count, then sign pattern (all-positive first), then
+    relator index tuple, then conjugator lengths and words, each
+    lexicographic.  The first |R| emissions are exactly the relators, and
+    every product of conjugates appears after finitely many emissions.
+    """
+    m = len(P.relators)
+    if m == 0:
+        return
+    levels = reference_reduced_word_levels(P.alphabet)
+    by_length = [next(levels)]
+    size = 1
+    while True:
+        for k in range(1, size + 1):
+            clen = size - k
+            for signs in itertools.product((1, -1), repeat=k):
+                for indices in itertools.product(range(m), repeat=k):
+                    for comp in reference_compositions(clen, k):
+                        pools = [by_length[l] for l in comp]
+                        for conjs in itertools.product(*pools):
+                            yield NormalClosureElement.build(
+                                P, tuple(zip(conjs, indices, signs)))
+        by_length.append(next(levels))
+        size += 1
+
+
+def reference_express_in_generators(
+    G: FinitePresentation,
+    subgens: Sequence[Word],
+    w: Word,
+    budget: int = DEFAULT_BUDGET,
+) -> ExpressResult:
+    """Search for pi with w = pi(subgens) in G, by enumerating candidate
+    words pi and closure elements along finite diagonals and testing
+    whether w * subst(pi)^-1 equals the closure element in the free group.
+
+    The caller guarantees (unchecked) that w lies in <subgens> if a
+    positive answer is expected; otherwise the budget runs out.  Returned
+    certificates are re-verified; unverifiable candidates are never
+    returned (soundness over completeness).
+    """
+    if w.alphabet != G.alphabet:
+        raise PresentationError("word not over the presentation's alphabet")
+    for u in subgens:
+        if u.alphabet != G.alphabet:
+            raise PresentationError("subgroup generator over the wrong alphabet")
+    sym = Alphabet([f"s{i}" for i in range(len(subgens))])
+    subst = {f"s{i}": subgens[i] for i in range(len(subgens))}
+
+    def target_of(pi: Word) -> Word:
+        image = apply_map(pi, subst, target=G.alphabet)
+        return free_reduce(w.concat(image.inverse()))
+
+    pis: list[Word] = []
+    targets: list[Word] = []
+    rhos: list[NormalClosureElement] = []
+    pi_iter = reference_reduced_words(sym)
+    rho_iter = reference_normal_closure_stream(G)
+    pi_done = False
+    rho_done = False
+    checks = 0
+    diag = 0
+    while checks < budget:
+        while not pi_done and len(pis) <= diag:
+            pi = next(pi_iter, None)
+            if pi is None:
+                pi_done = True
+                break
+            pis.append(pi)
+            targets.append(target_of(pi))
+            checks += 1
+            if not targets[-1]:
+                cert = NormalClosureElement.build(G, ())
+                return ExpressResult("found", pis[-1], sym, subst, cert, checks)
+        while not rho_done and len(rhos) <= diag:
+            nxt = next(rho_iter, None)
+            if nxt is None:
+                rho_done = True
+            else:
+                rhos.append(nxt)
+        for i in range(min(diag + 1, len(pis))):
+            j = diag - i
+            if j >= len(rhos):
+                continue
+            checks += 1
+            if checks > budget:
+                return ExpressResult("exhausted", checks=checks)
+            if targets[i] == rhos[j].expanded:
+                cert = rhos[j]
+                if not cert.verify(G):
+                    continue
+                return ExpressResult("found", pis[i], sym, subst, cert, checks)
+        if pi_done and rho_done and diag > len(pis) + len(rhos):
+            return ExpressResult("exhausted", checks=checks)
+        diag += 1
+    return ExpressResult("exhausted", checks=checks)
+
+
+def reference_kernel_symbols(U: UcePresentation) -> tuple[Alphabet, dict[str, Word], dict[str, Word]]:
+    """Extended alphabet for words over generators plus kernel letters.
+
+    Returns (alphabet, deletion images into the base alphabet, substitution
+    images into the extension alphabet).  Kernel letter z{j} stands for the
+    j-th base relator viewed in the extension.
+    """
+    base = U.base.alphabet
+    names = list(base.symbols)
+    zs = []
+    for j in range(len(U.central_kernel_words)):
+        name = f"z{j + 1}"
+        while name in base:
+            name = name + "_k"
+        zs.append(name)
+        names.append(name)
+    ext = Alphabet(names)
+    delete = {s: base.gen(s) for s in base.symbols}
+    subst = {s: base.gen(s) for s in base.symbols}
+    for name, rel in zip(zs, U.central_kernel_words):
+        delete[name] = base.identity()
+        subst[name] = rel
+    return ext, delete, subst
+
+
+def reference_uce_word_transfer(
+    U: UcePresentation,
+    direction: str,
+    word: Word,
+    oracle: Callable[[Word], bool],
+    budget: int = DEFAULT_BUDGET,
+) -> TransferResult:
+    """Transfer the word problem between a perfect group and its universal
+    central extension.
+
+    direction="to_base": `word` is over the base generators and `oracle`
+    decides words in the extension.  The lift is tested for centrality
+    against every generator and kernel element (a non-central lift means
+    the word is nontrivial in the base); a central lift is searched for a
+    certified expression in the kernel generators, which exists exactly
+    when the word dies in the base.
+
+    direction="to_cover": `word` is over the extended alphabet of
+    `kernel_symbols` and `oracle` decides words in the base.  Kernel
+    letters are deleted first; a nontrivial image settles the question,
+    otherwise the word is central and a normal-closure certificate for the
+    substituted word is searched within the budget.
+    """
+    if direction == "to_base":
+        if word.alphabet != U.base.alphabet:
+            raise PresentationError("to_base expects a word over the base generators")
+        lift = word  # same letters reinterpreted in the extension
+        for name in U.base.alphabet.symbols:
+            t = commutator(lift, U.base.alphabet.gen(name))
+            if t and not oracle(t):
+                return TransferResult("nontrivial", "centrality", witness=name)
+        for j, z in enumerate(U.central_kernel_words):
+            t = commutator(lift, z)
+            if t and not oracle(t):
+                return TransferResult("nontrivial", "centrality", witness=f"kernel[{j}]")
+        expr = reference_express_in_generators(U.result, list(U.central_kernel_words), lift,
+                                     budget=budget)
+        if expr.status == "found":
+            return TransferResult("trivial", "kernel-membership", expression=expr)
+        return TransferResult("inconclusive", "kernel-membership", expression=expr)
+
+    if direction == "to_cover":
+        ext, delete, subst = reference_kernel_symbols(U)
+        if word.alphabet != ext:
+            raise PresentationError("to_cover expects a word over the extended alphabet")
+        projected = apply_map(word, delete, target=U.base.alphabet)
+        if projected and not oracle(projected):
+            return TransferResult("nontrivial", "base-projection",
+                                  witness=render_word(projected))
+        substituted = apply_map(word, subst, target=U.base.alphabet)
+        expr = reference_express_in_generators(U.result, [], substituted, budget=budget)
+        if expr.status == "found":
+            return TransferResult("trivial", "central-triviality", expression=expr)
+        return TransferResult("inconclusive", "central-triviality", expression=expr)
+
+    raise ValueError(f"unknown direction {direction!r}")

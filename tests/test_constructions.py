@@ -80,7 +80,10 @@ class TestRips:
         # padding dominates
         P = presentation(["x", "y"], ["(x*y)^3", "(y*x)^3"])
         out = rips_wise(P, initial_blocks=4)
-        assert out.certificate.passed
+        assert out.certificate.passed and out.blocks == 16
+        # a^60 outruns the default 16 blocks' padding, not 32's
+        out = rips_wise(presentation(["a", "b"], ["a^60*b", "a^60*b^2"]))
+        assert out.certificate.passed and out.blocks == 32
 
 
 class TestKillFiniteQuotients:
