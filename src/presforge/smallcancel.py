@@ -23,9 +23,14 @@ a symmetrized relator (strict inequality; leftmost match) by the inverse
 of the remainder.  On C'(1/6)-certified input a freely reduced word
 represents the identity iff this terminates at the empty word, and every
 "trivial" verdict carries a product-of-conjugates certificate that
-re-expands to the input.  The solver works on word texts throughout; a
-trivial verdict is re-checked by `NormalClosureElement.expand`, the one
-expander of every closure certificate.
+re-expands to the input.  Every match is at least k letters long, k the
+shortest more-than-half length, so the scan need not look at every
+position: it looks up the q = ceil(k/2) letters at every s-th position,
+s = k - q + 1, in one index of the first q letters of each rotation, and
+one of these seeds lies inside any match.
+The solver works on word texts throughout; a trivial verdict is
+re-checked by `NormalClosureElement.expand`, the one expander of every
+closure certificate.
 """
 
 from __future__ import annotations
@@ -249,10 +254,18 @@ class DehnSolver:
     texts.
 
     A slot is a rotation of a symmetrized relator (an offset into its
-    doubled text).  One dict maps the first k letters of each slot to slot
-    ids, k the shortest more-than-half length, so a scan makes one probe
-    per position and then compares each candidate's more-than-half prefix
-    and extension.
+    doubled text).  With k the shortest more-than-half length, the dict
+    `by_seed` maps the first q = ceil(k/2) letters of each slot, its seed,
+    to its slot ids.  A scan from `start` probes only the positions
+    p = start + s - 1, start + 2s - 1, ..., stride s = k - q + 1.  A match
+    starting at i >= start has at least k = s + q - 1 letters, so it holds
+    the seed at the first probe p >= i, and p - i < s.  Each slot hit at p
+    fixes an alignment of the word on a relator; running it back from p,
+    at most s - 1 letters, gives its leftmost start in the probe's window
+    p - s + 1..p (the first window begins at `start`).  The earlier probes
+    found no match, so none starts before that window: a match found at
+    p, once its more-than-half prefix is compared and the match extended,
+    is the leftmost one, and its slot is the hit's slot run back as far.
 
     A supplied certificate is trusted only if it passed at some lambda
     <= 1/6 and scanned exactly P's cyclic cores; without one, P is
@@ -262,7 +275,11 @@ class DehnSolver:
     piece of full length), and no two slots both match more than half of
     themselves at one position (their common prefix would be a piece
     longer than half the shorter relator): at most one slot matches at
-    any position, and the first match found is the only one.
+    any position.  Nor do two alignments both match in one probe's window:
+    the later one starts at most s - 1 <= k // 2 letters after the other,
+    so their overlap would be a piece longer than a quarter of the relator
+    matched first or than half of the other.  So the first hit that
+    matches is the only one.
 
     `solve` freely reduces its input (which returns a reduced word as it
     is) and rewrites the text of the result.  A trivial verdict is
@@ -295,12 +312,15 @@ class DehnSolver:
         halves = [len(c) // 2 + 1 for c in cores if c]  # more-than-half lengths
         self.k = min(halves, default=1)
         self.max_h = max(halves, default=1)
+        # seeds of q letters, probed every s letters: q + s - 1 = k
+        self.q = (self.k + 1) // 2
+        self.stride = self.k - self.q + 1
         self.slots: list[tuple[int, int, int]] = []  # (text id, offset, length)
-        self.by_prefix: dict[str, list[int]] = {}
+        self.by_seed: dict[str, list[int]] = {}
         for tid, D in enumerate(self.texts):
             L = len(D) // 2
             for o in range(L):
-                self.by_prefix.setdefault(D[o:o + self.k], []).append(len(self.slots))
+                self.by_seed.setdefault(D[o:o + self.q], []).append(len(self.slots))
                 self.slots.append((tid, o, L))
 
     def solve(self, w: Word, collect_trace: bool = False) -> DehnResult:
@@ -345,19 +365,25 @@ class DehnSolver:
         return result
 
     def _find(self, cur: str, start: int) -> tuple[int, int, int] | None:
-        """(position, match length, slot id): the leftmost position where
-        more than half of a slot starts, with the slot's full match there."""
-        k, n = self.k, len(cur)
-        for i in range(start, n - k + 1):
-            for sid in self.by_prefix.get(cur[i:i + k], ()):
+        """(position, match length, slot id): the leftmost position >= start
+        where more than half of a slot starts, with the slot's full match
+        there.  The probe at p finds every match starting in p - s + 1..p."""
+        q, s, n = self.q, self.stride, len(cur)
+        for p in range(start + s - 1, n - q + 1, s):
+            for sid in self.by_seed.get(cur[p:p + q], ()):
                 tid, o, L = self.slots[sid]
                 D, h = self.texts[tid], L // 2 + 1
-                if cur[i + k:i + h] != D[o + k:o + h]:
-                    continue
-                m = h
-                while m < L and i + m < n and cur[i + m] == D[o + m]:
-                    m += 1
-                return i, m, sid
+                # b: how far this alignment runs back from p, within the window
+                b, hi = 0, s - 1
+                while b < hi:
+                    mid = (b + hi + 1) // 2
+                    if cur[p - mid:p] == D[o + L - mid:o + L]:
+                        b = mid
+                    else:
+                        hi = mid - 1
+                i, j = p - b, (o - b) % L
+                if cur[p + q:i + h] == D[j + b + q:j + h]:
+                    return i, _extend(cur, i, D, j, h, min(L, n - i)), sid - o + j
         return None
 
 

@@ -359,10 +359,11 @@ def uce_word_transfer(
 
     direction="to_base": `word` is over the base generators and `oracle`
     decides words in the extension.  The lift is tested for centrality
-    against every generator and kernel element (a non-central lift means
-    the word is nontrivial in the base); a central lift is searched for a
-    certified expression in the kernel generators, which exists exactly
-    when the word dies in the base.
+    against every generator (a non-central lift means the word is
+    nontrivial in the base); a lift commuting with every generator is
+    central, so it commutes with the kernel elements too and they need no
+    test.  A central lift is searched for a certified expression in the
+    kernel generators, which exists exactly when the word dies in the base.
 
     direction="to_cover": `word` is over the extended alphabet of
     `kernel_symbols` and `oracle` decides words in the base.  Kernel
@@ -375,12 +376,10 @@ def uce_word_transfer(
         if word.alphabet != base:
             raise PresentationError("to_base expects a word over the base generators")
         # the same letters reinterpreted in the extension
-        central = [(name, base.gen(name)) for name in base.symbols]
-        central += [(f"kernel[{j}]", z) for j, z in enumerate(U.central_kernel_words)]
-        for label, z in central:
-            t = commutator(word, z)
+        for name in base.symbols:
+            t = commutator(word, base.gen(name))
             if t and not oracle(t):
-                return TransferResult("nontrivial", "centrality", witness=label)
+                return TransferResult("nontrivial", "centrality", witness=name)
         stage, subgens, target = "kernel-membership", list(U.central_kernel_words), word
     elif direction == "to_cover":
         ext, delete, subst = kernel_symbols(U)

@@ -39,6 +39,11 @@ and certificates.
 The `tuple_*` functions are the word algebra on tuples of (index, sign)
 letters, as presforge computed it before words became their letter-code
 text: the reference the text implementation is fuzzed against.
+
+`reference_dehn_find` is `DehnSolver._find` as it was before the scan
+probed strided seeds: one lookup of the first k letters at every position,
+in the index `dehn_prefix_index` builds, and a letter loop for the match
+extension.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from presforge.quotients import (
     inverse_perm,
     todd_coxeter,
 )
+from presforge.smallcancel import DehnSolver
 from presforge.uce import (
     DEFAULT_BUDGET,
     CommutatorWitness,
@@ -808,3 +814,31 @@ def reference_uce_word_transfer(
         return TransferResult("inconclusive", "central-triviality", expression=expr)
 
     raise ValueError(f"unknown direction {direction!r}")
+
+
+def dehn_prefix_index(solver: DehnSolver) -> dict[str, list[int]]:
+    """The first k letters of each slot of `solver`, k its shortest
+    more-than-half length, mapped to their slot ids in increasing order."""
+    index: dict[str, list[int]] = {}
+    for sid, (tid, o, _) in enumerate(solver.slots):
+        index.setdefault(solver.texts[tid][o:o + solver.k], []).append(sid)
+    return index
+
+
+def reference_dehn_find(solver: DehnSolver, by_prefix: dict[str, list[int]], cur: str,
+                        start: int) -> tuple[int, int, int] | None:
+    """(position, match length, slot id): the leftmost position >= start
+    where more than half of a slot starts, with the slot's full match there;
+    one probe per position."""
+    k, n = solver.k, len(cur)
+    for i in range(start, n - k + 1):
+        for sid in by_prefix.get(cur[i:i + k], ()):
+            tid, o, L = solver.slots[sid]
+            D, h = solver.texts[tid], L // 2 + 1
+            if cur[i + k:i + h] != D[o + k:o + h]:
+                continue
+            m = h
+            while m < L and i + m < n and cur[i + m] == D[o + m]:
+                m += 1
+            return i, m, sid
+    return None

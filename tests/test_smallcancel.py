@@ -4,9 +4,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import dehn_prefix_index, reference_dehn_find
 from piece_oracles import piece_table, reference_certificate, slots_sorted, threshold_scan
 from presforge.freewords import (
     Alphabet,
@@ -22,6 +23,7 @@ from presforge.smallcancel import (
     DehnSolver,
     _cores,
     _doubled_texts,
+    _extend,
     _piece_walk,
     _sorted_rotations,
     dehn_word_problem,
@@ -516,3 +518,120 @@ def test_dehn_relators_not_cyclically_reduced():
             res = solver.solve(w)
             assert res.trivial and res.verify_certificate(P, w)
             done += 1
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), common=st.text("ab", max_size=80), i=st.integers(0, 5),
+       j=st.integers(0, 5))
+@example(data=None, common="ab" * 20, i=0, j=0)  # the match runs to m
+def test_extend_matches_letter_loop(data, common, i, j):
+    """`_extend` against a plain letter loop, from every known length h
+    up to any bound m: m == h, a mismatch right after the first h letters,
+    and matches that run to m."""
+    a = "x" * i + common + "ab"
+    b = "y" * j + common + ("ab" if data is None or data.draw(st.booleans()) else "ba")
+    top = min(len(a) - i, len(b) - j)
+    for m in ({top} if data is None else {top, data.draw(st.integers(0, top))}):
+        for h in range(min(m, len(common)) + 1):
+            want = h
+            while want < m and a[i + want] == b[j + want]:
+                want += 1
+            assert _extend(a, i, b, j, h, m) == want
+
+
+def _mixed_lengths():
+    """C'(1/6) with relators of 13, 201 and 201 letters: k = 7, so seeds are
+    4 letters long, and the seed a^4 starts 152 slots."""
+    longs = ["[a^9, b^10]*[a^11, b^12]*[a^13, b^14]*[a^15, b^16]*c",
+             "[b^9, a^10]*[b^11, a^12]*[b^13, a^14]*[b^15, a^16]*d"]
+    return presentation(list("abcd"), ["b*c*d^-2*b*d*a^-1*c*a^-1*d^2*b^-1*d"] + longs)
+
+
+def _gamma_solver(out):
+    return DehnSolver(out.gamma, certificate=out.certificate)
+
+
+@pytest.fixture(scope="module")
+def scanners(rips_trivial, rips_higman):
+    solvers = {"rips_trivial": _gamma_solver(rips_trivial),
+               "rips_higman": _gamma_solver(rips_higman),
+               "mixed_lengths": DehnSolver(_mixed_lengths())}
+    return {name: (solver, dehn_prefix_index(solver)) for name, solver in solvers.items()}
+
+
+def test_mixed_lengths_seeds_are_shared(scanners):
+    solver, _ = scanners["mixed_lengths"]
+    assert (solver.k, solver.q, solver.stride) == (7, 4, 4)
+    assert max(len(sids) for sids in solver.by_seed.values()) > 100
+
+
+_fragments = st.lists(st.tuples(st.sampled_from(("slot", "near-miss", "splice")),
+                                st.integers(0, 10**6), st.integers(0, 10**6),
+                                st.integers(0, 10**6)), max_size=8)
+
+
+@pytest.mark.parametrize("name", ["rips_trivial", "rips_higman", "mixed_lengths"])
+@settings(max_examples=150, deadline=None, database=None)
+@given(fragments=_fragments, start=st.integers(0, 10**6))
+def test_fuzz_strided_scan_matches_every_position_probe(scanners, name, fragments, start):
+    """The strided seed scan finds the same (position, match length, slot
+    id) as one probe per position, on texts of relator fragments (up to
+    twice around the relator), fragments with one letter changed and
+    spliced letters, from any start."""
+    solver, by_prefix = scanners[name]
+    letters = sorted(set("".join(solver.texts)))
+    parts = []
+    for kind, x, y, z in fragments:
+        if kind == "splice":
+            parts.append("".join(letters[(x + d) % len(letters)] for d in range(1 + y % 3)))
+            continue
+        tid, o, L = solver.slots[x % len(solver.slots)]
+        size = (L // 2, L // 2 + 1, L, y % (2 * L + 1))[y % 4]  # around more than half
+        frag = (solver.texts[tid][:L] * 3)[o:o + size]
+        if kind == "near-miss" and frag:
+            at = z % len(frag)
+            other = [c for c in letters if c != frag[at]]
+            frag = frag[:at] + other[z % len(other)] + frag[at + 1:]
+        parts.append(frag)
+    cur = "".join(parts)
+    at = start % (len(cur) + 1)
+    assert solver._find(cur, at) == reference_dehn_find(solver, by_prefix, cur, at)
+
+
+@pytest.mark.parametrize("name", ["rips_trivial", "rips_higman", "mixed_lengths"])
+def test_strided_scan_from_every_start(scanners, name):
+    """A match of exactly k letters between fillers and at the end of the
+    text, scanned from every start: every phase of the probes, a match
+    just before or at the start and a match only the last probe sees."""
+    solver, by_prefix = scanners[name]
+    tid, o, L = next(slot for slot in solver.slots if slot[2] // 2 + 1 == solver.k)
+    match = solver.texts[tid][o:o + solver.k]
+    rng = random.Random(46)
+    letters = sorted(set("".join(solver.texts)))
+    filler = "".join(rng.choice(letters) for _ in range(2 * solver.stride + 1))
+    for cur in (filler + match + filler[::-1], filler + match):
+        starts = range(len(cur) + 1)
+        found = [solver._find(cur, at) for at in starts]
+        assert found == [reference_dehn_find(solver, by_prefix, cur, at) for at in starts]
+        assert found[len(filler)][0] == len(filler)
+
+
+class CountingDict(dict):
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_scan_only_word_probes_once_per_stride(rips_higman):
+    """A 20k-letter word with no more-than-half of a relator costs at most
+    ceil(n / s) + 1 seed lookups, s the stride, where one probe per
+    position would make n - k + 1."""
+    solver = _gamma_solver(rips_higman)
+    solver.by_seed = CountingDict(solver.by_seed)
+    w = random_reduced_word(rips_higman.gamma.alphabet, 24_000, random.Random(45))
+    res = solver.solve(w)
+    n = len(w)
+    assert res.replacements == 0 and not res.trivial and n >= 20_000
+    assert 0 < solver.by_seed.lookups <= -(-n // solver.stride) + 1
