@@ -9,14 +9,14 @@ certificate condition C'(lambda): every piece is strictly shorter than
 lambda times the length of every relator containing it.
 
 The scanner sorts rotation slots, offsets into the doubled relator
-texts, without writing any rotation out: prefix keys that grow
-only for runs still tied, and one comparison with its first member for a
-run of equal rotation words.  The longest piece touching a rotation is
-its longest common prefix with a sorted neighbour; Kasai's walk finds
-them all, each from the one before less a letter.  Memory is linear in
-the relator letters on C'(lambda) input, proper powers and repeated
-relators, and quadratic only in rotations that agree over most of their
-length without being equal, such as those of a^k b.
+texts, without writing any rotation out: byte keys of 64 letters, four
+times as long only for runs still tied, and one comparison with its
+first member for a run of equal rotation words.  The longest piece
+touching a rotation is its longest common prefix with a sorted
+neighbour, where their keys first differ, so the sort yields them all.
+Memory is linear in the relator letters on C'(lambda) input, proper
+powers and repeated relators, and quadratic only in rotations that agree
+over most of their length without being equal, such as those of a^k b.
 
 Dehn's algorithm repeatedly replaces a subword that is more than half of
 a symmetrized relator (strict inequality; leftmost match) by the inverse
@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, count
-from operator import eq
+from itertools import compress, count, pairwise, repeat, starmap
+from operator import eq, itemgetter, xor
 from typing import Sequence
 
 from .freewords import (
@@ -67,42 +67,65 @@ def _doubled_texts(cores: Sequence[Word]) -> list[str]:
     return [s + s for core in cores for s in (core.text, core.inverse().text)]
 
 
+def _letter_bytes(texts: Sequence[str]) -> tuple[int, list[bytes]]:
+    """(w, the texts in w bytes a letter): code 256 + c as the byte c + 1
+    while that fits, else the code in four big-endian bytes, so byte
+    order is letter order and no letter is zero."""
+    top = max(map(ord, map(max, filter(None, texts))), default=256)
+    if top - 256 < 255:
+        plus_one = bytes(range(1, 256)) + b"\0"
+        return 1, [D.encode("utf-16-be")[1::2].translate(plus_one) for D in texts]
+    return 4, [D.encode("utf-32-be", "surrogatepass") for D in texts]
+
+
 def _sorted_rotations(texts: Sequence[str]) -> tuple[list[tuple[int, int, int]], list[int]]:
     """Every rotation slot (text id, offset, length) of the doubled texts,
-    sorted by its rotation word with equal words in slot order, plus a
-    list with one entry per sorted neighbour pair (k, k + 1): the rotation
-    length where the two rotation words are equal, else 0.
+    sorted by its rotation word with equal words in slot order, plus the
+    common-prefix length of each sorted neighbour pair (k, k + 1), which
+    is the rotation length where the two rotation words are equal.
 
-    Slots are sorted by keys, the first K letters of their rotations.  A
-    key is a prefix of its rotation, so unequal keys already order their
-    rotations.  A run of equal keys whose members all have the first
-    member's length and rotation word is settled; any other run is sorted
-    again with K four times as long.
+    Slots are sorted by keys, the `_letter_bytes` of the first K letters
+    of their rotations zero-padded to K, so unequal keys order their
+    rotations, and two keys first differ at the top bit of their XOR as
+    big-endian integers.  The first round takes K = 64.  A run of equal
+    keys whose members all have the first member's length and rotation
+    word is settled; any other run alone is sorted again on the letters
+    past the K its members share, with K four times as long (at most its
+    longest member).  Every round XORs each neighbour pair of its keys;
+    pairs still equal are overwritten when their run is settled or sorted.
     """
+    w, data = _letter_bytes(texts)
+    unit = 8 * w
     slots = [(t, o, L) for t, D in enumerate(texts) for L in (len(D) // 2,) for o in range(L)]
-    equal = [0] * (len(slots) - 1)
-    tied = [(0, len(slots), 16)]  # (lo, hi, K)
+    lcp = [0] * (len(slots) - 1)
+    tied = [(0, len(slots), 0, 64)]  # (lo, hi, letters all members share, K)
     while tied:
-        lo, hi, K = tied.pop()
+        lo, hi, h, K = tied.pop()
         seg = slots[lo:hi]  # in slot order, and the sort is stable
-        keys = [texts[t][o:o + K] if K <= L else texts[t][o:o + L] for t, o, L in seg]
+        K = min(K, max(map(itemgetter(2), seg), default=0))
+        keys = [data[t][w * (o + h):w * (o + K)] if K <= L else
+                data[t][w * (o + h):w * (o + L)].ljust(w * (K - h), b"\0") for t, o, L in seg]
         order = sorted(range(len(seg)), key=keys.__getitem__)
         slots[lo:hi] = seg = [seg[x] for x in order]
         keys = [keys[x] for x in order]
+        ints = map(int.from_bytes, keys, repeat("big"))
+        lcp[lo:hi - 1] = [h + (unit * (K - h) - x.bit_length()) // unit
+                          for x in starmap(xor, pairwise(ints))]
         runs: list[list[int]] = []  # [first, last] of each run of equal keys
         for j in compress(count(1), map(eq, keys, keys[1:])):
             if runs and runs[-1][1] == j - 1:
                 runs[-1][1] = j
             else:
                 runs.append([j - 1, j])
+        del keys  # before the next round's keys are built
         for a, b in runs:
             t0, o0, L0 = seg[a]
-            w = texts[t0][o0:o0 + L0]
-            if all(L == L0 and texts[t].startswith(w, o) for t, o, L in seg[a + 1:b + 1]):
-                equal[lo + a:lo + b] = [L0] * (b - a)
+            word = texts[t0][o0:o0 + L0]
+            if all(L == L0 and texts[t].startswith(word, o) for t, o, L in seg[a + 1:b + 1]):
+                lcp[lo + a:lo + b] = [L0] * (b - a)
             else:
-                tied.append((lo + a, lo + b + 1, 4 * K))
-    return slots, equal
+                tied.append((lo + a, lo + b + 1, K, 4 * K))
+    return slots, lcp
 
 
 def _extend(a: str, i: int, b: str, j: int, h: int, m: int) -> int:
@@ -121,47 +144,6 @@ def _extend(a: str, i: int, b: str, j: int, h: int, m: int) -> int:
         else:  # the first mismatch lies in the next n <= step letters
             grow, step = False, step // 2
     return h
-
-
-def _piece_walk(texts: Sequence[str], slots: Sequence[tuple[int, int, int]],
-                lcp: list[int]) -> tuple[list[int], list[int]]:
-    """Kasai's walk: complete lcp[k], the common-prefix length of sorted
-    slots k and k + 1, and return per relator the longest piece and the
-    least k whose pair reaches it (-1 if none).
-
-    Each text's offsets are taken in order.  If the rotation at offset o
-    shares h letters with its sorted predecessor, h less than both their
-    lengths, then dropping both first letters keeps their order, so the
-    rotation at o + 1 shares at least h - 1 letters with its predecessor.
-    Equal-word pairs settled by the sort keep their entry and restart the
-    bound from 0.
-    """
-    base = list(accumulate((len(D) // 2 for D in texts), initial=0))
-    pred = [0] * len(slots)  # per slot id: the sorted index of its predecessor
-    for k, (t, o, _) in enumerate(slots, -1):
-        pred[base[t] + o] = k
-    longest, first = [0] * (len(texts) // 2), [-1] * (len(texts) // 2)
-    for t, D in enumerate(texts):
-        L, r, h = len(D) // 2, t >> 1, 0
-        for o, k in enumerate(pred[base[t]:base[t + 1]]):
-            if k < 0:  # the first sorted slot has no predecessor
-                h = 0
-                continue
-            t2, o2, L2 = slots[k]
-            E, m = texts[t2], L if L < L2 else L2
-            if lcp[k]:
-                h = m
-            elif h < m and D[o + h] == E[o2 + h]:
-                h = lcp[k] = _extend(D, o, E, o2, h + 1, m)
-            elif h:
-                lcp[k] = h
-            else:
-                continue
-            for q in (r, t2 >> 1):
-                if h > longest[q] or (h == longest[q] and k < first[q]):
-                    longest[q], first[q] = h, k
-            h = h - 1 if h < m else 0
-    return longest, first
 
 
 @dataclass
@@ -209,7 +191,14 @@ def metric_certificate(P: FinitePresentation,
         return MetricCertificate(lam, True, (), (), None, None, ())
     texts = _doubled_texts(cores)
     slots, lcp = _sorted_rotations(texts)
-    maxes, witness_for = _piece_walk(texts, slots, lcp)
+    # per relator: its longest piece and the least pair k reaching it
+    maxes, witness_for = [0] * len(cores), [-1] * len(cores)
+    rels = [t >> 1 for t, _, _ in slots]
+    for k, h, r, q in zip(count(), lcp, rels, rels[1:]):
+        if h > maxes[r]:
+            maxes[r], witness_for[r] = h, k
+        if h > maxes[q]:
+            maxes[q], witness_for[q] = h, k
     passed = True
     offending = None
     for t, L in enumerate(lengths):

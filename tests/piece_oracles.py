@@ -3,10 +3,10 @@
 `slots_sorted` is the rotation-string scanner: it writes every rotation of
 every symmetrized relator out as its own string and sorts those, which
 costs memory quadratic in the relator length; its sorted slots and
-common-prefix list are the reference for the rotation sort and Kasai's
-walk in `metric_certificate`.  `reference_certificate` runs the
-certificate rule over it, so the two scanners can be compared field for
-field.
+common-prefix list, found letter by letter, are the reference for
+`_sorted_rotations`, whose byte keys give both at once.
+`reference_certificate` runs the certificate rule over it, so the two
+scanners can be compared field for field.
 `piece_table` and `threshold_scan` are independent cross-checks of the
 piece lengths and of the pass/fail verdict.
 """

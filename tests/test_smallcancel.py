@@ -15,6 +15,7 @@ from presforge.freewords import (
     Word,
     encode_letters,
     free_reduce,
+    relabel,
     render_word,
 )
 from presforge.presentations import FinitePresentation, presentation
@@ -24,7 +25,7 @@ from presforge.smallcancel import (
     _cores,
     _doubled_texts,
     _extend,
-    _piece_walk,
+    _letter_bytes,
     _sorted_rotations,
     dehn_word_problem,
     metric_certificate,
@@ -181,12 +182,74 @@ def test_fuzz_certificate_matches_rotation_strings(P, lam):
 @given(P=fuzz_presentations())
 def test_fuzz_lcp_list_matches_rotation_strings(P):
     """The sort gives the rotation-string scanner's sorted rotation words,
-    equal words in slot order, and Kasai's walk its full list of
-    neighbour common-prefix lengths."""
+    equal words in slot order, and its full list of neighbour
+    common-prefix lengths."""
     cores = _cores(P)
     texts = _doubled_texts(cores)
     slots, lcp = _sorted_rotations(texts)
-    _piece_walk(texts, slots, lcp)
+    ref_slots, ref_lcp = slots_sorted(cores)
+    assert [(texts[t][o:o + L], t // 2) for t, o, L in slots] == [
+        (sl.text, sl.rel) for sl in ref_slots]
+    assert lcp == ref_lcp
+
+
+@pytest.mark.parametrize("gens,rels", [
+    (["a", "b"], ["a^300*b"]),
+    (["a", "b", "c"], ["(a*b)^40*c", "(a*b)^45*c^-1", "(a*b)^45*c"]),
+    (["a", "b", "c"], ["(a*b*c)^30*a", "(a*b*c)^30*b", "c*(a*b*c)^100"]),
+    ([f"g{i}" for i in range(128)], ["g127^300*g0", "(g126*g127)^70*g0"]),
+])
+def test_deep_rounds_match_rotation_strings(gens, rels):
+    """Rotations that tie past 64 and 256 letters without being equal are
+    sorted again on the letters past those they share, one-byte and
+    four-byte letters alike; the sorted slots, the common-prefix list and
+    the certificate are still the rotation-string scanner's."""
+    P = presentation(gens, rels)
+    cores = _cores(P)
+    texts = _doubled_texts(cores)
+    slots, lcp = _sorted_rotations(texts)
+    ref_slots, ref_lcp = slots_sorted(cores)
+    assert [(texts[t][o:o + L], t // 2) for t, o, L in slots] == [
+        (sl.text, sl.rel) for sl in ref_slots]
+    assert lcp == ref_lcp and max(lcp) > 64
+    assert metric_certificate(P) == reference_certificate(P)
+
+
+# letter codes 256 + 2i + (0 or 1) fit one byte up to code 510, and from
+# the inverse of generator 127 on they take four, surrogate codes from
+# U+D800 (generator 27,520) included; the fuzz relators are carried onto
+# three generators of each alphabet, often among its last ten
+_WIDE_ALPHABETS = {128: Alphabet([f"g{i}" for i in range(128)]),
+                   27_530: Alphabet([f"g{i}" for i in range(27_530)])}
+
+
+@pytest.mark.parametrize("rank,width", [(127, 1), (128, 4), (27_520, 4), (27_521, 4)])
+def test_letter_bytes_keep_letter_order(rank, width):
+    """Every letter of a rank-`rank` alphabet becomes `width` bytes, never
+    all zero, in the order of the letter codes."""
+    text = "".join(map(chr, range(256, 256 + 2 * rank)))
+    w, (data,) = _letter_bytes([text])
+    units = [data[i:i + w] for i in range(0, len(data), w)]
+    assert w == width and len(units) == len(text)
+    assert all(map(any, units)) and units == sorted(set(units))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(P=fuzz_presentations(), rank=st.sampled_from(sorted(_WIDE_ALPHABETS)),
+       data=st.data(), lam=st.sampled_from((Fraction(1, 6), Fraction(1, 2))))
+def test_fuzz_wide_alphabets_match_rotation_strings(P, rank, data, lam):
+    """Where letters take four bytes, the certificate and the sorted
+    slots with their common-prefix list are the rotation-string
+    scanner's."""
+    target = _WIDE_ALPHABETS[rank]
+    last_ten = st.integers(target.rank - 10, target.rank - 1)
+    names = [target.symbols[i] for i in data.draw(st.lists(
+        last_ten | st.integers(0, target.rank - 1), min_size=3, max_size=3, unique=True))]
+    Q = FinitePresentation(target, tuple(relabel(P.relators, target, names)))
+    assert metric_certificate(Q, lam) == reference_certificate(Q, lam)
+    cores = _cores(Q)
+    texts = _doubled_texts(cores)
+    slots, lcp = _sorted_rotations(texts)
     ref_slots, ref_lcp = slots_sorted(cores)
     assert [(texts[t][o:o + L], t // 2) for t, o, L in slots] == [
         (sl.text, sl.rel) for sl in ref_slots]
@@ -206,6 +269,22 @@ def test_proper_power_certificate_memory_is_linear():
         tracemalloc.stop()
     assert cert.max_piece_by_relator == (4000,) and not cert.passed
     assert peak < 6_000_000
+
+
+def test_near_power_certificate_memory():
+    """The rotations a^i b a^(4000 - i) tie over long prefixes without
+    being equal, so the sort re-sorts one long run on ever longer keys;
+    one byte a letter, and keys of only the letters past those the run
+    shares, keep the peak under 25 MB (two-byte whole prefixes: 33 MB)."""
+    P = presentation(["a", "b"], ["a^4000*b"])
+    tracemalloc.start()
+    try:
+        cert = metric_certificate(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.max_piece_by_relator == (3999,) and not cert.passed
+    assert peak < 25_000_000
 
 
 class TestPieceTable:
