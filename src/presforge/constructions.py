@@ -26,7 +26,6 @@ from .freewords import (
     Word,
     conjugacy_test,
     cyclically_reduce,
-    decode_letters,
     free_reduce,
     identity_images,
     relabel,
@@ -332,8 +331,8 @@ def fibre_generators(kind: str, **inputs) -> GeneratingSet:
         F = presentation(Q.alphabet.symbols, [])
         ambient = direct_product_presentation(F, F)
         elems = [PairWord(F.alphabet.gen(x), F.alphabet.gen(x)) for x in F.alphabet.symbols]
-        elems += [PairWord(decode_letters(F.alphabet, r.text), F.alphabet.identity())
-                  for r in Q.relators]
+        # F's alphabet equals Q's: an Alphabet compares by its symbols
+        elems += [PairWord(r, F.alphabet.identity()) for r in Q.relators]
         return GeneratingSet("S", ambient, tuple(elems), factor=F,
                              notes="diagonal generators plus left relator slices")
     if kind == "U":
@@ -512,10 +511,7 @@ def delta_amalgam(generators: Sequence[str] | Alphabet) -> DeltaResult:
     Higman's group along cyclic subgroups: d_i = (x_i, 1) for i <= l and
     d_{l+i} = (1, x_i).  C collects the three non-glued letters of every
     copy (6l words)."""
-    if isinstance(generators, Alphabet):
-        names = list(generators.symbols)
-    else:
-        names = list(generators)
+    names = list(generators)
     if not names:
         raise ConstructionError("delta_amalgam needs at least one generator")
     l = len(names)

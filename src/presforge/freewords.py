@@ -105,8 +105,8 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Word:
-    """A word over an alphabet, held as its `encode_letters` text; not
-    necessarily freely reduced.
+    """A word over an alphabet, held as its letter-code text (see the
+    module docstring); not necessarily freely reduced.
 
     ``Word(alphabet, letters)`` checks each (index, sign) letter;
     ``Word._trusted(alphabet, text)`` is the one unchecked constructor.
@@ -283,20 +283,6 @@ def letter_codes(w: Word) -> list[int]:
     return [c - 256 for c in map(ord, w.text)]
 
 
-def encode_letters(letters: Iterable[Letter]) -> str:
-    """The text of a letter sequence: the `letter_codes` code c of each
-    letter becomes chr(256 + c), exact for any rank."""
-    return "".join([chr(256 + 2 * i + (s < 0)) for i, s in letters])
-
-
-def decode_letters(alphabet: Alphabet, s: str) -> Word:
-    """The word whose text is s, checked to hold only letter codes of
-    `alphabet`: the inverse of `encode_letters`."""
-    if s and not (chr(256) <= min(s) and max(s) < chr(256 + 2 * alphabet.rank)):
-        raise MalformedWordError(f"text holds no word over a rank-{alphabet.rank} alphabet")
-    return Word._trusted(alphabet, s)
-
-
 def reduce_join(u: str, v: str) -> tuple[str, int]:
     """Free reduction of u + v for freely reduced word texts, with the
     number of letters cancelled on each side of the join."""
@@ -327,8 +313,9 @@ def conjugacy_test(u: Word, v: Word) -> Word | None:
 
 # --- text syntax -----------------------------------------------------------
 
+# any other non-space character is `bad`, the first one a syntax error
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[*^()\[\],<>|=]))"
+    r"(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[*^()\[\],<>|=])|(?P<bad>\S)"
 )
 
 
@@ -337,19 +324,11 @@ class _Tokens:
         self.text = text
         self.pos = 0
         self.toks: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                rest = text[pos:].lstrip()
-                if not rest:
-                    break
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
                 raise MalformedWordError(
-                    f"syntax error at {self._linecol(pos + len(text[pos:]) - len(rest))}:"
-                    f" unexpected {rest[0]!r}")
-            kind = m.lastgroup
-            self.toks.append((kind, m.group(kind), m.start(kind)))  # type: ignore[arg-type]
-            pos = m.end()
+                    f"syntax error at {self._linecol(m.start())}: unexpected {m.group()!r}")
+            self.toks.append((m.lastgroup, m.group(), m.start()))  # type: ignore[arg-type]
 
     def _linecol(self, pos: int) -> str:
         line = self.text.count("\n", 0, pos) + 1
@@ -376,6 +355,13 @@ class _Tokens:
     def error(self, msg: str, tok: tuple[str, str, int] | None = None) -> MalformedWordError:
         where = self._linecol(tok[2]) if tok else "end of input"
         return MalformedWordError(f"{msg} at {where}")
+
+    def finish(self, msg: str) -> None:
+        """Raise `msg`, its {} filled with the first token left over, at
+        that token; nothing when all tokens are read."""
+        t = self.peek()
+        if t is not None:
+            raise self.error(msg.format(repr(t[1])), t)
 
 
 def _parse_word_tokens(toks: _Tokens, alphabet: Alphabet) -> str:
@@ -425,7 +411,10 @@ def _parse_word_tokens(toks: _Tokens, alphabet: Alphabet) -> str:
             e = toks.next()
             if e is None or e[0] != "int":
                 raise toks.error("expected integer exponent after '^'", e)
-            atom = (Word._trusted(alphabet, atom) ** int(e[1])).text
+            try:
+                atom = (Word._trusted(alphabet, atom) ** int(e[1])).text
+            except (ValueError, OverflowError, MemoryError):  # no such power fits
+                raise toks.error("exponent too large", e) from None
         parts.append(atom)
 
 
@@ -433,9 +422,7 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse word text syntax over the given alphabet."""
     toks = _Tokens(text)
     w = Word._trusted(alphabet, _parse_word_tokens(toks, alphabet))
-    t = toks.peek()
-    if t is not None:
-        raise toks.error(f"trailing {t[1]!r} after word", t)
+    toks.finish("trailing {} after word")
     return w
 
 

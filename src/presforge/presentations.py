@@ -19,7 +19,7 @@ provenance note, and operations that consume it echo that note.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .freewords import (
     Alphabet,
@@ -95,9 +95,7 @@ def parse_relator(alphabet: Alphabet, text: str) -> Word:
     """Parse `word` or `word = word` (the latter normalized to u*v^-1)."""
     toks = _Tokens(text)
     r = _parse_relator_tokens(toks, alphabet)
-    t = toks.peek()
-    if t is not None:
-        raise toks.error(f"trailing {t[1]!r} after relator", t)
+    toks.finish("trailing {} after relator")
     return r
 
 
@@ -144,47 +142,41 @@ class PresentationMorphism:
 
 # --- text grammar ----------------------------------------------------------
 
+def _comma_list(toks: _Tokens, item: Callable, close: str, what: str) -> Iterator:
+    """The items of `item (',' item)* close`, each read by `item` once the
+    one before it has been taken."""
+    while True:
+        yield item()
+        t = toks.next()
+        if t is None:
+            raise toks.error(f"unterminated {what} list")
+        if t[1] == close:
+            return
+        if t[1] != ",":
+            raise toks.error(f"expected ',' or {close!r}, found {t[1]!r}", t)
+
+
 def parse_presentation(text: str) -> FinitePresentation:
     toks = _Tokens(text)
     toks.expect("<")
     gens: list[str] = []
-    t = toks.next()
-    while True:
-        if t is None:
-            raise toks.error("expected generator name")
-        if t[0] != "name":
-            raise toks.error(f"expected generator name, found {t[1]!r}", t)
+    for t in _comma_list(toks, toks.next, "|", "generator"):
+        if t is None or t[0] != "name":
+            raise toks.error("expected generator name" + (f", found {t[1]!r}" if t else ""), t)
         if t[1] in gens:
             raise toks.error(f"duplicate generator {t[1]!r}", t)
         gens.append(t[1])
-        t = toks.next()
-        if t is None:
-            raise toks.error("unterminated generator list")
-        if t[1] == "|":
-            break
-        if t[1] != ",":
-            raise toks.error(f"expected ',' or '|', found {t[1]!r}", t)
-        t = toks.next()
     alph = Alphabet(gens)
     relators: list[Word] = []
     nxt = toks.peek()
     if nxt is not None and nxt[1] == ">":
         toks.next()
     else:
-        while True:
-            r = _parse_relator_tokens(toks, alph)
-            t = toks.next()
+        for r in _comma_list(toks, lambda: _parse_relator_tokens(toks, alph), ">", "relator"):
             if not r:
                 raise PresentationError("relator freely reduces to the empty word")
             relators.append(r)
-            if t is None:
-                raise toks.error("unterminated relator list")
-            if t[1] == ">":
-                break
-            if t[1] != ",":
-                raise toks.error(f"expected ',' or '>', found {t[1]!r}", t)
-    if toks.peek() is not None:
-        raise toks.error("trailing input after '>'", toks.peek())
+    toks.finish("trailing input after '>'")
     return FinitePresentation(alph, tuple(relators))
 
 

@@ -77,19 +77,14 @@ def _walk(act: Sequence[Perm], codes: Iterable[int], points: Sequence[int]) -> S
     return points
 
 
-def _partitions(k: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of k, largest part first, lexicographically descending."""
+def _partitions(k: int, top: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of k into parts of at most `top` (default k), largest
+    part first, lexicographically descending."""
     if k == 0:
         yield ()
-        return
-    def rec(rest: int, maxp: int) -> Iterator[tuple[int, ...]]:
-        if rest == 0:
-            yield ()
-            return
-        for p in range(min(rest, maxp), 0, -1):
-            for tail in rec(rest - p, p):
-                yield (p,) + tail
-    yield from rec(k, k)
+    for p in range(k if top is None else min(k, top), 0, -1):
+        for tail in _partitions(k - p, p):
+            yield (p,) + tail
 
 
 def conjugacy_class_reps(k: int) -> list[Perm]:

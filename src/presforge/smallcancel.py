@@ -128,22 +128,21 @@ def _sorted_rotations(texts: Sequence[str]) -> tuple[list[tuple[int, int, int]],
     return slots, lcp
 
 
-def _extend(a: str, i: int, b: str, j: int, h: int, m: int) -> int:
-    """Length of the longest common prefix of a[i:i + m] and b[j:j + m],
-    whose first h letters agree: letter steps, then, once eight more
-    letters match, slices of doubling length, halved after a mismatch."""
-    stop = min(m, h + 8)
-    while h < stop and a[i + h] == b[j + h]:
-        h += 1
-    step, grow = 16 if h == stop else 0, True
-    while step and h < m:
-        n = min(step, m - h)
-        if a[i + h:i + h + n] == b[j + h:j + h + n]:
-            h += n
-            step = 2 * step if grow else step // 2
-        else:  # the first mismatch lies in the next n <= step letters
-            grow, step = False, step // 2
-    return h
+def _agreement(a: str, i: int, b: str, j: int, lo: int, hi: int, back: bool = False) -> int:
+    """The largest t in lo..hi where a and b agree over the t letters from
+    i and j, a[i:i + t] == b[j:j + t] (with `back`, the t letters before
+    them), given that they agree at lo: the full length first, then a
+    binary search, each probe comparing only the letters past lo."""
+    def agree(t: int) -> bool:
+        return a[i - t:i - lo] == b[j - t:j - lo] if back else a[i + lo:i + t] == b[j + lo:j + t]
+    t = hi
+    while lo < hi:
+        if agree(t):
+            lo = t
+        else:
+            hi = t - 1
+        t = (lo + hi + 1) // 2
+    return lo
 
 
 @dataclass
@@ -249,12 +248,13 @@ class DehnSolver:
     p = start + s - 1, start + 2s - 1, ..., stride s = k - q + 1.  A match
     starting at i >= start has at least k = s + q - 1 letters, so it holds
     the seed at the first probe p >= i, and p - i < s.  Each slot hit at p
-    fixes an alignment of the word on a relator; running it back from p,
-    at most s - 1 letters, gives its leftmost start in the probe's window
-    p - s + 1..p (the first window begins at `start`).  The earlier probes
-    found no match, so none starts before that window: a match found at
-    p, once its more-than-half prefix is compared and the match extended,
-    is the leftmost one, and its slot is the hit's slot run back as far.
+    fixes an alignment of the word on a relator; running it back from p
+    by `_agreement`, at most s - 1 letters, gives its leftmost start in the
+    probe's window p - s + 1..p (the first window begins at `start`).  The
+    earlier probes found no match, so none starts before that window: a
+    match found at p, once its more-than-half prefix is compared and the
+    match extended by `_agreement`, is the leftmost one, and its slot is
+    the hit's slot run back as far.
 
     A supplied certificate is trusted only if it passed at some lambda
     <= 1/6 and scanned exactly P's cyclic cores; without one, P is
@@ -356,23 +356,18 @@ class DehnSolver:
     def _find(self, cur: str, start: int) -> tuple[int, int, int] | None:
         """(position, match length, slot id): the leftmost position >= start
         where more than half of a slot starts, with the slot's full match
-        there.  The probe at p finds every match starting in p - s + 1..p."""
+        there.  The probe at p finds every match starting in p - s + 1..p;
+        `_agreement` runs each hit back from p and extends a match."""
         q, s, n = self.q, self.stride, len(cur)
         for p in range(start + s - 1, n - q + 1, s):
             for sid in self.by_seed.get(cur[p:p + q], ()):
                 tid, o, L = self.slots[sid]
                 D, h = self.texts[tid], L // 2 + 1
-                # b: how far this alignment runs back from p, within the window
-                b, hi = 0, s - 1
-                while b < hi:
-                    mid = (b + hi + 1) // 2
-                    if cur[p - mid:p] == D[o + L - mid:o + L]:
-                        b = mid
-                    else:
-                        hi = mid - 1
+                # how far this alignment runs back from p, within the window
+                b = _agreement(cur, p, D, o + L, 0, s - 1, back=True)
                 i, j = p - b, (o - b) % L
                 if cur[p + q:i + h] == D[j + b + q:j + h]:
-                    return i, _extend(cur, i, D, j, h, min(L, n - i)), sid - o + j
+                    return i, _agreement(cur, i, D, j, h, min(L, n - i)), sid - o + j
         return None
 
 

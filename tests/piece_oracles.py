@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from presforge.freewords import Word, decode_letters, encode_letters
+from presforge.freewords import Word
 from presforge.presentations import FinitePresentation
 from presforge.smallcancel import MetricCertificate, PieceWitness, _cores, _doubled_texts
 
@@ -56,7 +56,7 @@ def reference_certificate(P: FinitePresentation,
     lam = Fraction(lam)
     cores = _cores(P)
     lengths = tuple(len(c) for c in cores)
-    encoded = tuple(encode_letters(c.letters) for c in cores)
+    encoded = tuple(Word(P.alphabet, c.letters).text for c in cores)
     if not cores:
         return MetricCertificate(lam, True, (), (), None, None, encoded)
     slots, lcp = slots_sorted(cores)
@@ -76,7 +76,7 @@ def reference_certificate(P: FinitePresentation,
             passed = False
             ka, kb = witness_for[t]
             a, b = slots[ka], slots[kb]
-            piece = decode_letters(P.alphabet, a.text[:lcp[ka]])
+            piece = Word._trusted(P.alphabet, a.text[:lcp[ka]])
             offending = PieceWitness(min(a.rel, b.rel), max(a.rel, b.rel),
                                      piece, maxes[t])
             break
@@ -120,7 +120,7 @@ def piece_table(P: FinitePresentation) -> PieceTable:
                 last_pos, last_rel, running = k, sl.rel, len(sl.text)
             table[(i, j)] = best
     return PieceTable(
-        symmetrized=tuple(decode_letters(P.alphabet, sl.text) for sl in slots),
+        symmetrized=tuple(Word._trusted(P.alphabet, sl.text) for sl in slots),
         pair_max=table,
         relator_lengths=tuple(len(c) for c in cores),
         min_relator_length=min(len(c) for c in cores),

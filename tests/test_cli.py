@@ -49,9 +49,12 @@ class TestHomologyCommand:
 
     def test_input_error(self, runner, tmp_path):
         bad = tmp_path / "bad.pres"
-        bad.write_text("< a, a | >")
-        res = runner.invoke(main, ["homology", str(bad)])
-        assert res.exit_code == 3
+        for text in ("< a, a | >", "< ", "< 3 | >", "< a", "< a b | >", "< a | a",
+                     "< a | a ) >", "< a | a > b", "< a | a #",
+                     "< a | (a^2)^99999999999999999999 >", "< a | 1^-99999999999999999999 >"):
+            bad.write_text(text)
+            res = runner.invoke(main, ["homology", str(bad)])
+            assert res.exit_code == 3, text
 
     def test_deeply_nested_relator_parses(self, tmp_path, capsys):
         deep = tmp_path / "deep.pres"
@@ -202,6 +205,18 @@ class TestRunCommand:
         out = capsys.readouterr()
         assert "certified" not in out.out and "Traceback" not in out.err
 
+    def test_bad_lambda_is_input_error(self, workdir, capsys):
+        for lam in ("1/0", "x"):
+            assert run_command(["verify-sc", str(workdir / "ico.pres"), "--lam", lam]) == 3
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.startswith("error: Invalid value for '--lam': ")
+
+    def test_oversized_power_names_its_exponent(self, tmp_path, capsys):
+        big = tmp_path / "big.pres"
+        big.write_text("< a | (a^2)^99999999999999999999 >\n")
+        assert run_command(["homology", str(big)]) == 3
+        assert capsys.readouterr().err == "error: exponent too large at line 1, column 13\n"
+
     def test_internal_error_exit_4(self, workdir, capsys, monkeypatch):
         import presforge.cli as cli
 
@@ -338,6 +353,23 @@ class TestPipelines:
         data = json.loads(res.output)
         assert data["identity_verified"] is True
         assert data["pair"]["right"] == data["kernel"]
+
+    def test_gadget_explicit_kernel(self, runner, workdir):
+        res = runner.invoke(main, ["gadget", str(workdir / "ico.pres"), "--word", "a*b",
+                                   "--kernel", "b^3", "--format", "json"])
+        assert res.exit_code == 0
+        data = json.loads(res.output)
+        assert data["kernel"] == "b^3"
+        assert data["pair"] == {"left": "b^-1*a^-1*b^3*a*b", "right": "b^3"}
+        assert data["base_pair"] == {"left": "b^3", "right": "b^3"}
+
+    def test_gadget_without_relators_needs_kernel(self, tmp_path, capsys):
+        free = tmp_path / "free.pres"
+        free.write_text("< a, b | >\n")
+        assert run_command(["gadget", str(free), "--word", "a"]) == 3
+        assert capsys.readouterr().err == "error: no relators; supply --kernel explicitly\n"
+        assert run_command(["gadget", str(free), "--word", "a", "--kernel", "b"]) == 0
+        assert capsys.readouterr().out == "(a^-1*b*a, b)  ~  (b, b)\n"
 
     def test_bg_pipeline(self, runner, workdir, tmp_path):
         out = tmp_path / "bg"

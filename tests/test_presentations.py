@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from presforge.freewords import Alphabet, Word, free_reduce, render_word
+from presforge.freewords import (
+    Alphabet,
+    MalformedWordError,
+    Word,
+    free_reduce,
+    parse_word,
+    render_word,
+)
 from presforge.homology import h1
 from presforge.presentations import (
     FinitePresentation,
@@ -13,6 +20,7 @@ from presforge.presentations import (
     free_product,
     hnn_extension,
     parse_presentation,
+    parse_relator,
     presentation,
     rename_generators,
     render_presentation,
@@ -75,6 +83,38 @@ class TestGrammar:
     def test_trivial_relator_rejected(self):
         with pytest.raises(PresentationError):
             parse_presentation("< a | a*a^-1 >")
+
+    @pytest.mark.parametrize("text, message", [
+        ("< ", "expected generator name at end of input"),
+        ("< 3 | >", "expected generator name, found '3' at line 1, column 3"),
+        ("< a, | >", "expected generator name, found '|' at line 1, column 6"),
+        ("< a", "unterminated generator list at end of input"),
+        ("< a b | >", "expected ',' or '|', found 'b' at line 1, column 5"),
+        ("< a,\n  a | >", "duplicate generator 'a' at line 2, column 3"),
+        ("< a | a", "unterminated relator list at end of input"),
+        ("< a | a ) >", "expected ',' or '>', found ')' at line 1, column 9"),
+        ("< a | a > b", "trailing input after '>' at line 1, column 11"),
+        ("< a | a #", "syntax error at line 1, column 9: unexpected '#'"),
+        ("< a | (a^2)^99999999999999999999 >", "exponent too large at line 1, column 13"),
+        pytest.param("< a | a^" + "9" * 5000 + " >", "exponent too large at line 1, column 9",
+                     id="5000-digit-exponent"),
+    ])
+    def test_malformed_presentation_messages(self, text, message):
+        with pytest.raises(MalformedWordError) as e:
+            parse_presentation(text)
+        assert str(e.value) == message
+
+    def test_trailing_tokens_after_relator_and_word(self):
+        AB = Alphabet(["a", "b"])
+        with pytest.raises(MalformedWordError) as e:
+            parse_relator(AB, "a > b")
+        assert str(e.value) == "trailing '>' after relator at line 1, column 3"
+        with pytest.raises(MalformedWordError) as e:
+            parse_relator(AB, "a = b = a")
+        assert str(e.value) == "trailing '=' after relator at line 1, column 7"
+        with pytest.raises(MalformedWordError) as e:
+            parse_word(AB, "a , b")
+        assert str(e.value) == "trailing ',' after word at line 1, column 3"
 
 
 class TestHigman:

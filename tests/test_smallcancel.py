@@ -13,7 +13,6 @@ from presforge.freewords import (
     Alphabet,
     AlphabetMismatchError,
     Word,
-    encode_letters,
     free_reduce,
     relabel,
     render_word,
@@ -24,7 +23,7 @@ from presforge.smallcancel import (
     DehnSolver,
     _cores,
     _doubled_texts,
-    _extend,
+    _agreement,
     _letter_bytes,
     _sorted_rotations,
     dehn_word_problem,
@@ -575,7 +574,7 @@ def test_dehn_recheck_refuses_wrong_factors(rips_trivial):
     # the valid certificate with every sign flipped does not expand to the word
     flipped = tuple((g, t, -s) for g, t, s in good.factors)
     assert NormalClosureElement.expand(G, flipped) != G.relators[1].text
-    x = encode_letters(((0, 1),))
+    x = Word(G.alphabet, ((0, 1),)).text
     solver.conj_inv = [c + x for c in solver.conj_inv]
     assert not solver.solve(G.alphabet.gen("x")).trivial  # no certificate, no re-check
     for r in G.relators[:3]:
@@ -604,9 +603,10 @@ def test_dehn_relators_not_cyclically_reduced():
        j=st.integers(0, 5))
 @example(data=None, common="ab" * 20, i=0, j=0)  # the match runs to m
 def test_extend_matches_letter_loop(data, common, i, j):
-    """`_extend` against a plain letter loop, from every known length h
+    """`_agreement` against a plain letter loop, from every known length h
     up to any bound m: m == h, a mismatch right after the first h letters,
-    and matches that run to m."""
+    and matches that run to m; run back over the reversed texts, the
+    search must give the same length."""
     a = "x" * i + common + "ab"
     b = "y" * j + common + ("ab" if data is None or data.draw(st.booleans()) else "ba")
     top = min(len(a) - i, len(b) - j)
@@ -615,7 +615,8 @@ def test_extend_matches_letter_loop(data, common, i, j):
             want = h
             while want < m and a[i + want] == b[j + want]:
                 want += 1
-            assert _extend(a, i, b, j, h, m) == want
+            assert _agreement(a, i, b, j, h, m) == want
+            assert _agreement(a[::-1], len(a) - i, b[::-1], len(b) - j, h, m, back=True) == want
 
 
 def _mixed_lengths():
