@@ -12,7 +12,7 @@ Word text syntax (used by the whole package): juxtaposition with optional
 ``*``, integer exponents with ``^`` (negative as ``^-k``), parenthesized
 subwords, and commutator sugar ``[u,v]`` meaning ``u v u^-1 v^-1``.
 Example: ``a*b^-2*(c*d)^3*[a,b]``.  The identity is rendered as ``1`` and
-accepted on input.
+accepted on input; a power may spell out at most `MAX_POWER_LETTERS` letters.
 """
 
 from __future__ import annotations
@@ -313,6 +313,10 @@ def conjugacy_test(u: Word, v: Word) -> Word | None:
 
 # --- text syntax -----------------------------------------------------------
 
+# The most letters len(u) * |e| a parsed power u^e may spell out, checked before
+# it is built; rips_wise(super_perfectify(D)).gamma's longest relator has 5,947.
+MAX_POWER_LETTERS = 10**6
+
 # any other non-space character is `bad`, the first one a syntax error
 _TOKEN_RE = re.compile(
     r"(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[*^()\[\],<>|=])|(?P<bad>\S)"
@@ -412,7 +416,9 @@ def _parse_word_tokens(toks: _Tokens, alphabet: Alphabet) -> str:
             if e is None or e[0] != "int":
                 raise toks.error("expected integer exponent after '^'", e)
             try:
-                atom = (Word._trusted(alphabet, atom) ** int(e[1])).text
+                if len(atom) * abs(n := int(e[1])) > MAX_POWER_LETTERS:
+                    raise OverflowError
+                atom = (Word._trusted(alphabet, atom) ** n).text
             except (ValueError, OverflowError, MemoryError):  # no such power fits
                 raise toks.error("exponent too large", e) from None
         parts.append(atom)

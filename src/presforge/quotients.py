@@ -8,16 +8,20 @@ index does.  `hom_search` (backtracking over generator images in S_k) is
 the independent oracle the tests compare it against.
 
 `finite_quotient_certificate` searches index bound K and never claims
-anything beyond it.  It first kills generator blocks, which pays off on
-presentations glued from Higman copies, where one row-major backtrack
-interleaves the copies' columns and rediscovers each copy's dead ends
-under every partial table of the others.  Lemma: if the relators R'
-supported in a generator set Y present a group with no proper subgroup of
-index <= K, every homomorphism P -> S_k with k <= K is trivial on Y, so P
-and P/<<Y>> have the same transitive actions of degree <= K.  The
-candidate blocks are read off the presentation: for each generator g, the
-connected components of the relators that avoid g, two relators being
-connected when they share a generator.
+anything beyond it.  It first drops each [x, c] (x a letter) with c x^f a
+rotation of a kept relator r or of its inverse, whose two conjugates of r
+must re-expand to it (`NormalClosureElement.expand`): relators in the
+normal closure of kept ones change neither the group nor any subgroup,
+so the certificate means what it meant.  Then it kills generator blocks,
+which pays off on presentations glued from Higman copies, where one
+row-major backtrack interleaves the copies' columns and rediscovers each
+copy's dead ends under every partial table of the others.  Lemma: if the
+relators R' supported in a generator set Y present a group with no proper
+subgroup of index <= K, every homomorphism P -> S_k with k <= K is
+trivial on Y, so P and P/<<Y>> have the same transitive actions of
+degree <= K.  The candidate blocks are read off the presentation: for
+each generator g, the connected components of the relators that avoid g,
+two relators being connected when they share a generator.
 
 `todd_coxeter` is HLT coset enumeration (Holt, Eick and O'Brien, Handbook
 of Computational Group Theory, 2005, ch. 5).  Each live coset in creation
@@ -47,8 +51,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .freewords import Alphabet, Word, cyclically_reduce, letter_codes, relabel
+from .freewords import (Alphabet, Word, conjugacy_test, cyclically_reduce, free_reduce,
+                        letter_codes, reduce_join, relabel)
 from .presentations import FinitePresentation
+from .uce import NormalClosureElement
 
 Perm = tuple[int, ...]
 
@@ -329,7 +335,8 @@ class QuotientCertificate:
     """Bounded 'no nontrivial finite quotients' certificate: exhaustive up
     to index (and so degree) max_degree, never a claim about larger ones.
     search_nodes counts the low-index backtrack nodes of every search,
-    killed_blocks the blocks removed before the last search, in order."""
+    killed_blocks the blocks removed before the last search, in order, and
+    relators_dropped the commutator consequences set aside before them."""
 
     max_degree: int
     certified: bool
@@ -337,6 +344,7 @@ class QuotientCertificate:
     degrees_checked: list[int]
     search_nodes: int
     killed_blocks: tuple[KilledBlock, ...]
+    relators_dropped: int
 
     def describe(self) -> str:
         if self.certified:
@@ -385,10 +393,76 @@ def _restrict(P: FinitePresentation, keep: Sequence[int],
     return FinitePresentation(alph, tuple(rels.values()))
 
 
+def _least_rotation(t: str) -> str:
+    """The least rotation of t (Duval's algorithm, in linear time)."""
+    d, n, i, start = t + t, len(t), 0, 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and d[k] <= d[j]:
+            k = i if d[k] < d[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return d[start:start + n]
+
+
+def _drop_commutators(P: FinitePresentation) -> tuple[FinitePresentation, list]:
+    """P without each relator s = [x, c] (x a letter) with c x^f a rotation
+    of the core of an earlier kept relator r_i or its inverse, and each drop
+    (s's index, ((x v, i, sign), (v, i, -sign))), c x^f = v r_i^sign v^-1.
+    x^-1 s reduces to c x^-1 c^-1 iff s = [x, c] (x first or last in s).
+    With cc = c past its leading x-power, c x^f is a rotation of cc x^e: the
+    index keys kept cores and inverses by (generator, the text between a
+    maximal cyclic run of it) for e != 0, by least rotation for e == 0."""
+    alph, rels = P.alphabet, P.relators
+    kept, drops, index = [], [], {}  # index: key -> (i, sign, x^e) of kept core i
+
+    def inv(t: str) -> str:
+        return t[::-1].translate(alph._flip)
+
+    def certificate(s: str) -> tuple[tuple[Word, int, int], ...] | None:
+        for x in dict.fromkeys((s[0], s[-1])):
+            w = reduce_join(inv(x), s)[0]
+            c = w[:len(w) // 2]
+            cc = c.lstrip(x + inv(x))
+            if w[len(c):] != inv(x) + inv(c) or not cc:
+                continue
+            hit = index.get((ord(x) >> 1, cc)) or index.get(_least_rotation(cc))
+            if hit is not None:  # [x, c] = x^g [x, cc x^e] x^-g, c = x^g cc
+                i, sign, run = hit
+                u = conjugacy_test(Word._trusted(alph, cc + run), rels[i] ** sign)
+                v = free_reduce(Word._trusted(alph, c[:len(c) - len(cc)] + u.text))
+                return ((free_reduce(Word._trusted(alph, x + v.text)), i, sign), (v, i, -sign))
+        return None
+
+    for j, s in enumerate(rels):
+        if (factors := certificate(s.text)) is not None:
+            if NormalClosureElement.expand(P, factors) != s.text:
+                raise AssertionError("commutator drop failed to re-expand (internal error)")
+            drops.append((j, factors))
+            continue
+        kept.append(s)
+        K = cyclically_reduce(s)[0].text
+        for sign, T in ((1, K), (-1, inv(K))):
+            L, TT = len(T), T + T
+            index.setdefault(_least_rotation(T), (j, sign, ""))
+            # the maximal cyclic runs TT[q:q_next], each with the rest TT[q_next:q + L]
+            starts = [q for q in range(L) if T[q] != T[q - 1]]
+            for q, q_next in zip(starts, starts[1:] + [q + L for q in starts[:1]]):
+                index.setdefault((ord(T[q]) >> 1, TT[q_next:q + L]), (j, sign, TT[q:q_next]))
+    return FinitePresentation(alph, tuple(kept)), drops
+
+
 def finite_quotient_certificate(P: FinitePresentation, K: int,
                                 budget: int | None = None) -> QuotientCertificate:
-    """Decide whether P has a proper subgroup of index <= K: block
-    reduction, then a low-index search on what is left.
+    """Decide whether P has a proper subgroup of index <= K: commutator
+    drops, block reduction, then a low-index search on what is left.
+
+    Drops.  s = [x, c], x a letter and c x^f a rotation of a kept relator r
+    or of its inverse, is in <<r>> as [x, c] = [x, c x^f]; relators in the
+    normal closure of kept ones change neither the group nor any subgroup,
+    so the certificate means what it meant.  Each drop carries two
+    conjugates of r that `NormalClosureElement.expand` must re-expand to s.
 
     Lemma.  Let R' be the relators supported in a generator set Y.  If
     <Y | R'> has no proper subgroup of index <= K, every homomorphism
@@ -417,7 +491,7 @@ def finite_quotient_certificate(P: FinitePresentation, K: int,
         return next((a for a in low_index_subgroups(Q, n, nodes, budget)
                      if a.degree >= 2), None)
 
-    Q, killed, failed = P, [], set()
+    (Q, drops), killed, failed = _drop_commutators(P), [], set()
     reduced = True
     while reduced:
         reduced = False
@@ -443,7 +517,7 @@ def finite_quotient_certificate(P: FinitePresentation, K: int,
         action, bound = found, found.degree - 1
     if action is None:
         return QuotientCertificate(K, True, None, list(range(2, K + 1)),
-                                   nodes[0], tuple(killed))
+                                   nodes[0], tuple(killed), len(drops))
     k = action.degree
     images = dict(action.images)
     lifted = PermAssignment(k, tuple((g, images.get(g, identity_perm(k)))
@@ -452,7 +526,7 @@ def finite_quotient_certificate(P: FinitePresentation, K: int,
         raise AssertionError(
             "low-index search produced an invalid counterexample (internal error)")
     return QuotientCertificate(K, False, lifted, list(range(2, k + 1)),
-                               nodes[0], tuple(killed))
+                               nodes[0], tuple(killed), len(drops))
 
 
 # --- coset enumeration -----------------------------------------------------

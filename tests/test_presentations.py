@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
 from presforge.freewords import (
+    MAX_POWER_LETTERS,
     Alphabet,
     MalformedWordError,
     Word,
@@ -115,6 +117,21 @@ class TestGrammar:
         with pytest.raises(MalformedWordError) as e:
             parse_word(AB, "a , b")
         assert str(e.value) == "trailing ',' after word at line 1, column 3"
+
+    def test_power_letter_budget(self):
+        # a^1000000000 would be about 2 GB of text; it is refused unbuilt
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedWordError) as e:
+                parse_presentation("< a | a^1000000000 >")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(e.value) == "exponent too large at line 1, column 9" and peak < 2**20
+        n = MAX_POWER_LETTERS // 2
+        assert len(parse_presentation(f"< a, b | (a*b)^{n} >").relators[0]) == 2 * n
+        with pytest.raises(MalformedWordError, match="exponent too large at line 1, column 16"):
+            parse_presentation(f"< a, b | (a*b)^{n + 1} >")
 
 
 class TestHigman:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from presforge import quotients
 from presforge.constructions import delta_amalgam, kill_finite_quotients, super_perfectify
-from presforge.freewords import Alphabet, Word, free_reduce, render_word
+from presforge.freewords import Alphabet, Word, commutator, free_reduce, render_word
 from presforge.presentations import FinitePresentation, presentation
 from presforge.quotients import (
     BudgetExhausted,
@@ -22,6 +22,7 @@ from presforge.quotients import (
     low_index_subgroups,
     todd_coxeter,
 )
+from presforge.uce import NormalClosureElement
 
 from oracles import (
     brute_force_homs,
@@ -176,6 +177,18 @@ class TestCertificate:
         assert [(b.generators, b.search_nodes) for b in killfq.killed_blocks] == [
             (("a_1", "b_1", "c_1", "d_1"), 749), (("a_2", "b_2", "d_2"), 98)]
 
+    def test_commutator_consequences_dropped(self, higman_J):
+        # Miller's [y, x] relators of super_perfectify(<x | x>) lie in <<x>>:
+        # once they are dropped, the block x dies alone before the J copies
+        # are searched (4,162 nodes when the J block was searched in full)
+        P = super_perfectify(presentation(["x"], ["x"])).presentation
+        cert = finite_quotient_certificate(P, 6)
+        assert cert.certified and cert.search_nodes == 475 and cert.relators_dropped == 26
+        assert [(b.generators, b.search_nodes) for b in cert.killed_blocks] == [(("x",), 2)]
+        C2 = super_perfectify(presentation(["x"], ["x^2"])).presentation
+        assert finite_quotient_certificate(C2, 3).relators_dropped == 20
+        assert finite_quotient_certificate(higman_J, 3).relators_dropped == 0
+
     def test_counterexample_lifted_through_killed_block(self, higman_J):
         # J * <z | z^3>: the J block dies and the S_3 action of z is lifted
         P = presentation(["a", "b", "c", "d", "z"],
@@ -296,6 +309,44 @@ def test_certificate_agrees_with_hom_search(relators, K):
         assert action.degree == min(k for k, homs in found.items() if homs)
         assert action.verify(P) and not action.is_trivial and _transitive(action)
         assert cert.degrees_checked == list(range(2, action.degree + 1))
+
+
+_ABC = Alphabet("abc")
+_ABC_LETTERS = st.tuples(st.integers(0, 2), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(base=st.lists(st.lists(_ABC_LETTERS, min_size=1, max_size=5), min_size=1, max_size=3),
+       comms=st.lists(st.tuples(_ABC_LETTERS, st.integers(0, 2), st.integers(0, 9),
+                                st.booleans()), max_size=4),
+       K=st.integers(2, 4))
+def test_dropped_commutators_change_no_answer(base, comms, K):
+    """UCE-style inputs: random relators plus commutators [x, t], t a
+    rotation or inverse of one of them.  Every drop re-expands from kept
+    relators, and dropping changes neither the answer nor the subgroups."""
+    words = [free_reduce(Word(_ABC, tuple(r))) for r in base]
+    assume(all(words))
+    rels = list(words)
+    for letter, which, shift, invert in comms:
+        t = words[which % len(words)].letters
+        t = t[shift % len(t):] + t[:shift % len(t)]
+        t = Word(_ABC, t).inverse() if invert else Word(_ABC, t)
+        if cw := commutator(Word(_ABC, [letter]), t):
+            rels.append(cw)
+    P = presentation("abc", rels)
+    Q, drops = quotients._drop_commutators(P)
+    assert len(Q.relators) + len(drops) == len(P.relators)
+    dropped = {j for j, _ in drops}
+    for j, factors in drops:
+        assert NormalClosureElement.build(P, factors).expanded == P.relators[j]
+        assert all(i not in dropped for _, i, _ in factors)
+    assert list(low_index_subgroups(Q, K)) == list(low_index_subgroups(P, K))
+    cert = finite_quotient_certificate(P, K)
+    assert cert.relators_dropped == len(drops)
+    found = [k for k in range(2, K + 1) if hom_search(P, k, mode="first_nontrivial")]
+    assert cert.certified == (not found)
+    if found:
+        assert cert.counterexample.degree == found[0]
 
 
 def _least_proper_index(P, K):
