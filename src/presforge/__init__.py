@@ -37,11 +37,8 @@ from .uce import (
     CommutatorWitness,
     NormalClosureElement,
     UcePresentation,
-    express_in_generators,
     find_commutator_witnesses,
     miller_uce,
-    normal_closure_stream,
-    uce_word_transfer,
 )
 from .smallcancel import (
     DehnSolver,

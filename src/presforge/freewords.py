@@ -12,7 +12,7 @@ Word text syntax (used by the whole package): juxtaposition with optional
 ``*``, integer exponents with ``^`` (negative as ``^-k``), parenthesized
 subwords, and commutator sugar ``[u,v]`` meaning ``u v u^-1 v^-1``.
 Example: ``a*b^-2*(c*d)^3*[a,b]``.  The identity is rendered as ``1`` and
-accepted on input; a power may spell out at most `MAX_POWER_LETTERS` letters.
+accepted on input; a word may spell out at most `MAX_POWER_LETTERS` letters.
 """
 
 from __future__ import annotations
@@ -179,8 +179,16 @@ class Word:
 
 
 def commutator(u: Word, v: Word) -> Word:
-    """[u,v] = u v u^-1 v^-1, freely reduced."""
-    return free_reduce(u.concat(v).concat(u.inverse()).concat(v.inverse()))
+    """[u,v] = u v u^-1 v^-1, freely reduced; with u and v reduced first,
+    letters cancel only at the three joins, so no letter stack is built."""
+    w = u.concat(v).concat(u.inverse()).concat(v.inverse())
+    if w.is_reduced():
+        return w
+    u, v = free_reduce(u), free_reduce(v)
+    text = u.text
+    for piece in (v.text, u.inverse().text, v.inverse().text):
+        text, _ = reduce_join(text, piece)
+    return Word._trusted(u.alphabet, text)
 
 
 def free_reduce(w: Word) -> Word:
@@ -313,8 +321,8 @@ def conjugacy_test(u: Word, v: Word) -> Word | None:
 
 # --- text syntax -----------------------------------------------------------
 
-# The most letters len(u) * |e| a parsed power u^e may spell out, checked before
-# it is built; rips_wise(super_perfectify(D)).gamma's longest relator has 5,947.
+# The most letters a parsed word, or a power u^e in it, may spell out, checked
+# before it is built; rips_wise(super_perfectify(D)).gamma's longest has 5,947.
 MAX_POWER_LETTERS = 10**6
 
 # any other non-space character is `bad`, the first one a syntax error
@@ -376,6 +384,7 @@ def _parse_word_tokens(toks: _Tokens, alphabet: Alphabet) -> str:
     # is read) and the text of u
     stack: list[tuple[list[str], str, str]] = []
     parts: list[str] = []
+    held = 0  # letters in `parts` and on the stack
     while True:
         t = toks.peek()
         if t is not None and t[1] == "*":
@@ -392,7 +401,10 @@ def _parse_word_tokens(toks: _Tokens, alphabet: Alphabet) -> str:
                 continue
             toks.expect(")" if opener == "(" else "]")
             atom = "".join(parts)
+            held -= len(atom) + len(u)  # u is "" after "("
             if opener == ",":
+                if held + 2 * (len(u) + len(atom)) > MAX_POWER_LETTERS:
+                    raise toks.error("word too long", t)
                 u_word, v_word = Word._trusted(alphabet, u), Word._trusted(alphabet, atom)
                 atom = commutator(u_word, v_word).text
             parts = outer
@@ -418,9 +430,14 @@ def _parse_word_tokens(toks: _Tokens, alphabet: Alphabet) -> str:
             try:
                 if len(atom) * abs(n := int(e[1])) > MAX_POWER_LETTERS:
                     raise OverflowError
-                atom = (Word._trusted(alphabet, atom) ** n).text
-            except (ValueError, OverflowError, MemoryError):  # no such power fits
+            except (ValueError, OverflowError):  # no such power fits
                 raise toks.error("exponent too large", e) from None
+            if held + len(atom) * abs(n) > MAX_POWER_LETTERS:
+                raise toks.error("word too long", e)
+            atom = atom and (Word._trusted(alphabet, atom) ** n).text  # 1^n is 1
+        if held + len(atom) > MAX_POWER_LETTERS:
+            raise toks.error("word too long", t)
+        held += len(atom)
         parts.append(atom)
 
 

@@ -27,14 +27,15 @@ presents the extension from any witness set, so its order can be checked
 against `miller_uce`'s.  `stream_fairness_bound` bounds where the closure
 stream reaches short products.
 
-`reference_express_in_generators`, `reference_normal_closure_stream`,
-`reference_reduced_words`, `reference_kernel_symbols` and
-`reference_uce_word_transfer` (with their helpers) are the subgroup
-expression, closure stream and word transfer as written before the search
-walked one index range per diagonal: streams grown in `while` loops behind
-done-flags, a skip test for missing closure elements and two copies of the
-transfer verdict.  The rewritten code must give the same answers, checks
-and certificates.
+`normal_closure_stream` enumerates the products of relator conjugates
+fairly, over the `reduced_words` as conjugators, and `closure_inverse`
+inverts such a product.  `express_in_generators` searches for a subgroup
+expression certified by a closure element, walking diagonal d of the
+reduced words against that stream, and `uce_word_transfer` transfers the
+word problem between a perfect group and its universal central extension
+through that one search (over `kernel_symbols`).  Both are budgeted
+semi-decisions, since a negative instance can only run out of budget, so
+no decision of presforge calls them.
 
 The `tuple_*` functions are the word algebra on tuples of (index, sign)
 letters, as presforge computed it before words became their letter-code
@@ -49,6 +50,7 @@ extension.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
@@ -61,6 +63,7 @@ from presforge.freewords import (
     cyclically_reduce,
     exponent_vector,
     free_reduce,
+    identity_images,
     render_word,
 )
 from presforge.homology import IntegerMatrix, SmithForm, _identity
@@ -74,16 +77,7 @@ from presforge.quotients import (
     todd_coxeter,
 )
 from presforge.smallcancel import DehnSolver
-from presforge.uce import (
-    DEFAULT_BUDGET,
-    CommutatorWitness,
-    ExpressResult,
-    NormalClosureElement,
-    TransferResult,
-    UcePresentation,
-    normal_closure_stream,
-    reduced_words,
-)
+from presforge.uce import CommutatorWitness, NormalClosureElement, UcePresentation
 
 
 def brute_force_homs(P: FinitePresentation, k: int) -> list[PermAssignment]:
@@ -409,6 +403,222 @@ def divisor_primitive_root(w: Word) -> tuple[Word, int]:
     raise AssertionError("unreachable")
 
 
+# --- the blind closure searches ----------------------------------------------
+
+DEFAULT_BUDGET = 10**6
+
+
+def closure_inverse(P: FinitePresentation, rho: NormalClosureElement) -> NormalClosureElement:
+    """The closure element whose expansion is the inverse of rho's."""
+    rev = tuple((conj, idx, -sign) for conj, idx, sign in reversed(rho.factors))
+    return NormalClosureElement.build(P, rev)
+
+
+def _reduced_word_levels(alphabet: Alphabet) -> Iterator[tuple[Word, ...]]:
+    """The freely reduced words of length 0, 1, 2, ..., one tuple per
+    length, each lexicographic in the letter order (0,+1) < (0,-1) <
+    (1,+1) < ... and built from the one before; they stop at the first
+    empty level, so over the empty alphabet after the identity."""
+    gens = [alphabet.gen(s) for s in alphabet.symbols]
+    letters = [(x.text, x.inverse().text) for g in gens for x in (g, g.inverse())]
+    level = (alphabet.identity(),)
+    while level:
+        yield level
+        level = tuple(Word._trusted(alphabet, w.text + x) for w in level
+                      for x, x_inv in letters if w.text[-1:] != x_inv)
+
+
+def reduced_words(alphabet: Alphabet) -> Iterator[Word]:
+    """All freely reduced words in (length, lex) order, identity first.
+    Finite (just the identity) over the empty alphabet."""
+    return itertools.chain.from_iterable(_reduced_word_levels(alphabet))
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def normal_closure_stream(P: FinitePresentation) -> Iterator[NormalClosureElement]:
+    """Fair deterministic enumeration of products of conjugates of relators.
+
+    Order: by size (factor count + total conjugator length); within a
+    size, by factor count, then sign pattern (all-positive first), then
+    relator index tuple, then conjugator lengths and words, each
+    lexicographic.  The first |R| emissions are exactly the relators, and
+    every product of conjugates appears after finitely many emissions.
+    """
+    m = len(P.relators)
+    if m == 0:
+        return
+    levels = _reduced_word_levels(P.alphabet)
+    by_length: list[tuple[Word, ...]] = []
+    for size in itertools.count(1):
+        by_length.append(next(levels))  # conjugators of length size - 1
+        for k in range(1, size + 1):
+            for signs in itertools.product((1, -1), repeat=k):
+                for indices in itertools.product(range(m), repeat=k):
+                    for comp in _compositions(size - k, k):
+                        for conjs in itertools.product(*[by_length[l] for l in comp]):
+                            yield NormalClosureElement.build(
+                                P, tuple(zip(conjs, indices, signs)))
+
+
+@dataclass
+class ExpressResult:
+    """Outcome of expressing w as a word in given subgroup generators.
+
+    status "found": `word` over `symbols` satisfies w = word(subgens) in
+    the group, certified by `certificate` (a closure element whose
+    expansion equals w * subst(word)^-1 in the free group).
+    status "exhausted": the budget ran out; never a wrong answer.
+    """
+
+    status: str
+    word: Word | None = None
+    symbols: Alphabet | None = None
+    substitution: dict[str, Word] | None = None
+    certificate: NormalClosureElement | None = None
+    checks: int = 0
+
+
+def express_in_generators(
+    G: FinitePresentation,
+    subgens: Sequence[Word],
+    w: Word,
+    budget: int = DEFAULT_BUDGET,
+) -> ExpressResult:
+    """Search for pi with w = pi(subgens) in G, by enumerating candidate
+    words pi and closure elements along finite diagonals, pairing the i-th
+    word with the (d - i)-th closure element on diagonal d, and testing
+    whether w * subst(pi)^-1 equals the closure element in the free group.
+
+    The caller guarantees (unchecked) that w lies in <subgens> if a
+    positive answer is expected; otherwise the budget runs out.  Returned
+    certificates are re-verified; unverifiable candidates are never
+    returned (soundness over completeness).
+    """
+    if w.alphabet != G.alphabet:
+        raise PresentationError("word not over the presentation's alphabet")
+    for u in subgens:
+        if u.alphabet != G.alphabet:
+            raise PresentationError("subgroup generator over the wrong alphabet")
+    sym = Alphabet([f"s{i}" for i in range(len(subgens))])
+    subst = {f"s{i}": subgens[i] for i in range(len(subgens))}
+
+    pis: list[Word] = []
+    targets: list[Word] = []
+    rhos: list[NormalClosureElement] = []
+    pi_iter, rho_iter = reduced_words(sym), normal_closure_stream(G)
+    checks = 0
+    d = 0
+    while checks < budget:
+        # a stream grows by one per diagonal, so only a running one holds d
+        if len(pis) == d and (pi := next(pi_iter, None)) is not None:
+            pis.append(pi)
+            image = apply_map(pi, subst, target=G.alphabet)
+            targets.append(free_reduce(w.concat(image.inverse())))
+            checks += 1
+            if not targets[-1]:
+                cert = NormalClosureElement.build(G, ())
+                return ExpressResult("found", pi, sym, subst, cert, checks)
+        if len(rhos) == d and (rho := next(rho_iter, None)) is not None:
+            rhos.append(rho)
+        for i in range(max(0, d + 1 - len(rhos)), min(d + 1, len(pis))):
+            checks += 1
+            if checks > budget:
+                return ExpressResult("exhausted", checks=checks)
+            rho = rhos[d - i]
+            if targets[i] == rho.expanded and rho.verify(G):
+                return ExpressResult("found", pis[i], sym, subst, rho, checks)
+        if len(pis) + len(rhos) < d:  # both streams have ended
+            return ExpressResult("exhausted", checks=checks)
+        d += 1
+    return ExpressResult("exhausted", checks=checks)
+
+
+@dataclass
+class TransferResult:
+    verdict: str            # "trivial" | "nontrivial" | "inconclusive"
+    stage: str
+    witness: str | None = None
+    expression: ExpressResult | None = None
+
+
+def kernel_symbols(U: UcePresentation) -> tuple[Alphabet, dict[str, Word], dict[str, Word]]:
+    """Extended alphabet for words over generators plus kernel letters.
+
+    Returns (alphabet, deletion images into the base alphabet, substitution
+    images into the extension alphabet).  Kernel letter z{j} stands for the
+    j-th base relator viewed in the extension.
+    """
+    base = U.base.alphabet
+    zs = []
+    for j in range(1, len(U.central_kernel_words) + 1):
+        name = f"z{j}"
+        while name in base:
+            name = name + "_k"
+        zs.append(name)
+    delete = identity_images(base) | dict.fromkeys(zs, base.identity())
+    subst = identity_images(base) | dict(zip(zs, U.central_kernel_words))
+    return Alphabet(list(base.symbols) + zs), delete, subst
+
+
+def uce_word_transfer(
+    U: UcePresentation,
+    direction: str,
+    word: Word,
+    oracle: Callable[[Word], bool],
+    budget: int = DEFAULT_BUDGET,
+) -> TransferResult:
+    """Transfer the word problem between a perfect group and its universal
+    central extension.
+
+    direction="to_base": `word` is over the base generators and `oracle`
+    decides words in the extension.  The lift is tested for centrality
+    against every generator (a non-central lift means the word is
+    nontrivial in the base); a lift commuting with every generator is
+    central, so it commutes with the kernel elements too and they need no
+    test.  A central lift is searched for a certified expression in the
+    kernel generators, which exists exactly when the word dies in the base.
+
+    direction="to_cover": `word` is over the extended alphabet of
+    `kernel_symbols` and `oracle` decides words in the base.  Kernel
+    letters are deleted first; a nontrivial image settles the question,
+    otherwise the word is central and a normal-closure certificate for the
+    substituted word is searched within the budget.
+    """
+    base = U.base.alphabet
+    if direction == "to_base":
+        if word.alphabet != base:
+            raise PresentationError("to_base expects a word over the base generators")
+        # the same letters reinterpreted in the extension
+        for name in base.symbols:
+            t = commutator(word, base.gen(name))
+            if t and not oracle(t):
+                return TransferResult("nontrivial", "centrality", witness=name)
+        stage, subgens, target = "kernel-membership", list(U.central_kernel_words), word
+    elif direction == "to_cover":
+        ext, delete, subst = kernel_symbols(U)
+        if word.alphabet != ext:
+            raise PresentationError("to_cover expects a word over the extended alphabet")
+        projected = apply_map(word, delete, target=base)
+        if projected and not oracle(projected):
+            return TransferResult("nontrivial", "base-projection",
+                                  witness=render_word(projected))
+        stage, subgens, target = "central-triviality", [], apply_map(word, subst, target=base)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    expr = express_in_generators(U.result, subgens, target, budget=budget)
+    return TransferResult("trivial" if expr.status == "found" else "inconclusive", stage,
+                          expression=expr)
+
+
 def commutator_subgroup_words(alphabet: Alphabet) -> Iterator[Word]:
     """Reduced words with zero exponent vector, in (length, lex) order; a
     fair enumeration of the commutator subgroup of the free group.  Finite
@@ -487,7 +697,7 @@ def search_commutator_witnesses(P: FinitePresentation,
                     break
             diag += 1
         c, rho_j = found
-        witness = CommutatorWitness(name, c, rho_j.inverse(P))
+        witness = CommutatorWitness(name, c, closure_inverse(P, rho_j))
         if not witness.verify(P):
             raise AssertionError("searched witness failed verification")
         out.append(witness)
@@ -595,225 +805,6 @@ def tuple_conjugacy_witness(u: Letters, v: Letters) -> Letters | None:
         if cu[j:] + cu[:j] == cv:
             return tuple_free_reduce(gu + cu[:j] + tuple_inverse(gv))
     return None
-
-
-# --- the blind closure search with explicit stream flags ---------------------
-
-def reference_reduced_word_levels(alphabet: Alphabet) -> Iterator[tuple[Word, ...]]:
-    """The freely reduced words of length 0, 1, 2, ..., one tuple per
-    length, each lexicographic in the letter order (0,+1) < (0,-1) <
-    (1,+1) < ... and built from the one before."""
-    gens = [alphabet.gen(s) for s in alphabet.symbols]
-    letters = [(x.text, x.inverse().text) for g in gens for x in (g, g.inverse())]
-    level = (alphabet.identity(),)
-    while True:
-        yield level
-        level = tuple(Word._trusted(alphabet, w.text + x) for w in level
-                      for x, x_inv in letters if w.text[-1:] != x_inv)
-
-
-def reference_reduced_words(alphabet: Alphabet) -> Iterator[Word]:
-    """All freely reduced words in (length, lex) order, identity first.
-    Finite (just the identity) over the empty alphabet."""
-    if alphabet.rank == 0:
-        yield alphabet.identity()
-        return
-    for level in reference_reduced_word_levels(alphabet):
-        yield from level
-
-
-def reference_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in reference_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def reference_normal_closure_stream(P: FinitePresentation) -> Iterator[NormalClosureElement]:
-    """Fair deterministic enumeration of products of conjugates of relators.
-
-    Order: by size (factor count + total conjugator length); within a
-    size, by factor count, then sign pattern (all-positive first), then
-    relator index tuple, then conjugator lengths and words, each
-    lexicographic.  The first |R| emissions are exactly the relators, and
-    every product of conjugates appears after finitely many emissions.
-    """
-    m = len(P.relators)
-    if m == 0:
-        return
-    levels = reference_reduced_word_levels(P.alphabet)
-    by_length = [next(levels)]
-    size = 1
-    while True:
-        for k in range(1, size + 1):
-            clen = size - k
-            for signs in itertools.product((1, -1), repeat=k):
-                for indices in itertools.product(range(m), repeat=k):
-                    for comp in reference_compositions(clen, k):
-                        pools = [by_length[l] for l in comp]
-                        for conjs in itertools.product(*pools):
-                            yield NormalClosureElement.build(
-                                P, tuple(zip(conjs, indices, signs)))
-        by_length.append(next(levels))
-        size += 1
-
-
-def reference_express_in_generators(
-    G: FinitePresentation,
-    subgens: Sequence[Word],
-    w: Word,
-    budget: int = DEFAULT_BUDGET,
-) -> ExpressResult:
-    """Search for pi with w = pi(subgens) in G, by enumerating candidate
-    words pi and closure elements along finite diagonals and testing
-    whether w * subst(pi)^-1 equals the closure element in the free group.
-
-    The caller guarantees (unchecked) that w lies in <subgens> if a
-    positive answer is expected; otherwise the budget runs out.  Returned
-    certificates are re-verified; unverifiable candidates are never
-    returned (soundness over completeness).
-    """
-    if w.alphabet != G.alphabet:
-        raise PresentationError("word not over the presentation's alphabet")
-    for u in subgens:
-        if u.alphabet != G.alphabet:
-            raise PresentationError("subgroup generator over the wrong alphabet")
-    sym = Alphabet([f"s{i}" for i in range(len(subgens))])
-    subst = {f"s{i}": subgens[i] for i in range(len(subgens))}
-
-    def target_of(pi: Word) -> Word:
-        image = apply_map(pi, subst, target=G.alphabet)
-        return free_reduce(w.concat(image.inverse()))
-
-    pis: list[Word] = []
-    targets: list[Word] = []
-    rhos: list[NormalClosureElement] = []
-    pi_iter = reference_reduced_words(sym)
-    rho_iter = reference_normal_closure_stream(G)
-    pi_done = False
-    rho_done = False
-    checks = 0
-    diag = 0
-    while checks < budget:
-        while not pi_done and len(pis) <= diag:
-            pi = next(pi_iter, None)
-            if pi is None:
-                pi_done = True
-                break
-            pis.append(pi)
-            targets.append(target_of(pi))
-            checks += 1
-            if not targets[-1]:
-                cert = NormalClosureElement.build(G, ())
-                return ExpressResult("found", pis[-1], sym, subst, cert, checks)
-        while not rho_done and len(rhos) <= diag:
-            nxt = next(rho_iter, None)
-            if nxt is None:
-                rho_done = True
-            else:
-                rhos.append(nxt)
-        for i in range(min(diag + 1, len(pis))):
-            j = diag - i
-            if j >= len(rhos):
-                continue
-            checks += 1
-            if checks > budget:
-                return ExpressResult("exhausted", checks=checks)
-            if targets[i] == rhos[j].expanded:
-                cert = rhos[j]
-                if not cert.verify(G):
-                    continue
-                return ExpressResult("found", pis[i], sym, subst, cert, checks)
-        if pi_done and rho_done and diag > len(pis) + len(rhos):
-            return ExpressResult("exhausted", checks=checks)
-        diag += 1
-    return ExpressResult("exhausted", checks=checks)
-
-
-def reference_kernel_symbols(U: UcePresentation) -> tuple[Alphabet, dict[str, Word], dict[str, Word]]:
-    """Extended alphabet for words over generators plus kernel letters.
-
-    Returns (alphabet, deletion images into the base alphabet, substitution
-    images into the extension alphabet).  Kernel letter z{j} stands for the
-    j-th base relator viewed in the extension.
-    """
-    base = U.base.alphabet
-    names = list(base.symbols)
-    zs = []
-    for j in range(len(U.central_kernel_words)):
-        name = f"z{j + 1}"
-        while name in base:
-            name = name + "_k"
-        zs.append(name)
-        names.append(name)
-    ext = Alphabet(names)
-    delete = {s: base.gen(s) for s in base.symbols}
-    subst = {s: base.gen(s) for s in base.symbols}
-    for name, rel in zip(zs, U.central_kernel_words):
-        delete[name] = base.identity()
-        subst[name] = rel
-    return ext, delete, subst
-
-
-def reference_uce_word_transfer(
-    U: UcePresentation,
-    direction: str,
-    word: Word,
-    oracle: Callable[[Word], bool],
-    budget: int = DEFAULT_BUDGET,
-) -> TransferResult:
-    """Transfer the word problem between a perfect group and its universal
-    central extension.
-
-    direction="to_base": `word` is over the base generators and `oracle`
-    decides words in the extension.  The lift is tested for centrality
-    against every generator and kernel element (a non-central lift means
-    the word is nontrivial in the base); a central lift is searched for a
-    certified expression in the kernel generators, which exists exactly
-    when the word dies in the base.
-
-    direction="to_cover": `word` is over the extended alphabet of
-    `kernel_symbols` and `oracle` decides words in the base.  Kernel
-    letters are deleted first; a nontrivial image settles the question,
-    otherwise the word is central and a normal-closure certificate for the
-    substituted word is searched within the budget.
-    """
-    if direction == "to_base":
-        if word.alphabet != U.base.alphabet:
-            raise PresentationError("to_base expects a word over the base generators")
-        lift = word  # same letters reinterpreted in the extension
-        for name in U.base.alphabet.symbols:
-            t = commutator(lift, U.base.alphabet.gen(name))
-            if t and not oracle(t):
-                return TransferResult("nontrivial", "centrality", witness=name)
-        for j, z in enumerate(U.central_kernel_words):
-            t = commutator(lift, z)
-            if t and not oracle(t):
-                return TransferResult("nontrivial", "centrality", witness=f"kernel[{j}]")
-        expr = reference_express_in_generators(U.result, list(U.central_kernel_words), lift,
-                                     budget=budget)
-        if expr.status == "found":
-            return TransferResult("trivial", "kernel-membership", expression=expr)
-        return TransferResult("inconclusive", "kernel-membership", expression=expr)
-
-    if direction == "to_cover":
-        ext, delete, subst = reference_kernel_symbols(U)
-        if word.alphabet != ext:
-            raise PresentationError("to_cover expects a word over the extended alphabet")
-        projected = apply_map(word, delete, target=U.base.alphabet)
-        if projected and not oracle(projected):
-            return TransferResult("nontrivial", "base-projection",
-                                  witness=render_word(projected))
-        substituted = apply_map(word, subst, target=U.base.alphabet)
-        expr = reference_express_in_generators(U.result, [], substituted, budget=budget)
-        if expr.status == "found":
-            return TransferResult("trivial", "central-triviality", expression=expr)
-        return TransferResult("inconclusive", "central-triviality", expression=expr)
-
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 def dehn_prefix_index(solver: DehnSolver) -> dict[str, list[int]]:

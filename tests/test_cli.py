@@ -217,6 +217,12 @@ class TestRunCommand:
         assert run_command(["homology", str(big)]) == 3
         assert capsys.readouterr().err == "error: exponent too large at line 1, column 13\n"
 
+    def test_oversized_word_is_input_error(self, tmp_path, capsys):
+        big = tmp_path / "big.pres"
+        big.write_text("< a, b | " + "[" * 20 + "a,b]" + ",b]" * 19 + " >\n")
+        assert run_command(["homology", str(big)]) == 3
+        assert capsys.readouterr().err == "error: word too long at line 1, column 87\n"
+
     def test_internal_error_exit_4(self, workdir, capsys, monkeypatch):
         import presforge.cli as cli
 

@@ -133,6 +133,22 @@ class TestGrammar:
         with pytest.raises(MalformedWordError, match="exponent too large at line 1, column 16"):
             parse_presentation(f"< a, b | (a*b)^{n + 1} >")
 
+    @pytest.mark.parametrize("text, column", [
+        # ten powers of 10^6 letters each: 10,000,001 letters unbounded
+        ("< a, b | " + "*".join(["a^1000000", "b^1000000"] * 5) + "*a >", 22),
+        # each nested commutator doubles the word: 2,097,152 letters unbounded
+        ("< a, b | " + "[" * 20 + "a,b]" + ",b]" * 19 + " >", 87),
+    ], ids=["ten-powers", "nested-commutators"])
+    def test_word_letter_budget(self, text, column):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedWordError) as e:
+                parse_presentation(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(e.value) == f"word too long at line 1, column {column}" and peak < 16 * 2**20
+
 
 class TestHigman:
     def test_counts(self, higman_J, higman_D):
