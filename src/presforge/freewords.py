@@ -161,8 +161,14 @@ class Word:
         return self.inverse()
 
     def __pow__(self, n: int) -> "Word":
+        """self^n, freely reduced: g c^|n| g^-1 for the cyclic core c and the
+        conjugator g of self (of its inverse for n < 0) is reduced as written."""
         base = self if n >= 0 else self.inverse()
-        return free_reduce(Word._trusted(self.alphabet, base.text * abs(n)))
+        t = base.text
+        if not (n and t) or base.is_reduced() and ord(t[0]) ^ 1 != ord(t[-1]):
+            return Word._trusted(self.alphabet, t * abs(n))  # base cyclically reduced
+        core, g = cyclically_reduce(base)
+        return Word._trusted(self.alphabet, g.text + core.text * abs(n) + g.inverse().text)
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g^-1 * self * g, freely reduced."""

@@ -30,7 +30,10 @@ backward, as far as the table is defined, with new cosets defined only
 inside the gap and a gap of one letter closed by a deduction.  A scan
 that closes on two different cosets starts the Handbook's COINCIDENCE,
 which moves each dead row into its representative at once, so scans read
-table entries with no union-find lookup.
+table entries with no union-find lookup.  A generator whose square is the
+cyclic core of a relator has one column for both of its letters, so it
+acts as an involution by construction and its square is never scanned;
+the final `verify` still walks every relator, the squares included.
 
 Every action found is a `PermAssignment`: a coset table is the action on
 its cosets and a counterexample the action on the cosets of a least-index
@@ -41,8 +44,9 @@ is re-checked before it is returned, the subgroup generators fixing coset
 nontrivial.  One walk over letter codes, `_walk`, carries `evaluate`,
 `verify` and the relator pruning of `hom_search`.
 
-Both coset tables have one column per letter, numbered by its
-`freewords.letter_codes` code, so a letter's inverse has column `x ^ 1`.
+Both coset tables have a column per letter, numbered by its
+`freewords.letter_codes` code, so a letter's inverse has column `x ^ 1`
+(in `todd_coxeter` the same list for an involutory generator).
 """
 
 from __future__ import annotations
@@ -408,17 +412,31 @@ def _least_rotation(t: str) -> str:
 
 def _drop_commutators(P: FinitePresentation) -> tuple[FinitePresentation, list]:
     """P without each relator s = [x, c] (x a letter) with c x^f a rotation
-    of the core of an earlier kept relator r_i or its inverse, and each drop
+    of the core of another relator r_i or its inverse, and each drop
     (s's index, ((x v, i, sign), (v, i, -sign))), c x^f = v r_i^sign v^-1.
+    One pass in order: s is kept if an earlier drop names it and r_i is no
+    earlier drop, so factors name kept relators in any relator order.
     x^-1 s reduces to c x^-1 c^-1 iff s = [x, c] (x first or last in s).
     With cc = c past its leading x-power, c x^f is a rotation of cc x^e: the
-    index keys kept cores and inverses by (generator, the text between a
+    index keys every core and inverse by (generator, the text between a
     maximal cyclic run of it) for e != 0, by least rotation for e == 0."""
     alph, rels = P.alphabet, P.relators
-    kept, drops, index = [], [], {}  # index: key -> (i, sign, x^e) of kept core i
+    dropped, targets = {}, set()  # dropped: relator index -> its factors
+    index: dict = {}  # key -> [(i, sign, x^e) of core i], in relator order
 
     def inv(t: str) -> str:
         return t[::-1].translate(alph._flip)
+
+    for j, s in enumerate(rels):
+        K = cyclically_reduce(s)[0].text
+        for sign, T in ((1, K), (-1, inv(K))):
+            L, TT = len(T), T + T
+            index.setdefault(_least_rotation(T), []).append((j, sign, ""))
+            # the maximal cyclic runs TT[q:q_next], each with the rest TT[q_next:q + L]
+            starts = [q for q in range(L) if T[q] != T[q - 1]]
+            for q, q_next in zip(starts, starts[1:] + [q + L for q in starts[:1]]):
+                index.setdefault((ord(T[q]) >> 1, TT[q_next:q + L]), []).append(
+                    (j, sign, TT[q:q_next]))
 
     def certificate(s: str) -> tuple[tuple[Word, int, int], ...] | None:
         for x in dict.fromkeys((s[0], s[-1])):
@@ -427,30 +445,24 @@ def _drop_commutators(P: FinitePresentation) -> tuple[FinitePresentation, list]:
             cc = c.lstrip(x + inv(x))
             if w[len(c):] != inv(x) + inv(c) or not cc:
                 continue
-            hit = index.get((ord(x) >> 1, cc)) or index.get(_least_rotation(cc))
-            if hit is not None:  # [x, c] = x^g [x, cc x^e] x^-g, c = x^g cc
-                i, sign, run = hit
+            for i, sign, run in (*index.get((ord(x) >> 1, cc), ()),
+                                 *index.get(_least_rotation(cc), ())):
+                if i in dropped:
+                    continue
+                # [x, c] = x^g [x, cc x^e] x^-g, c = x^g cc
                 u = conjugacy_test(Word._trusted(alph, cc + run), rels[i] ** sign)
                 v = free_reduce(Word._trusted(alph, c[:len(c) - len(cc)] + u.text))
                 return ((free_reduce(Word._trusted(alph, x + v.text)), i, sign), (v, i, -sign))
         return None
 
     for j, s in enumerate(rels):
-        if (factors := certificate(s.text)) is not None:
+        if j not in targets and (factors := certificate(s.text)) is not None:
             if NormalClosureElement.expand(P, factors) != s.text:
                 raise AssertionError("commutator drop failed to re-expand (internal error)")
-            drops.append((j, factors))
-            continue
-        kept.append(s)
-        K = cyclically_reduce(s)[0].text
-        for sign, T in ((1, K), (-1, inv(K))):
-            L, TT = len(T), T + T
-            index.setdefault(_least_rotation(T), (j, sign, ""))
-            # the maximal cyclic runs TT[q:q_next], each with the rest TT[q_next:q + L]
-            starts = [q for q in range(L) if T[q] != T[q - 1]]
-            for q, q_next in zip(starts, starts[1:] + [q + L for q in starts[:1]]):
-                index.setdefault((ord(T[q]) >> 1, TT[q_next:q + L]), (j, sign, TT[q:q_next]))
-    return FinitePresentation(alph, tuple(kept)), drops
+            dropped[j] = factors
+            targets.add(factors[0][1])
+    kept = tuple(s for j, s in enumerate(rels) if j not in dropped)
+    return FinitePresentation(alph, kept), list(dropped.items())
 
 
 def finite_quotient_certificate(P: FinitePresentation, K: int,
@@ -579,7 +591,12 @@ def todd_coxeter(
 
     Each subgroup generator is scanned and filled at coset 0; then every
     live coset, in creation order, has every relator scanned and filled at
-    it, after which the empty entries of its row are defined.  A scan runs
+    it, after which the empty entries of its row are defined.  A generator
+    g is involutory when the cyclic core of some relator is g^2 or g^-2:
+    g and g^-1 then share one column, so every g-edge c -> d also writes
+    d -> c, and the relators with such a core are not scanned.  The table
+    is still checked against every relator, the squares included, before
+    it is returned.  A scan runs
     forward and then backward as far as the table is defined, defines new
     cosets only inside the gap, deduces the entry that closes a gap of one
     letter, and hands two different cosets where the scans meet to the
@@ -593,10 +610,17 @@ def todd_coxeter(
         raise ValueError("max_cosets must be >= 1")
     if any(w.alphabet != P.alphabet for w in subgroup_gens):
         raise ValueError("subgroup generator over the wrong alphabet")
-    ncols = 2 * P.alphabet.rank
-    # cols[x][c]: coset c times letter x, or 0 while undefined.  Cosets are
+    # the relators whose core is g^2 or g^-2, each with its generator g
+    squares = {r: c[0] >> 1 for r in P.relators
+               if len(c := letter_codes(cyclically_reduce(r)[0])) == 2 and c[0] == c[1]}
+    # cols[x][c]: coset c times letter x, or 0 while undefined, one list
+    # shared by both letters of an involutory generator.  Cosets are
     # numbered from 1 here, so entry 0 of every list is unused.
-    cols: list[list[int]] = [[0, 0] for _ in range(ncols)]
+    cols: list[list[int]] = []
+    for g in range(P.alphabet.rank):
+        cols += [[0, 0]] * 2 if g in squares.values() else [[0, 0], [0, 0]]
+    # one letter per distinct list, for appends and coincidences
+    owners = [x for x in range(len(cols)) if cols[x] is not cols[x ^ 1] or not x & 1]
     rep = [0, 1]  # rep[c] == c iff coset c is live
     live = peak = 1
 
@@ -606,8 +630,8 @@ def todd_coxeter(
         if n > max_cosets:
             raise _Overflow
         rep.append(n)
-        for col in cols:
-            col.append(0)
+        for x in owners:
+            cols[x].append(0)
         live += 1
         peak = max(peak, live)
         return n
@@ -633,7 +657,7 @@ def todd_coxeter(
 
         merge(a, b)
         for g in dead:  # grows while it is read
-            for x in range(ncols):
+            for x in owners:  # a shared column twice would undo its own fill
                 col, inv = cols[x], cols[x ^ 1]
                 d = col[g]
                 if d:
@@ -673,7 +697,7 @@ def todd_coxeter(
         xs = letter_codes(w)
         return [cols[x] for x in xs], [cols[x ^ 1] for x in xs]
 
-    relators = [columns(r) for r in P.relators]
+    relators = [columns(r) for r in P.relators if r not in squares]
     try:
         for w in subgroup_gens:
             scan_and_fill(1, *columns(w))
@@ -684,10 +708,10 @@ def todd_coxeter(
                     break
                 scan_and_fill(a, fwd, bwd)
             if rep[a] == a:
-                for x, col in enumerate(cols):
-                    if not col[a]:
+                for x in owners:
+                    if not cols[x][a]:
                         n = new_coset()
-                        col[a], cols[x ^ 1][n] = n, a
+                        cols[x][a], cols[x ^ 1][n] = n, a
             a += 1
     except _Overflow:
         return CosetTable(None, cosets_defined=len(rep) - 1, peak_live=peak)

@@ -307,6 +307,8 @@ class TestWordAlgebra:
     def test_pow(self):
         assert render_word(AB.word("a*b") ** -2) == "b^-1*a^-1*b^-1*a^-1"
         assert (AB.word("a") ** 0) == AB.identity()
+        assert render_word(Word(AB, ((0, 1), (1, 1), (0, -1))) ** 3) == "a*b^3*a^-1"
+        assert Word(AB, ((0, 1), (0, -1))) ** 5 == AB.identity()
 
     def test_malformed_letters(self):
         # free_reduce, inverse, concat and Word._trusted build their words
@@ -378,7 +380,7 @@ _LETTERS3 = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))),
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(u=_LETTERS3, v=_LETTERS3, n=st.integers(-3, 3))
+@given(u=_LETTERS3, v=_LETTERS3, n=st.integers(-9, 9))
 def test_fuzz_word_algebra_matches_tuple_reference(u, v, n):
     U, V = Word(ABC, u), Word(ABC, v)
     assert U.letters == u and Word(ABC, U.letters) == U
@@ -387,6 +389,8 @@ def test_fuzz_word_algebra_matches_tuple_reference(u, v, n):
     assert U.inverse().letters == oracles.tuple_inverse(u)
     assert U.concat(V).letters == u + v
     assert (U ** n).letters == oracles.tuple_pow(u, n)
+    # the power is built from the cyclic core, not by reducing the repetition
+    assert U ** n == free_reduce(Word._trusted(ABC, (U if n >= 0 else ~U).text * abs(n)))
     core, conj = cyclically_reduce(U)
     assert (core.letters, conj.letters) == oracles.tuple_cyclically_reduce(u)
     assert exponent_vector(U) == oracles.tuple_exponent_vector(u, 3)

@@ -133,6 +133,18 @@ class TestGrammar:
         with pytest.raises(MalformedWordError, match="exponent too large at line 1, column 16"):
             parse_presentation(f"< a, b | (a*b)^{n + 1} >")
 
+    def test_power_of_unreduced_base_builds_no_letter_stack(self):
+        # g c^n g^-1 is written from the base's cyclic core: 333,335 letters
+        # in about 0.7 MB of text, with no per-letter reduction
+        tracemalloc.start()
+        try:
+            P = parse_presentation("< a, b | (a*b*a^-1)^333333 >")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert P.relators[0] == P.word("a") * P.word("b") ** 333333 * P.word("a^-1")
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("text, column", [
         # ten powers of 10^6 letters each: 10,000,001 letters unbounded
         ("< a, b | " + "*".join(["a^1000000", "b^1000000"] * 5) + "*a >", 22),

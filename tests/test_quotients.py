@@ -189,6 +189,12 @@ class TestCertificate:
         assert finite_quotient_certificate(C2, 3).relators_dropped == 20
         assert finite_quotient_certificate(higman_J, 3).relators_dropped == 0
 
+    def test_commutator_drop_ignores_relator_order(self):
+        # the target may come before or after the commutator it certifies
+        for rels in (["b^2*c", "[a, b^2*c]"], ["[a, b^2*c]", "b^2*c"]):
+            Q, drops = quotients._drop_commutators(presentation("abc", rels))
+            assert len(drops) == 1 and render_word(Q.relators[0]) == "b^2*c"
+
     def test_counterexample_lifted_through_killed_block(self, higman_J):
         # J * <z | z^3>: the J block dies and the S_3 action of z is lifted
         P = presentation(["a", "b", "c", "d", "z"],
@@ -319,11 +325,12 @@ _ABC_LETTERS = st.tuples(st.integers(0, 2), st.sampled_from([1, -1]))
 @given(base=st.lists(st.lists(_ABC_LETTERS, min_size=1, max_size=5), min_size=1, max_size=3),
        comms=st.lists(st.tuples(_ABC_LETTERS, st.integers(0, 2), st.integers(0, 9),
                                 st.booleans()), max_size=4),
-       K=st.integers(2, 4))
-def test_dropped_commutators_change_no_answer(base, comms, K):
+       K=st.integers(2, 4), rng=st.randoms(use_true_random=False))
+def test_dropped_commutators_change_no_answer(base, comms, K, rng):
     """UCE-style inputs: random relators plus commutators [x, t], t a
-    rotation or inverse of one of them.  Every drop re-expands from kept
-    relators, and dropping changes neither the answer nor the subgroups."""
+    rotation or inverse of one of them, in shuffled order.  Every drop
+    re-expands from kept relators, and dropping changes neither the answer
+    nor the subgroups."""
     words = [free_reduce(Word(_ABC, tuple(r))) for r in base]
     assume(all(words))
     rels = list(words)
@@ -333,6 +340,7 @@ def test_dropped_commutators_change_no_answer(base, comms, K):
         t = Word(_ABC, t).inverse() if invert else Word(_ABC, t)
         if cw := commutator(Word(_ABC, [letter]), t):
             rels.append(cw)
+    rng.shuffle(rels)
     P = presentation("abc", rels)
     Q, drops = quotients._drop_commutators(P)
     assert len(Q.relators) + len(drops) == len(P.relators)
@@ -426,6 +434,13 @@ class TestToddCoxeter:
         with pytest.raises(RuntimeError):
             word_problem_oracle(presentation(["a", "b"], []), max_cosets=50)
 
+    def test_fourth_power_and_infinite_dihedral(self):
+        # a^4 is no square, so a keeps two columns; two involutions alone
+        # generate the infinite dihedral group
+        assert todd_coxeter(presentation(["a"], ["a^4"]), ()).index == 4
+        table = todd_coxeter(presentation(["a", "b"], ["a^2", "b^2"]), (), max_cosets=200)
+        assert table.status == "overflow"
+
     def test_deterministic(self, icosahedral):
         t1 = todd_coxeter(icosahedral, ())
         t2 = todd_coxeter(icosahedral, ())
@@ -446,9 +461,10 @@ def _act(word):
     return acc
 
 
-def _closure_size(perms):
-    """Order of the permutation group on 5 points that `perms` generate."""
-    seen = {tuple(range(5))}
+def _closure_size(perms, degree=5):
+    """Order of the permutation group on `degree` points that `perms`
+    generate."""
+    seen = {tuple(range(degree))}
     todo = list(seen)
     while todo:
         g = todo.pop()
@@ -478,6 +494,17 @@ def test_todd_coxeter_index_matches_a5_action(icosahedral, words):
     assert table.cosets_defined >= table.peak_live >= table.index
 
 
+@pytest.mark.parametrize("k, order", [(2, 6), (3, 12), (4, 24), (5, 60)])
+def test_triangle_group_orders_with_square_spellings(k, order):
+    """<a, b | a^2, b^3, (a*b)^k>: a is involutory however its square is
+    written, since the rule reads the cyclic core, so the enumeration is
+    the same for each spelling."""
+    tables = [todd_coxeter(presentation(["a", "b"], [sq, "b^3", f"(a*b)^{k}"]), ())
+              for sq in ("a^2", "a^-2", "b*a^2*b^-1")]
+    assert all(t.complete and t.index == order for t in tables)
+    assert len({(t.cosets_defined, t.peak_live) for t in tables}) == 1
+
+
 def _coxeter_symmetric(n):
     """Coxeter presentation of S_n on the involutions s1 .. s(n-1)."""
     gens = [f"s{i}" for i in range(1, n)]
@@ -489,10 +516,35 @@ def _coxeter_symmetric(n):
 
 @pytest.mark.parametrize("n, order", [(6, 720), (7, 5040)])
 def test_coxeter_overshoot_is_bounded(n, order):
-    """Scan-and-fill defines at most 3x the index on the Coxeter S_n."""
+    """With one column per involution, scan-and-fill defines at most 1.5x
+    the index on the Coxeter S_n."""
     table = todd_coxeter(_coxeter_symmetric(n), ())
     assert table.complete and table.index == order
-    assert table.cosets_defined <= 3 * order
+    assert table.cosets_defined <= 1.5 * order
+
+
+def _swap_action(n, word):
+    """The permutation of a word in s1 .. s(n-1) on range(n), s_i swapping
+    points i - 1 and i (each s_i is its own inverse)."""
+    p = list(range(n))
+    for i, _ in word:
+        p[i], p[i + 1] = p[i + 1], p[i]
+    return tuple(p)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.sampled_from([4, 5]),
+       words=st.lists(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1])),
+                               max_size=8), max_size=3))
+def test_coxeter_subgroup_index_matches_transposition_action(n, words):
+    """The index of H = <words> in the Coxeter S_n is n! / |H|, with |H|
+    read off the action of s_i as the transposition (i, i + 1)."""
+    words = [[(i % (n - 1), e) for i, e in w] for w in words]
+    P = _coxeter_symmetric(n)
+    subgroup = [Word(P.alphabet, tuple(w)) for w in words]
+    table = todd_coxeter(P, subgroup)
+    assert table.complete and table.verify(P, subgroup)
+    assert table.index == factorial(n) // _closure_size([_swap_action(n, w) for w in words], n)
 
 
 def _table(index, perms):
