@@ -34,7 +34,7 @@ from .constructions import (
     rips_wise,
     super_perfectify,
 )
-from .freewords import exponent_vector, parse_word, render_word
+from .freewords import parse_word, render_word
 from .homology import h1
 from .presentations import (
     FinitePresentation,
@@ -110,6 +110,8 @@ class _Main(click.Group):
             code, message = EXIT_INPUT, f"error: {e.format_message()}"
         except (ValueError, OSError) as e:
             code, message = EXIT_INPUT, f"error: {e}"
+        except SystemExit as e:  # click exits 1 when a write to stdout hits EPIPE
+            code, message = EXIT_INPUT, f"error: {e.__context__}"
         except Exception as e:
             code, message = EXIT_INTERNAL, f"internal error (please report): {e!r}"
         if message is not None:
@@ -274,9 +276,7 @@ def superperfectify(P, out):
     res = super_perfectify(P)
     art = out.pres("superperfect.pres", res.presentation)
     expected, actual = res.relator_count_formula
-    # relators with zero exponent vector add zero rows, which leave H1 unchanged
-    h = h1(FinitePresentation(res.presentation.alphabet, tuple(
-        r for r in res.presentation.relators if any(exponent_vector(r)))))
+    h = h1(res.presentation)
     manifest = {
         "artifacts": {"presentation": art},
         "counts": {

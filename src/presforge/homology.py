@@ -1,7 +1,7 @@
 """Integer linear algebra for presentation homology.
 
-Smith normal form over Z by one elimination loop whose working rows carry
-the left transform, with left*M*right == D re-checked; first homology
+Smith normal form over Z by one elimination loop, with the left transform
+as sparse rows and left*M*right == D re-checked row by row; first homology
 (abelianization) of a finite presentation, the perfection test, and second
 homology of aspherical presentations via the rank formula (always free).
 
@@ -12,7 +12,6 @@ correctness issue, not an overflow risk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm
 
 from .freewords import exponent_vector
@@ -34,30 +33,22 @@ def _identity(n: int) -> IntegerMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
-    if not A or not B:
-        return [[0] * (len(B[0]) if B else 0) for _ in A]
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    Oi[j] += a * Bt[j]
+def _combine(pairs, B: IntegerMatrix, width: int) -> list[int]:
+    """The sum of x * B[t] over the (t, x) pairs of a row."""
+    out = [0] * width
+    for t, x in pairs:
+        if x:
+            out = [a + x * b for a, b in zip(out, B[t])]
     return out
 
 
 @dataclass
 class SmithForm:
-    """diag(d_1..d_r) with d_i | d_{i+1}, plus unimodular transforms
-    satisfying left * M * right == diagonal embedding."""
+    """diag(d_1..d_r) with d_i | d_{i+1}, plus unimodular transforms with
+    left * M * right == diagonal embedding; `left` rows are sparse dicts."""
 
     diagonal: list[int]
-    left: IntegerMatrix
+    left: list[dict[int, int]]
     right: IntegerMatrix
     rows: int
     cols: int
@@ -66,26 +57,24 @@ class SmithForm:
     def rank(self) -> int:
         return len(self.diagonal)
 
-    @cached_property
-    def kernel_rows(self) -> list[tuple[list[tuple[int, int]], int]]:
-        """The nonzero rows rank.. of `left`, a basis of the left kernel of
-        M, each as its nonzero (index, entry) pairs and its squared norm."""
-        supports = [[(i, x) for i, x in enumerate(row) if x] for row in self.left[self.rank:]]
-        return [(s, sum(x * x for _, x in s)) for s in supports if s]
-
     def verify(self, M: IntegerMatrix) -> bool:
-        D = [[0] * self.cols for _ in range(self.rows)]
-        for i, d in enumerate(self.diagonal):
-            D[i][i] = d
-        return mat_mul(mat_mul(self.left, M), self.right) == D
+        """Row by row: left[i]*M*right == d_i*e_i, and left[i]*M == 0 past the rank."""
+        for i, row in enumerate(self.left):
+            v = _combine(row.items(), M, self.cols)
+            if i < self.rank:
+                v = _combine(enumerate(v), self.right, self.cols)
+                v[i] -= self.diagonal[i]
+            if any(v):
+                return False
+        return len(self.left) == self.rows
 
 
-def _pivot(rows: IntegerMatrix, k: int, m: int, n: int) -> tuple[int, int] | None:
+def _pivot(rows: IntegerMatrix, k: int, m: int) -> tuple[int, int] | None:
     """(row, column) of the first least nonzero |entry| of the block from (k, k)
     in row-major order; nothing is smaller than 1, so a 1 ends the scan."""
     best = None
     for i in range(k, m):
-        for j, a in enumerate(rows[i][k:n], k):
+        for j, a in enumerate(rows[i][k:], k):
             if a and (best is None or abs(a) < best[0]):
                 best = abs(a), i, j
                 if best[0] == 1:
@@ -98,37 +87,45 @@ def smith_normal_form(M: IntegerMatrix) -> SmithForm:
 
     Pivot rule: smallest nonzero absolute value in the working block,
     ties broken by (row, column) index, so the transforms are reproducible.
-    Working row i is row i of A followed by row i of the left transform, so
-    one row operation moves both; the rows of the right transform follow
-    them, so one column operation moves A and the right transform.  The
-    computed identity left*M*right == D is re-checked on every call.
+    Each row operation is applied to the working rows and to the same rows
+    of the left transform, dicts that start as {i: 1}; the rows of the right
+    transform follow the working rows, so one column operation moves both.
+    The computed identity left*M*right == D is re-checked on every call.
     """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    rows = [list(M[i]) + e for i, e in enumerate(_identity(m))] + _identity(n)
+    m, n = len(M), len(M[0]) if M else 0
+    rows = [list(row) for row in M] + _identity(n)
+    left = [{i: 1} for i in range(m)]
 
     def add_row(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
         rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
+        Li = left[i]
+        for t, x in left[j].items():
+            Li[t] = Li.get(t, 0) - q * x
+            if not Li[t]:
+                del Li[t]
 
     def swap_cols(i: int, j: int) -> None:
         for row in rows:
             row[i], row[j] = row[j], row[i]
 
     for k in range(min(m, n)):
-        pivot = _pivot(rows, k, m, n)
+        pivot = _pivot(rows, k, m)
         if pivot is None:
             break
         rows[k], rows[pivot[0]] = rows[pivot[0]], rows[k]
+        left[k], left[pivot[0]] = left[pivot[0]], left[k]
         swap_cols(k, pivot[1])
         while True:  # one elementary operation per round until the pivot settles
             if rows[k][k] < 0:
                 rows[k] = [-x for x in rows[k]]
+                left[k] = {t: -x for t, x in left[k].items()}
             d = rows[k][k]
             i = next((i for i in range(k + 1, m) if rows[i][k]), None)
             if i is not None:
                 add_row(i, k, rows[i][k] // d)
                 if rows[i][k]:  # nonzero remainder becomes the new pivot
                     rows[k], rows[i] = rows[i], rows[k]
+                    left[k], left[i] = left[i], left[k]
                 continue
             j = next((j for j in range(k + 1, n) if rows[k][j]), None)
             if j is not None:
@@ -142,13 +139,13 @@ def smith_normal_form(M: IntegerMatrix) -> SmithForm:
             if d == 1:
                 break
             i = next((i for i in range(k + 1, m)
-                      if any(x % d for x in rows[i][k + 1:n])), None)
+                      if any(x % d for x in rows[i][k + 1:])), None)
             if i is None:
                 break
             add_row(k, i, -1)  # pull the offending row up, keep reducing
 
     diagonal = [rows[i][i] for i in range(min(m, n)) if rows[i][i] != 0]
-    form = SmithForm(diagonal, [row[n:] for row in rows[:m]], rows[m:], m, n)
+    form = SmithForm(diagonal, left, rows[m:], m, n)
     if not form.verify(M):
         raise AssertionError("SNF transform verification failed (internal error)")
     return form
@@ -258,36 +255,36 @@ def solve_row_lattice(M: IntegerMatrix, target: list[int],
     """Find integer y with y*M == target, or None if target is outside the
     row lattice.  Used constructively (membership in the abelianized
     relation lattice, commutator-witness solving)."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if m == 0:
+    if not M:
         return None if any(target) else []
+    m, n = len(M), len(M[0])
     if form is None:
         form = smith_normal_form(M)
     # y*M = t  <=>  (y*L^-1)*D = t*R  with z = y*L^-1, so z_i = (t*R)_i / d_i
-    tR = [sum(target[i] * form.right[i][j] for i in range(n)) for j in range(n)]
-    diag = form.diagonal
-    r = len(diag)
-    if any(tR[j] != 0 for j in range(r, n)):
-        return None
-    if any(tR[i] % diag[i] for i in range(r)):
+    tR = _combine(enumerate(target), form.right, n)
+    diag, r = form.diagonal, form.rank
+    if any(tR[r:]) or any(tR[i] % diag[i] for i in range(r)):
         return None
     z = [tR[i] // diag[i] for i in range(r)]
     # y = z * L
-    y = [sum(z[i] * form.left[i][j] for i in range(r)) for j in range(m)]
+    y = [0] * m
+    for zi, row in zip(z, form.left):
+        for i, x in row.items():
+            y[i] += zi * x
     # size-reduce against the kernel lattice (rows r..m-1 of L) to keep the
     # resulting relator powers short; UCE kernel rows are mostly unit vectors
+    kernel = [(row, sum(x * x for x in row.values())) for row in form.left[r:]]
     changed = True
     while changed:
         changed = False
-        for support, norm in form.kernel_rows:
-            t, rem = divmod(sum(y[i] * x for i, x in support), norm)
+        for row, norm in kernel:
+            t, rem = divmod(sum(y[i] * x for i, x in row.items()), norm)
             if 2 * rem > norm or (2 * rem == norm and t % 2):
                 t += 1  # exact round-half-to-even of dot / norm
             if t:
-                for i, x in support:
+                for i, x in row.items():
                     y[i] -= t * x
                 changed = True
-    if [sum(y[i] * M[i][j] for i in range(m)) for j in range(n)] != list(target):
+    if _combine(enumerate(y), M, n) != list(target):
         raise AssertionError("row-lattice solution fails y*M == target (internal error)")
     return y

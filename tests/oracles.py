@@ -9,11 +9,12 @@ group from a completed coset table over the trivial subgroup, and
 `minors_gcd` (over the
 Bareiss determinant `det`) gives the products d_1 * ... * d_k of a Smith
 form's invariant factors, `reference_smith_normal_form` is the Smith form
-that updates the matrix and each transform in separate steps, the
-reference whose transforms the one-loop elimination must reproduce, and
-`dense_solve_row_lattice` is `solve_row_lattice` with its size reduction
-over the dense kernel rows of the left transform, the reference for the
-sparse one.
+that updates the matrix and dense transforms in separate steps, the
+reference whose transforms the one-loop elimination must reproduce (its
+left transform is handed back as sparse rows, as `SmithForm` holds it),
+`densify` makes such rows dense, and `dense_solve_row_lattice` is
+`solve_row_lattice` with its size reduction over the dense kernel rows of
+the left transform, the reference for the sparse one.
 
 `recursive_parse_word` is the word grammar parsed by recursive descent, two
 frames per bracket, the reference for the parser with an explicit stack,
@@ -301,26 +302,33 @@ def reference_smith_normal_form(M: IntegerMatrix) -> SmithForm:
         k += 1
 
     diagonal = [A[i][i] for i in range(min(m, n)) if A[i][i] != 0]
-    form = SmithForm(diagonal=diagonal, left=L, right=R, rows=m, cols=n)
+    left = [{t: x for t, x in enumerate(row) if x} for row in L]
+    form = SmithForm(diagonal=diagonal, left=left, right=R, rows=m, cols=n)
     if not form.verify(M):
         raise AssertionError("SNF transform verification failed (internal error)")
     return form
 
 
+def densify(rows: list[dict[int, int]], width: int) -> IntegerMatrix:
+    """Sparse rows, such as a Smith form's `left`, as a dense matrix."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
 def dense_solve_row_lattice(M: IntegerMatrix, target: list[int],
                             form: SmithForm) -> list[int] | None:
     """y with y*M == target, size-reduced against every kernel row of
-    `form.left` read densely, with norms and dot products over all m
+    `form.left` made dense, with norms and dot products over all m
     entries; None if target is outside the row lattice."""
     m, n = len(M), len(M[0])
+    left = densify(form.left, m)
     tR = [sum(target[i] * form.right[i][j] for i in range(n)) for j in range(n)]
     diag = form.diagonal
     r = len(diag)
     if any(tR[j] for j in range(r, n)) or any(tR[i] % diag[i] for i in range(r)):
         return None
     z = [tR[i] // diag[i] for i in range(r)]
-    y = [sum(z[i] * form.left[i][j] for i in range(r)) for j in range(m)]
-    kernel = [form.left[i] for i in range(r, m)]
+    y = [sum(z[i] * left[i][j] for i in range(r)) for j in range(m)]
+    kernel = [left[i] for i in range(r, m)]
     changed = True
     while changed:
         changed = False

@@ -1,6 +1,9 @@
+import errno
 import hashlib
+import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,6 +237,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("internal error") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_closed_stdout_is_input_error(self, workdir, capsys, monkeypatch):
+        # click exits 1 when a write to stdout hits EPIPE, as in
+        # `presforge order ico.pres | true`, but 1 is the negative answer
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", sys.stderr)  # click wraps both on EPIPE
+        assert run_command(["order", str(workdir / "ico.pres")]) == 3
+        assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] Broken pipe\n"
 
 
 _FUZZ_TEXTS = {

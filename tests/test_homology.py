@@ -1,7 +1,9 @@
+import dataclasses
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,6 @@ from presforge.homology import (
     h1,
     h2_aspherical,
     is_perfect,
-    mat_mul,
     relation_matrix,
     smith_normal_form,
     solve_row_lattice,
@@ -24,7 +25,7 @@ from presforge.homology import (
 from presforge.constructions import super_perfectify
 from presforge.presentations import presentation
 
-from oracles import dense_solve_row_lattice, det, minors_gcd, reference_smith_normal_form
+from oracles import dense_solve_row_lattice, densify, det, minors_gcd, reference_smith_normal_form
 
 
 def rand_matrix(rng, max_dim=6, bound=9):
@@ -54,7 +55,7 @@ class TestSmithNormalForm:
             for i in range(len(form.diagonal) - 1):
                 assert form.diagonal[i + 1] % form.diagonal[i] == 0
                 assert form.diagonal[i] > 0
-            assert det(form.left) in (1, -1)
+            assert det(densify(form.left, len(M))) in (1, -1)
             assert det(form.right) in (1, -1)
 
     def test_gcd_of_minors_oracle(self):
@@ -76,6 +77,37 @@ class TestSmithNormalForm:
         M = [[10**12, 10**12 + 1], [10**12 - 1, 10**12]]
         form = smith_normal_form(M)
         assert form.verify(M)
+
+    def test_verify_rejects_a_wrong_kernel_row(self):
+        M = [[2, 4], [1, 2], [3, 6]]
+        form = smith_normal_form(M)
+        assert form.rank == 1 and form.verify(M)
+        for row in ({0: 1}, {1: 1, 2: 1}):  # row * M != 0
+            left = form.left[:2] + [row]
+            assert not dataclasses.replace(form, left=left).verify(M)
+
+    def test_verify_rejects_a_scaled_pivot_row(self):
+        M = [[2, 1], [1, 1]]
+        form = smith_normal_form(M)
+        assert form.diagonal == [1, 1] and form.verify(M)
+        left = [{t: 3 * x for t, x in form.left[0].items()}, form.left[1]]
+        assert not dataclasses.replace(form, left=left).verify(M)
+
+    def test_zero_rows_keep_memory_small(self):
+        # a relation matrix of commutator relators: 12 random rows among
+        # 2,988 zero rows; the left transform holds the zero rows' unit
+        # vectors, not a dense 3,000 x 3,000 matrix
+        rng = random.Random(5)
+        M = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)]
+        M += [[0] * 12 for _ in range(2988)]
+        rng.shuffle(M)
+        tracemalloc.start()
+        try:
+            form = smith_normal_form(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert form.rows == 3000 and peak < 8 * 2**20, peak
 
 
 class TestH1:
@@ -182,7 +214,7 @@ class TestSolveRowLattice:
             "import dataclasses\n"
             "from presforge.homology import smith_normal_form, solve_row_lattice\n"
             "M = [[2, 1], [1, 1]]\n"
-            "bad = dataclasses.replace(smith_normal_form(M), left=[[1, 0], [0, 1]])\n"
+            "bad = dataclasses.replace(smith_normal_form(M), left=[{0: 1}, {1: 1}])\n"
             "print(solve_row_lattice(M, [1, 0], bad))\n")
         src = str(Path(presforge.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -284,6 +316,3 @@ class TestDescriptor:
             AbelianGroupDescriptor(0, (4, 2))
         with pytest.raises(ValueError):
             AbelianGroupDescriptor(0, (1,))
-
-    def test_mat_mul_empty(self):
-        assert mat_mul([], []) == []
