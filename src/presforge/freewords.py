@@ -5,8 +5,10 @@ chr(256 + 2i) and i^-1 is chr(257 + 2i), so the codes of a letter and of
 its inverse differ in the lowest bit.  Words are compared, hashed, sliced,
 searched and sorted as strings, at C speed, and every engine reads that
 text (or its `letter_codes`) directly; `Word.letters` derives the
-(index, sign) pairs on each access.  All operations are pure; nothing
-here mutates shared state, so everything is safe to call concurrently.
+(index, sign) pairs on each access, and `render_word` writes a word by one
+`str.translate` of its text once its runs are spelled out.  All operations
+are pure; nothing here mutates shared state, so everything is safe to call
+concurrently.
 
 Word text syntax (used by the whole package): juxtaposition with optional
 ``*``, integer exponents with ``^`` (negative as ``^-k``), parenthesized
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_RUN_RE = re.compile(r"(.)\1+")  # a run of two or more equal letters
 
 
 class WordError(ValueError):
@@ -57,10 +59,12 @@ class Alphabet:
     _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
     # the text of each (index, sign) letter; a str.translate table taking
     # each letter code to its inverse's; every two-letter text of a letter
-    # followed by its inverse
+    # followed by its inverse; a str.translate table writing each letter code
+    # as "name*" or "name^-1*"
     _codes: dict[Letter, str] = field(init=False, repr=False, compare=False, hash=False)
     _flip: dict[int, int] = field(init=False, repr=False, compare=False, hash=False)
     _pairs: tuple[str, ...] = field(init=False, repr=False, compare=False, hash=False)
+    _names: dict[int, str] = field(init=False, repr=False, compare=False, hash=False)
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -76,6 +80,8 @@ class Alphabet:
                                             for i in range(len(syms)) for s in (1, -1)})
         object.__setattr__(self, "_flip", {c: c ^ 1 for c in codes})
         object.__setattr__(self, "_pairs", tuple(chr(c) + chr(c ^ 1) for c in codes))
+        object.__setattr__(self, "_names", {c: syms[(c - 256) >> 1] + ("^-1*" if c & 1 else "*")
+                                            for c in codes})
 
     @property
     def rank(self) -> int:
@@ -187,7 +193,11 @@ class Word:
 def commutator(u: Word, v: Word) -> Word:
     """[u,v] = u v u^-1 v^-1, freely reduced; with u and v reduced first,
     letters cancel only at the three joins, so no letter stack is built."""
-    w = u.concat(v).concat(u.inverse()).concat(v.inverse())
+    if u.alphabet != v.alphabet:
+        raise AlphabetMismatchError("cannot concatenate words over different alphabets")
+    flip = u.alphabet._flip
+    w = Word._trusted(u.alphabet, u.text + v.text + u.text[::-1].translate(flip)
+                      + v.text[::-1].translate(flip))
     if w.is_reduced():
         return w
     u, v = free_reduce(u), free_reduce(v)
@@ -456,12 +466,14 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
 
 def render_word(w: Word) -> str:
-    """Canonical text: runs collapsed, '*' separators, '^-k' for negatives."""
+    """Canonical text: runs collapsed, '*' separators, '^-k' for negatives.
+    Runs are written first, then each other letter by the translate table."""
     if not w.text:
         return "1"
-    parts: list[str] = []
-    for ch, run in groupby(w.text):
-        c, k = ord(ch) - 256, len(list(run))
-        name = w.alphabet.symbols[c >> 1]
-        parts.append(name if k == 1 and not c & 1 else f"{name}^{-k if c & 1 else k}")
-    return "*".join(parts)
+    symbols = w.alphabet.symbols
+
+    def run(m: re.Match[str]) -> str:
+        c, k = ord(m[1]) - 256, len(m[0])
+        return f"{symbols[c >> 1]}^{-k if c & 1 else k}*"
+
+    return _RUN_RE.sub(run, w.text).translate(w.alphabet._names)[:-1]

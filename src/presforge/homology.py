@@ -58,13 +58,14 @@ class SmithForm:
         return len(self.diagonal)
 
     def verify(self, M: IntegerMatrix) -> bool:
-        """Row by row: left[i]*M*right == d_i*e_i, and left[i]*M == 0 past the rank."""
+        """Row by row: left[i]*M*right == d_i*e_i, left[i]*M == 0 past the rank,
+        and no left[i] is zero (a partial check that left is unimodular)."""
         for i, row in enumerate(self.left):
             v = _combine(row.items(), M, self.cols)
             if i < self.rank:
                 v = _combine(enumerate(v), self.right, self.cols)
                 v[i] -= self.diagonal[i]
-            if any(v):
+            if any(v) or not any(row.values()):
                 return False
         return len(self.left) == self.rows
 
@@ -273,7 +274,7 @@ def solve_row_lattice(M: IntegerMatrix, target: list[int],
             y[i] += zi * x
     # size-reduce against the kernel lattice (rows r..m-1 of L) to keep the
     # resulting relator powers short; UCE kernel rows are mostly unit vectors
-    kernel = [(row, sum(x * x for x in row.values())) for row in form.left[r:]]
+    kernel = [(row, norm) for row in form.left[r:] if (norm := sum(x * x for x in row.values()))]
     changed = True
     while changed:
         changed = False

@@ -17,6 +17,7 @@ from presforge.presentations import parse_presentation, render_presentation
 
 J_TEXT = "< a, b, c, d | a*b*a^-1=b^2, b*c*b^-1=c^2, c*d*c^-1=d^2, d*a*d^-1=a^2 >\n"
 ICO_TEXT = "< a, b | a^2, b^3, (a*b)^5 >\n"
+D_TEXT = "< alpha, beta, gamma | alpha*beta*alpha^-1=beta^2, beta*gamma*beta^-1=gamma^2 >\n"
 TRIV_TEXT = "< x | x >\n"
 
 
@@ -427,6 +428,10 @@ UCE_GOLDEN = {
         "797a3c50df389d6cb45c7a8953e1e9ff12efc46ca9922eb8ecef9dbb3d90aa4e",
     ("uce", "spico"):
         "f3a9be2960e8d9eea045663763983f440614a0b8c17043a6020358e381547b35",
+    ("uce", "spD"):
+        "fe2b75b482cdc19ed1f4835cdfe393183310bacd88101cb93671201c29a4da38",
+    ("superperfectify", "D"):
+        "69dc88b2188b95eb5c0c0260fddf9cff8ecba2cdfb80ee223b5910ca3fcb96f5",
     ("superperfectify", "ico"):
         "938168096ac130fabcecba97be6e96e3db684bc496f1f0d03f5ebe81a965ef65",
     ("superperfectify", "J"):
@@ -438,10 +443,11 @@ UCE_GOLDEN = {
 
 @pytest.mark.parametrize("command,source", sorted(UCE_GOLDEN))
 def test_uce_artifacts_golden(tmp_path, command, source):
-    texts = {"ico": ICO_TEXT, "J": J_TEXT, "triv": TRIV_TEXT}
+    # "sp" + a source name: that source's super_perfectify output
+    texts = {"ico": ICO_TEXT, "J": J_TEXT, "triv": TRIV_TEXT, "D": D_TEXT}
     path = tmp_path / f"{source}.pres"
     path.write_text(texts.get(source) or render_presentation(
-        super_perfectify(parse_presentation(ICO_TEXT)).presentation))
+        super_perfectify(parse_presentation(texts[source[2:]])).presentation))
     out = tmp_path / "out"
     assert run_command([command, str(path), "--outdir", str(out)]) == 0
     digest = hashlib.sha256()

@@ -418,3 +418,50 @@ def test_fuzz_conjugacy_witness_matches_tuple_reference(u, g, v, j, conjugate):
     witness = conjugacy_test(Word(ABC, u), Word(ABC, v))
     expected = oracles.tuple_conjugacy_witness(u, v)
     assert (None if witness is None else witness.letters) == expected
+
+
+# rank 3 and two wide alphabets: letter codes pass U+01FF from generator
+# 128 on, and the surrogate block U+D800 from generator 27,520 on
+_ALPHABETS = {3: ABC, 128: Alphabet([f"g{i}" for i in range(128)]),
+              27_530: Alphabet([f"g{i}" for i in range(27_530)])}
+
+
+@st.composite
+def _runs(draw, rank, max_runs=6):
+    """Letters as runs of up to 300 equal letters of either sign, on
+    generators often among the first or the last three."""
+    gens = st.sampled_from([0, 1, 2, rank - 3, rank - 2, rank - 1]) | st.integers(0, rank - 1)
+    runs = draw(st.lists(st.tuples(gens, st.sampled_from((1, -1)),
+                                   st.integers(1, 3) | st.integers(1, 300)), max_size=max_runs))
+    return tuple(letter for i, s, k in runs for letter in [(i, s)] * k)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rank=st.sampled_from(sorted(_ALPHABETS)), data=st.data())
+def test_fuzz_render_matches_tuple_reference(rank, data):
+    """Runs (adjacent equal ones merging, inverse ones left unreduced)
+    render as the tuple reference does and parse back to the same word."""
+    alph = _ALPHABETS[rank]
+    u = data.draw(_runs(rank))
+    w = Word(alph, u)
+    assert render_word(w) == oracles.tuple_render(u, alph.symbols)
+    assert parse_word(alph, render_word(w)) == w
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rank=st.sampled_from(sorted(_ALPHABETS)), data=st.data())
+def test_fuzz_commutator_matches_free_reduce(rank, data):
+    """[u,v] on unreduced u and v, empty ones and ones that cancel at the
+    joins included, is the free reduction of u v u^-1 v^-1; operands over
+    two alphabets are refused.  (At rank 27,530 each reduced-word test
+    searches the text for each of 55,060 cancelling pairs, so the words
+    are kept shorter.)"""
+    alph = _ALPHABETS[rank]
+    u = Word(alph, data.draw(_runs(rank, 3)))
+    v = Word(alph, data.draw(_runs(rank, 3) | st.just(u.letters)
+                             | st.just(u.inverse().letters)))
+    assert commutator(u, v) == free_reduce(u.concat(v).concat(~u).concat(~v))
+    other = _ALPHABETS[128 if rank == 3 else 3]
+    for x, y in ((u, other.gen(other.symbols[0])), (other.identity(), v)):
+        with pytest.raises(AlphabetMismatchError):
+            commutator(x, y)

@@ -86,6 +86,15 @@ class TestSmithNormalForm:
             left = form.left[:2] + [row]
             assert not dataclasses.replace(form, left=left).verify(M)
 
+    def test_verify_rejects_an_empty_kernel_row(self):
+        # an empty row times M is 0, so only the row itself shows it
+        M = [[2, 4], [1, 2], [3, 6]]
+        form = smith_normal_form(M)
+        for i in (1, 2):
+            left = list(form.left)
+            left[i] = {}
+            assert not dataclasses.replace(form, left=left).verify(M)
+
     def test_verify_rejects_a_scaled_pivot_row(self):
         M = [[2, 1], [1, 1]]
         form = smith_normal_form(M)
@@ -205,6 +214,17 @@ class TestSolveRowLattice:
         # a float quotient of these integers overflows; size reduction
         # against the kernel row (1, -1) must still be exact
         assert solve_row_lattice([[1], [1]], [10**400]) == [5 * 10**399] * 2
+
+    def test_size_reduction_skips_an_empty_kernel_row(self):
+        # such a form fails verify, but a caller-supplied one must not
+        # divide by the empty row's zero norm
+        M = [[2, 4], [1, 2], [3, 6]]
+        form = smith_normal_form(M)
+        for i in (1, 2):
+            left = list(form.left)
+            left[i] = {}
+            y = solve_row_lattice(M, [2, 4], dataclasses.replace(form, left=left))
+            assert [sum(y[k] * M[k][j] for k in range(3)) for j in range(2)] == [2, 4]
 
     def test_final_check_survives_optimize(self):
         # a Smith form whose left transform is wrong yields a y with
