@@ -396,21 +396,22 @@ def homsearch(P, max_degree, budget):
     """Finite-quotient certificate: a low-index subgroups search for a
     proper subgroup of index k <= K, so for a nontrivial homomorphism into
     some S_k (exit 0 certified, 1 counterexample: the action on the cosets
-    of a least-index proper subgroup, 2 node budget exhausted).  Blocks Y
-    of generators are killed first: if the relators supported in Y present
+    of a least-index proper subgroup, 2 node budget exhausted).  Commutator
+    relators in the normal closure of kept ones are dropped, then blocks Y
+    of generators are killed: if the relators supported in Y present
     a group with no proper subgroup of index <= K, every such homomorphism
     is trivial on Y, so Y is set to 1.  Candidate blocks are, for each
     generator g, the connected components of the relators that avoid g,
     linked by shared generators."""
     cert = finite_quotient_certificate(P, max_degree, budget=budget)
     report = {"max_degree": max_degree, "certified": cert.certified,
-              "search_nodes": cert.search_nodes,
+              "search_nodes": cert.search_nodes, "relators_dropped": cert.relators_dropped,
               "killed_blocks": [{"generators": list(b.generators),
                                  "search_nodes": b.search_nodes}
                                 for b in cert.killed_blocks]}
     blocks = [f"killed block {', '.join(b.generators)} ({b.search_nodes} search nodes)"
               for b in cert.killed_blocks]
-    nodes = f"{cert.search_nodes} search nodes"
+    nodes = f"{cert.search_nodes} search nodes, {cert.relators_dropped} relators dropped"
     if cert.certified:
         return report, [f"certified: no nontrivial homomorphism to any S_k, k <= {max_degree} "
                         "(bounded certificate)", *blocks, nodes], EXIT_OK

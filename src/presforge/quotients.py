@@ -14,8 +14,8 @@ must re-expand to it (`NormalClosureElement.expand`): relators in the
 normal closure of kept ones change neither the group nor any subgroup,
 so the certificate means what it meant.  Then it kills generator blocks,
 which pays off on presentations glued from Higman copies, where one
-row-major backtrack interleaves the copies' columns and rediscovers each
-copy's dead ends under every partial table of the others.  Lemma: if the
+backtrack interleaves the copies' columns and rediscovers each copy's
+dead ends under every partial table of the others.  Lemma: if the
 relators R' supported in a generator set Y present a group with no proper
 subgroup of index <= K, every homomorphism P -> S_k with k <= K is
 trivial on Y, so P and P/<<Y>> have the same transitive actions of
@@ -241,11 +241,15 @@ def low_index_subgroups(P: FinitePresentation, n: int, nodes: list[int] | None =
     generators on its cosets (coset 0 = the subgroup).
 
     Backtrack (Sims, Computation with Finitely Presented Groups, 1994,
-    ch. 5): fill the first undefined entry (c, x) in row-major order with
-    each existing coset d whose (d, x^-1) is free, in increasing order,
-    then with a new coset while fewer than n exist.  New cosets are
-    numbered in order of first appearance, so every table is standardized
-    and no canonicity test is needed.  After each definition
+    ch. 5): pick the column x with the fewest undefined entries (c, x),
+    first in row-major order on ties, and fill its first one with each
+    existing coset d whose (d, x^-1) is free, in increasing order, then
+    with a new coset while fewer than n exist.  Columns x and x^-1 have
+    equally many free entries, so this is the entry with the fewest
+    candidates (first-fail).  New cosets take the next number and the
+    entry depends only on the partial table, so each subgroup has one path
+    and no canonicity test is needed; a complete table is renumbered in
+    row-major order of first appearance.  After each definition
     the cyclic conjugates of the relators and their inverses that start
     with the defined letter are scanned at the defined coset, and each
     single-gap fill is deduced and scanned in turn; a scan that closes on
@@ -298,31 +302,37 @@ def low_index_subgroups(P: FinitePresentation, n: int, nodes: list[int] | None =
                     todo.append((f, w[i]))
         return True
 
-    def search(ncos: int, pos: int) -> Iterator[PermAssignment]:
+    def search(ncos: int) -> Iterator[PermAssignment]:
         nodes[0] += 1
         if budget is not None and nodes[0] > budget:
             raise BudgetExhausted(
                 f"low-index search passed its budget of {budget} nodes ({nodes[0]} nodes)")
         end = ncos * ncols
-        while pos < end and tab[pos] >= 0:
-            pos += 1
-        if pos == end:
+        # (free entries of column x, first free coset c of it, x)
+        best = min(((k, col.index(-1), x) for x in range(ncols)
+                    if (k := (col := tab[x:end:ncols]).count(-1))), default=None)
+        if best is None:
+            order = [0]  # the cosets in row-major order of first appearance
+            for c in order:
+                order += [d for d in dict.fromkeys(tab[c * ncols:(c + 1) * ncols])
+                          if d not in order]
+            new = {c: i for i, c in enumerate(order)}
             yield PermAssignment(ncos, tuple(
-                (g, tuple(tab[c * ncols + x] for c in range(ncos)))
+                (g, tuple(new[tab[c * ncols + x]] for c in order))
                 for g, x in zip(P.alphabet.symbols, range(0, ncols, 2))))
             return
-        c, x = divmod(pos, ncols)
+        _, c, x = best
         for d in range(ncos + (ncos < n)):
             if tab[d * ncols + (x ^ 1)] >= 0:
                 continue
             mark = len(trail)
             define(c, x, d)
             if deduce(c, x):
-                yield from search(max(ncos, d + 1), pos + 1)
+                yield from search(max(ncos, d + 1))
             while len(trail) > mark:
                 tab[trail.pop()] = -1
 
-    yield from search(1, 0)
+    yield from search(1)
 
 
 @dataclass(frozen=True)

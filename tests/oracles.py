@@ -5,7 +5,10 @@
 composing permutations (`compose`), the reference for its letter-code walk,
 `group_order` and `image_order` give the order of a permutation group by
 orbit closure, `word_problem_oracle` decides the word problem of a finite
-group from a completed coset table over the trivial subgroup, and
+group from a completed coset table over the trivial subgroup,
+`row_major_low_index_subgroups` is the low-index search that fills the
+first undefined entry in row-major order, the reference for the search
+that branches on the column with the fewest free entries, and
 `minors_gcd` (over the
 Bareiss determinant `det`) gives the products d_1 * ... * d_k of a Smith
 form's invariant factors, `reference_smith_normal_form` is the Smith form
@@ -65,6 +68,7 @@ from presforge.freewords import (
     exponent_vector,
     free_reduce,
     identity_images,
+    letter_codes,
     render_word,
 )
 from presforge.homology import IntegerMatrix, SmithForm, _identity
@@ -167,6 +171,77 @@ def word_problem_oracle(P: FinitePresentation,
     # over the trivial subgroup the action is regular, so a word is trivial
     # iff it acts as the identity
     return lambda w: action.evaluate(w) == ident
+
+
+def row_major_low_index_subgroups(P: FinitePresentation, n: int,
+                                  nodes: list[int] | None = None) -> Iterator[PermAssignment]:
+    """Sims' low-index search as presforge ran it before it branched on the
+    column with the fewest free entries: always fill the first undefined
+    entry in row-major order, with the same definitions and deductions.
+    Its tables come out standardized in row-major order, in lexicographic
+    order of the search tree; each search node adds 1 to nodes[0]."""
+    if nodes is None:
+        nodes = [0]
+    ncols = 2 * P.alphabet.rank
+    scans: list[dict[tuple[int, ...], None]] = [{} for _ in range(ncols)]
+    for r in P.relators:
+        for w in (r, r.inverse()):
+            cols = letter_codes(w)
+            for k in range(len(cols)):
+                scans[cols[k]][tuple(cols[k:] + cols[:k])] = None
+    tab = [-1] * (n * ncols)
+    trail: list[int] = []
+
+    def define(c: int, x: int, d: int) -> None:
+        tab[c * ncols + x] = d
+        tab[d * ncols + (x ^ 1)] = c
+        trail.extend((c * ncols + x, d * ncols + (x ^ 1)))
+
+    def deduce(c: int, x: int) -> bool:
+        todo = [(c, x)]
+        while todo:
+            c, x = todo.pop()
+            for w in scans[x]:
+                m = len(w)
+                f, i = c, 0
+                while i < m and tab[f * ncols + w[i]] >= 0:
+                    f, i = tab[f * ncols + w[i]], i + 1
+                if i == m:
+                    if f != c:
+                        return False
+                    continue
+                b, j = c, m - 1
+                while j > i and tab[b * ncols + (w[j] ^ 1)] >= 0:
+                    b, j = tab[b * ncols + (w[j] ^ 1)], j - 1
+                if j == i:
+                    if tab[b * ncols + (w[i] ^ 1)] >= 0:
+                        return False
+                    define(f, w[i], b)
+                    todo.append((f, w[i]))
+        return True
+
+    def search(ncos: int, pos: int) -> Iterator[PermAssignment]:
+        nodes[0] += 1
+        end = ncos * ncols
+        while pos < end and tab[pos] >= 0:
+            pos += 1
+        if pos == end:
+            yield PermAssignment(ncos, tuple(
+                (g, tuple(tab[c * ncols + x] for c in range(ncos)))
+                for g, x in zip(P.alphabet.symbols, range(0, ncols, 2))))
+            return
+        c, x = divmod(pos, ncols)
+        for d in range(ncos + (ncos < n)):
+            if tab[d * ncols + (x ^ 1)] >= 0:
+                continue
+            mark = len(trail)
+            define(c, x, d)
+            if deduce(c, x):
+                yield from search(max(ncos, d + 1), pos + 1)
+            while len(trail) > mark:
+                tab[trail.pop()] = -1
+
+    yield from search(1, 0)
 
 
 def det(A: IntegerMatrix) -> int:

@@ -145,10 +145,11 @@ class TestSearchAndOrder:
         assert res.exit_code == 0
         report = json.loads(res.output)
         assert report["killed_blocks"] == [
-            {"generators": ["a_1", "b_1", "c_1", "d_1"], "search_nodes": 982}]
-        assert report["search_nodes"] == 1211
-        assert "killed block a_1, b_1, c_1, d_1 (982 search nodes)" in \
-            runner.invoke(main, argv).output
+            {"generators": ["a_1", "b_1", "c_1", "d_1"], "search_nodes": 253}]
+        assert report["search_nodes"] == 386 and report["relators_dropped"] == 20
+        text = runner.invoke(main, argv).output
+        assert "killed block a_1, b_1, c_1, d_1 (253 search nodes)" in text
+        assert "386 search nodes, 20 relators dropped" in text
 
     def test_homsearch_over_budget_exit_2(self, workdir, capsys):
         assert run_command(["homsearch", str(workdir / "J.pres"), "--max-degree", "6",
