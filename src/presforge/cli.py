@@ -434,14 +434,16 @@ def order(P, max_cosets, subgroup_words):
         "index": table.index,
         "cosets_defined": table.cosets_defined,
         "peak_live": table.peak_live,
+        "deductions": table.deductions,
         "max_cosets": max_cosets,
         "subgroup": list(subgroup_words),
     }
+    work = f"peak {table.peak_live} live, {table.deductions} deductions"
     if table.complete:
         return report, [f"index {table.index} ({table.cosets_defined} cosets defined, "
-                        f"peak {table.peak_live} live)"], EXIT_OK
+                        f"{work})"], EXIT_OK
     return report, [f"overflow after defining {table.cosets_defined} cosets "
-                    f"(peak {table.peak_live} live, budget {max_cosets})"], EXIT_INCONCLUSIVE
+                    f"({work}, budget {max_cosets})"], EXIT_INCONCLUSIVE
 
 
 @_command(manifest="bg-pipeline")

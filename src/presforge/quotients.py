@@ -23,17 +23,21 @@ degree <= K.  The candidate blocks are read off the presentation: for
 each generator g, the connected components of the relators that avoid g,
 two relators being connected when they share a generator.
 
-`todd_coxeter` is HLT coset enumeration (Holt, Eick and O'Brien, Handbook
-of Computational Group Theory, 2005, ch. 5).  Each live coset in creation
-order has every relator scanned and filled at it: scanned forward, then
-backward, as far as the table is defined, with new cosets defined only
-inside the gap and a gap of one letter closed by a deduction.  A scan
-that closes on two different cosets starts the Handbook's COINCIDENCE,
-which moves each dead row into its representative at once, so scans read
-table entries with no union-find lookup.  A generator whose square is the
-cyclic core of a relator has one column for both of its letters, so it
-acts as an involution by construction and its square is never scanned;
-the final `verify` still walks every relator, the squares included.
+`todd_coxeter` is HLT coset enumeration with Felsch deductions, in Sims'
+order (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2005, ch. 5; Havas, Coset enumeration strategies, ISSAC 1991).  Each live
+coset in creation order has the short relators scanned and filled at it,
+then the empty entries of its row defined, then the long relators scanned
+and filled.  A scan runs forward, then backward, as far as the table is
+defined, defines new cosets only inside the gap and closes a gap of one
+letter.  The entries so closed, defined in the row or set by the Handbook's
+COINCIDENCE are stacked and deduced from: the short relators' cyclic
+conjugates through each are scanned, defining nothing.  COINCIDENCE moves
+each dead row into its representative at once, so scans read table entries
+with no union-find lookup.  A generator whose square is the cyclic core of
+a relator has one column for both of its letters, so it acts as an
+involution by construction and its square is never scanned; the final
+`verify` still walks every relator, the squares included.
 
 Every action found is a `PermAssignment`: a coset table is the action on
 its cosets and a counterexample the action on the cosets of a least-index
@@ -558,13 +562,15 @@ class CosetTable:
     """Result of coset enumeration: the action of the generators on the
     cosets (coset 0 = the subgroup), or None after an overflow, which is
     never treated as an answer.  cosets_defined counts every coset ever
-    defined, peak_live the most cosets live at once; both are
-    deterministic work counters.
+    defined, peak_live the most cosets live at once, deductions the
+    entries closed by deduce-only scans; all are deterministic work
+    counters.
     """
 
     action: PermAssignment | None
     cosets_defined: int
     peak_live: int
+    deductions: int = 0
 
     @property
     def complete(self) -> bool:
@@ -596,43 +602,56 @@ def todd_coxeter(
     max_cosets: int = 100_000,
 ) -> CosetTable:
     """Enumerate cosets of <subgroup_gens> in the presented group by HLT
-    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
-    ch. 5).
+    with Felsch deductions, in Sims' order (see the module docstring).
 
-    Each subgroup generator is scanned and filled at coset 0; then every
-    live coset, in creation order, has every relator scanned and filled at
-    it, after which the empty entries of its row are defined.  A generator
-    g is involutory when the cyclic core of some relator is g^2 or g^-2:
-    g and g^-1 then share one column, so every g-edge c -> d also writes
-    d -> c, and the relators with such a core are not scanned.  The table
-    is still checked against every relator, the squares included, before
-    it is returned.  A scan runs
-    forward and then backward as far as the table is defined, defines new
-    cosets only inside the gap, deduces the entry that closes a gap of one
-    letter, and hands two different cosets where the scans meet to the
-    Handbook's COINCIDENCE, which moves each dead row into its
-    representative at once, so the table never refers to a dead coset when
-    a scan reads it.  Deterministic.  The count of all cosets ever defined
-    (including ones later merged away) is capped by max_cosets; exceeding
-    the cap returns an overflow table.
+    Each subgroup generator is scanned and filled at coset 0 first.  A
+    relator is short when its cyclic core, which is what is scanned, has at
+    most 1.5 times the letters of the shortest core, squares included; the
+    short and the long ones are each scanned shortest first.  A generator g
+    is involutory when some core is g^2 or g^-2: g and g^-1 then share one
+    column, every g-edge c -> d also writes d -> c, and those relators are
+    not scanned.  After each scan and each definition, every stacked entry
+    (c, x), x starting a cyclic conjugate of a short relator or of its
+    inverse, has those conjugates scanned at c (and at c's image under an
+    involutory x): such a scan closes a one-letter gap or merges meeting
+    cosets, and defines none.  Deterministic.  The count of all cosets ever defined (including ones
+    later merged away) is capped by max_cosets; exceeding the cap returns an
+    overflow table.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     if any(w.alphabet != P.alphabet for w in subgroup_gens):
         raise ValueError("subgroup generator over the wrong alphabet")
-    # the relators whose core is g^2 or g^-2, each with its generator g
-    squares = {r: c[0] >> 1 for r in P.relators
-               if len(c := letter_codes(cyclically_reduce(r)[0])) == 2 and c[0] == c[1]}
+    cores = sorted((letter_codes(cyclically_reduce(r)[0]) for r in P.relators), key=len)
+    # the generators g with a core g^2 or g^-2
+    squares = {c[0] >> 1 for c in cores if len(c) == 2 and c[0] == c[1]}
     # cols[x][c]: coset c times letter x, or 0 while undefined, one list
     # shared by both letters of an involutory generator.  Cosets are
     # numbered from 1 here, so entry 0 of every list is unused.
     cols: list[list[int]] = []
     for g in range(P.alphabet.rank):
-        cols += [[0, 0]] * 2 if g in squares.values() else [[0, 0], [0, 0]]
+        cols += [[0, 0]] * 2 if g in squares else [[0, 0], [0, 0]]
     # one letter per distinct list, for appends and coincidences
     owners = [x for x in range(len(cols)) if cols[x] is not cols[x ^ 1] or not x & 1]
     rep = [0, 1]  # rep[c] == c iff coset c is live
     live = peak = 1
+    stack: list[tuple[int, int]] = []  # entries (c, x) whose deductions are due
+    deductions = 0
+
+    def columns(xs: list[int]) -> tuple[list[list[int]], list[list[int]], list[int], int]:
+        return [cols[x] for x in xs], [cols[x ^ 1] for x in xs], xs, len(xs) - 1
+
+    scanned = [columns(c) for c in cores if not (len(c) == 2 and c[0] == c[1])]
+    short = [w for w in scanned if 2 * len(w[2]) <= 3 * len(cores[0])]
+    long = scanned[len(short):]
+    # conj[x]: the distinct cyclic conjugates starting with letter x of the
+    # short relators and their inverses, shortest relator first
+    rotations: list[dict[tuple[int, ...], None]] = [{} for _ in cols]
+    for _, _, c, _ in short:
+        for w in (c, [x ^ 1 for x in reversed(c)]):
+            for k in range(len(w)):
+                rotations[w[k]][tuple(w[k:] + w[:k])] = None
+    conj = [[columns(list(w)) for w in d] for d in rotations]
 
     def new_coset() -> int:
         nonlocal live, peak
@@ -679,52 +698,75 @@ def todd_coxeter(
                         merge(m, inv[n])
                     else:
                         col[m], inv[n] = n, m
+                        if conj[x]:
+                            stack.append((m, x))
         live -= len(dead)
 
-    def scan_and_fill(a: int, fwd: list[list[int]], bwd: list[list[int]]) -> None:
-        """Scan a word at coset a, where fwd[i] and bwd[i] are the columns
-        of its i-th letter and of that letter's inverse."""
-        f, i, b, j = a, 0, a, len(fwd) - 1
+    def scan(a: int, w: tuple, fill: bool = True) -> None:
+        """Scan w = `columns(xs)` at coset a; without fill, define no coset."""
+        nonlocal deductions
+        fwd, bwd, xs, j = w
+        f, i, b = a, 0, a
         while True:
-            while i <= j and fwd[i][f]:
-                f, i = fwd[i][f], i + 1
+            while i <= j and (g := fwd[i][f]):
+                f, i = g, i + 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and bwd[j][b]:
-                b, j = bwd[j][b], j - 1
+            while j >= i and (g := bwd[j][b]):
+                b, j = g, j - 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
                 fwd[i][f], bwd[i][b] = b, f
+                deductions += not fill
+                if conj[xs[i]]:
+                    stack.append((f, xs[i]))
+                return
+            if not fill:
                 return
             n = new_coset()
             fwd[i][f], bwd[i][n] = n, f
 
-    def columns(w: Word) -> tuple[list[list[int]], list[list[int]]]:
-        xs = letter_codes(w)
-        return [cols[x] for x in xs], [cols[x ^ 1] for x in xs]
+    def deduce() -> None:
+        while stack:
+            c, x = stack.pop()
+            if rep[c] != c:
+                continue  # COINCIDENCE moved c's row and stacked what it set
+            # an involutory edge c -> d is also the edge d -> c
+            for d in (c, cols[x][c]) if cols[x] is cols[x ^ 1] else (c,):
+                for w in conj[x]:
+                    if rep[d] != d:
+                        break
+                    scan(d, w, False)
 
-    relators = [columns(r) for r in P.relators if r not in squares]
+    def scan_all(a: int, words: list) -> None:
+        for w in words:
+            if rep[a] != a:
+                return
+            scan(a, w)
+            if stack:
+                deduce()
+
     try:
-        for w in subgroup_gens:
-            scan_and_fill(1, *columns(w))
+        scan_all(1, [columns(letter_codes(w)) for w in subgroup_gens])
         a = 1
         while a < len(rep):
-            for fwd, bwd in relators:
-                if rep[a] != a:
-                    break
-                scan_and_fill(a, fwd, bwd)
-            if rep[a] == a:
-                for x in owners:
-                    if not cols[x][a]:
-                        n = new_coset()
-                        cols[x][a], cols[x ^ 1][n] = n, a
+            scan_all(a, short)
+            for x in owners:
+                if rep[a] == a and not cols[x][a]:
+                    n = new_coset()
+                    cols[x][a], cols[x ^ 1][n] = n, a
+                    if conj[x]:
+                        stack.append((a, x))
+                        deduce()
+            scan_all(a, long)
             a += 1
     except _Overflow:
-        return CosetTable(None, cosets_defined=len(rep) - 1, peak_live=peak)
+        return CosetTable(None, cosets_defined=len(rep) - 1, peak_live=peak,
+                          deductions=deductions)
 
     alive = [c for c in range(1, len(rep)) if rep[c] == c]
     renum = {c: i for i, c in enumerate(alive)}
@@ -734,7 +776,7 @@ def todd_coxeter(
             raise AssertionError("incomplete table at termination (internal error)")
         images.append((name, tuple(renum[cols[x][c]] for c in alive)))
     table = CosetTable(PermAssignment(len(alive), tuple(images)),
-                       cosets_defined=len(rep) - 1, peak_live=peak)
+                       cosets_defined=len(rep) - 1, peak_live=peak, deductions=deductions)
     if not table.verify(P, subgroup_gens):
         raise AssertionError("coset table failed verification (internal error)")
     return table

@@ -6,6 +6,8 @@ composing permutations (`compose`), the reference for its letter-code walk,
 `group_order` and `image_order` give the order of a permutation group by
 orbit closure, `word_problem_oracle` decides the word problem of a finite
 group from a completed coset table over the trivial subgroup,
+`hlt_todd_coxeter` is coset enumeration as plain HLT, the reference for
+the enumeration in Sims' order with deductions,
 `row_major_low_index_subgroups` is the low-index search that fills the
 first undefined entry in row-major order, the reference for the search
 that branches on the column with the fewest free entries, and
@@ -75,8 +77,10 @@ from presforge.homology import IntegerMatrix, SmithForm, _identity
 from presforge.presentations import FinitePresentation, PresentationError
 from presforge.quotients import (
     BudgetExhausted,
+    CosetTable,
     Perm,
     PermAssignment,
+    _Overflow,
     identity_perm,
     inverse_perm,
     todd_coxeter,
@@ -171,6 +175,141 @@ def word_problem_oracle(P: FinitePresentation,
     # over the trivial subgroup the action is regular, so a word is trivial
     # iff it acts as the identity
     return lambda w: action.evaluate(w) == ident
+
+
+def hlt_todd_coxeter(
+    P: FinitePresentation,
+    subgroup_gens: Sequence[Word] = (),
+    max_cosets: int = 100_000,
+) -> CosetTable:
+    """`todd_coxeter` as presforge ran it before Sims' order: plain HLT.
+    Each subgroup generator is scanned and filled at coset 0; then every
+    live coset, in creation order, has every relator but the squares of
+    involutory generators scanned and filled at it (in relator order),
+    after which the empty entries of its row are defined.  No deductions;
+    same columns, scans, COINCIDENCE and final `verify`."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be >= 1")
+    if any(w.alphabet != P.alphabet for w in subgroup_gens):
+        raise ValueError("subgroup generator over the wrong alphabet")
+    # the relators whose core is g^2 or g^-2, each with its generator g
+    squares = {r: c[0] >> 1 for r in P.relators
+               if len(c := letter_codes(cyclically_reduce(r)[0])) == 2 and c[0] == c[1]}
+    # cols[x][c]: coset c times letter x, or 0 while undefined, one list
+    # shared by both letters of an involutory generator.  Cosets are
+    # numbered from 1 here, so entry 0 of every list is unused.
+    cols: list[list[int]] = []
+    for g in range(P.alphabet.rank):
+        cols += [[0, 0]] * 2 if g in squares.values() else [[0, 0], [0, 0]]
+    # one letter per distinct list, for appends and coincidences
+    owners = [x for x in range(len(cols)) if cols[x] is not cols[x ^ 1] or not x & 1]
+    rep = [0, 1]  # rep[c] == c iff coset c is live
+    live = peak = 1
+
+    def new_coset() -> int:
+        nonlocal live, peak
+        n = len(rep)
+        if n > max_cosets:
+            raise _Overflow
+        rep.append(n)
+        for x in owners:
+            cols[x].append(0)
+        live += 1
+        peak = max(peak, live)
+        return n
+
+    def find(c: int) -> int:
+        root = c
+        while rep[root] != root:
+            root = rep[root]
+        while rep[c] != root:
+            rep[c], c = root, rep[c]
+        return root
+
+    def coincidence(a: int, b: int) -> None:
+        nonlocal live
+        dead: list[int] = []
+
+        def merge(a: int, b: int) -> None:
+            a, b = find(a), find(b)
+            if a != b:
+                a, b = min(a, b), max(a, b)
+                rep[b] = a
+                dead.append(b)
+
+        merge(a, b)
+        for g in dead:  # grows while it is read
+            for x in owners:  # a shared column twice would undo its own fill
+                col, inv = cols[x], cols[x ^ 1]
+                d = col[g]
+                if d:
+                    inv[d] = 0
+                    m, n = find(g), find(d)
+                    if col[m]:
+                        merge(n, col[m])
+                    elif inv[n]:
+                        merge(m, inv[n])
+                    else:
+                        col[m], inv[n] = n, m
+        live -= len(dead)
+
+    def scan_and_fill(a: int, fwd: list[list[int]], bwd: list[list[int]]) -> None:
+        """Scan a word at coset a, where fwd[i] and bwd[i] are the columns
+        of its i-th letter and of that letter's inverse."""
+        f, i, b, j = a, 0, a, len(fwd) - 1
+        while True:
+            while i <= j and fwd[i][f]:
+                f, i = fwd[i][f], i + 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and bwd[j][b]:
+                b, j = bwd[j][b], j - 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                fwd[i][f], bwd[i][b] = b, f
+                return
+            n = new_coset()
+            fwd[i][f], bwd[i][n] = n, f
+
+    def columns(w: Word) -> tuple[list[list[int]], list[list[int]]]:
+        xs = letter_codes(w)
+        return [cols[x] for x in xs], [cols[x ^ 1] for x in xs]
+
+    relators = [columns(r) for r in P.relators if r not in squares]
+    try:
+        for w in subgroup_gens:
+            scan_and_fill(1, *columns(w))
+        a = 1
+        while a < len(rep):
+            for fwd, bwd in relators:
+                if rep[a] != a:
+                    break
+                scan_and_fill(a, fwd, bwd)
+            if rep[a] == a:
+                for x in owners:
+                    if not cols[x][a]:
+                        n = new_coset()
+                        cols[x][a], cols[x ^ 1][n] = n, a
+            a += 1
+    except _Overflow:
+        return CosetTable(None, cosets_defined=len(rep) - 1, peak_live=peak)
+
+    alive = [c for c in range(1, len(rep)) if rep[c] == c]
+    renum = {c: i for i, c in enumerate(alive)}
+    images = []
+    for name, x in zip(P.alphabet.symbols, range(0, 2 * P.alphabet.rank, 2)):
+        if any(cols[x][c] not in renum for c in alive):
+            raise AssertionError("incomplete table at termination (internal error)")
+        images.append((name, tuple(renum[cols[x][c]] for c in alive)))
+    table = CosetTable(PermAssignment(len(alive), tuple(images)),
+                       cosets_defined=len(rep) - 1, peak_live=peak)
+    if not table.verify(P, subgroup_gens):
+        raise AssertionError("coset table failed verification (internal error)")
+    return table
 
 
 def row_major_low_index_subgroups(P: FinitePresentation, n: int,

@@ -163,6 +163,15 @@ class TestSearchAndOrder:
         assert res.exit_code == 0
         assert json.loads(res.output)["index"] == 60
 
+    def test_order_reports_deductions(self, runner, workdir):
+        """The JSON report and the text line carry the deterministic count
+        of entries closed by deduce-only scans (b^3 is a short relator)."""
+        res = runner.invoke(main, ["order", str(workdir / "ico.pres"), "--format", "json"])
+        deductions = json.loads(res.output)["deductions"]
+        assert deductions > 0
+        res = runner.invoke(main, ["order", str(workdir / "ico.pres")])
+        assert f"{deductions} deductions)" in res.output
+
     def test_order_with_subgroup(self, runner, workdir):
         res = runner.invoke(main, ["order", str(workdir / "ico.pres"),
                                    "--subgroup", "a", "--format", "json"])

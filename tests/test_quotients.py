@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 from math import comb, factorial
@@ -22,7 +23,7 @@ from presforge.quotients import (
     low_index_subgroups,
     todd_coxeter,
 )
-from presforge.uce import NormalClosureElement
+from presforge.uce import NormalClosureElement, miller_uce
 
 from oracles import (
     brute_force_homs,
@@ -30,6 +31,7 @@ from oracles import (
     compose_evaluate,
     compose_verify,
     group_order,
+    hlt_todd_coxeter,
     image_order,
     row_major_low_index_subgroups,
     word_problem_oracle,
@@ -543,6 +545,53 @@ def test_coxeter_overshoot_is_bounded(n, order):
     table = todd_coxeter(_coxeter_symmetric(n), ())
     assert table.complete and table.index == order
     assert table.cosets_defined <= 1.5 * order
+
+
+def test_uce_icosahedral_enumeration_is_short(icosahedral):
+    """Deductions from the short relators keep the binary icosahedral group
+    of order 120, presented as Miller's UCE of A_5, to at most 4,000
+    defined cosets (plain HLT defines 17,628)."""
+    table = todd_coxeter(miller_uce(icosahedral).result, ())
+    assert table.complete and table.index == 120
+    assert table.cosets_defined <= 4000 and table.deductions > 0
+
+
+def test_no_short_relator_means_no_deductions():
+    """Squares count towards the shortest core but are not scanned, so the
+    Coxeter S_5 has no short relator and nothing to deduce from."""
+    table = todd_coxeter(_coxeter_symmetric(5), ())
+    assert table.index == 120 and table.deductions == 0
+
+
+@functools.cache
+def _finite_presentations():
+    """Finite groups mixing squares, short and long relators: the triangle
+    groups <a, b | a^2, b^3, (a*b)^k> for k = 2..5 (with a^2 also spelled
+    a^-2), PSL(2, 7), and Miller's UCE of A_5 and of PSL(2, 7)."""
+    tri = [presentation(["a", "b"], [sq, "b^3", f"(a*b)^{k}"])
+           for k in (2, 3, 4, 5) for sq in ("a^2", "a^-2")]
+    return tri + [PSL27, miller_uce(tri[-1]).result, miller_uce(PSL27).result]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_todd_coxeter_matches_hlt_reference(data):
+    """Differential check against plain HLT on random subgroups of finite
+    groups and of their quotients by one random relator (a quotient of a
+    finite group is finite): whenever both enumerations complete, they
+    find the same index and both tables verify."""
+    P = data.draw(st.sampled_from(_finite_presentations()))
+    words = data.draw(st.lists(st.lists(_LETTERS, max_size=8), min_size=1, max_size=3))
+    extra = free_reduce(Word(P.alphabet, tuple(words[0])))
+    if extra:
+        P = presentation(P.alphabet.symbols, [*P.relators, extra])
+    subgroup = [Word(P.alphabet, tuple(w)) for w in words[1:]]
+    new, old = (enumerate_(P, subgroup, max_cosets=20_000)
+                for enumerate_ in (todd_coxeter, hlt_todd_coxeter))
+    for table in (new, old):
+        assert not table.complete or table.verify(P, subgroup)
+    if new.complete and old.complete:
+        assert new.index == old.index
 
 
 def _swap_action(n, word):
