@@ -7,8 +7,8 @@ searched and sorted as strings, at C speed, and every engine reads that
 text (or its `letter_codes`) directly; `Word.letters` derives the
 (index, sign) pairs on each access, and `render_word` writes a word by one
 `str.translate` of its text once its runs are spelled out.  All operations
-are pure; nothing here mutates shared state, so everything is safe to call
-concurrently.
+are pure; the one write is idempotent, `Word.is_reduced` caching its answer
+on the word, so everything is safe to call concurrently.
 
 Word text syntax (used by the whole package): juxtaposition with optional
 ``*``, integer exponents with ``^`` (negative as ``^-k``), parenthesized
@@ -103,10 +103,10 @@ class Alphabet:
         return parse_word(self, text)
 
     def gen(self, name: str) -> "Word":
-        return Word._trusted(self, chr(256 + 2 * self.index(name)))
+        return Word._trusted(self, chr(256 + 2 * self.index(name)), True)
 
     def identity(self) -> "Word":
-        return Word._trusted(self, "")
+        return Word._trusted(self, "", True)
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,7 @@ class Word:
 
     alphabet: Alphabet
     text: str
+    _reduced = None  # not a field: whether text is freely reduced, once known
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[Letter]):
         try:
@@ -133,12 +134,16 @@ class Word:
         object.__setattr__(self, "text", text)
 
     @classmethod
-    def _trusted(cls, alphabet: Alphabet, text: str) -> "Word":
+    def _trusted(cls, alphabet: Alphabet, text: str, reduced: bool | None = None) -> "Word":
         """A word from text already known to hold only letter codes of
-        `alphabet`, skipping the check of the public constructor."""
+        `alphabet`, skipping the check of the public constructor.  `reduced`,
+        unless None, is the caller's promise, proved where it is made, of
+        what `is_reduced` answers; it is then never scanned for."""
         w = object.__new__(cls)
         object.__setattr__(w, "alphabet", alphabet)
         object.__setattr__(w, "text", text)
+        if reduced is not None:
+            object.__setattr__(w, "_reduced", reduced)
         return w
 
     @property
@@ -161,7 +166,8 @@ class Word:
         return Word._trusted(self.alphabet, self.text + other.text)
 
     def inverse(self) -> "Word":
-        return Word._trusted(self.alphabet, self.text[::-1].translate(self.alphabet._flip))
+        return Word._trusted(self.alphabet, self.text[::-1].translate(self.alphabet._flip),
+                             self._reduced)
 
     def __invert__(self) -> "Word":
         return self.inverse()
@@ -172,16 +178,21 @@ class Word:
         base = self if n >= 0 else self.inverse()
         t = base.text
         if not (n and t) or base.is_reduced() and ord(t[0]) ^ 1 != ord(t[-1]):
-            return Word._trusted(self.alphabet, t * abs(n))  # base cyclically reduced
+            return Word._trusted(self.alphabet, t * abs(n), True)  # base cyclically reduced
         core, g = cyclically_reduce(base)
-        return Word._trusted(self.alphabet, g.text + core.text * abs(n) + g.inverse().text)
+        return Word._trusted(self.alphabet, g.text + core.text * abs(n) + g.inverse().text, True)
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g^-1 * self * g, freely reduced."""
         return free_reduce(g.inverse().concat(self).concat(g))
 
     def is_reduced(self) -> bool:
-        return not any(pair in self.text for pair in self.alphabet._pairs)
+        """Whether no letter meets its inverse: a substring search per
+        cancelling pair, made at most once per word."""
+        if self._reduced is None:
+            object.__setattr__(self, "_reduced",
+                               not any(pair in self.text for pair in self.alphabet._pairs))
+        return self._reduced
 
     def __repr__(self) -> str:
         return f"Word({render_word(self)!r})"
@@ -191,20 +202,24 @@ class Word:
 
 
 def commutator(u: Word, v: Word) -> Word:
-    """[u,v] = u v u^-1 v^-1, freely reduced; with u and v reduced first,
-    letters cancel only at the three joins, so no letter stack is built."""
-    if u.alphabet != v.alphabet:
+    """[u,v] = u v u^-1 v^-1, freely reduced; with u and v reduced first
+    (no scan when they are known to be), letters cancel only at the three
+    joins, so no letter stack is built and the result is not scanned."""
+    alph = u.alphabet
+    if v.alphabet is not alph and v.alphabet != alph:
         raise AlphabetMismatchError("cannot concatenate words over different alphabets")
-    flip = u.alphabet._flip
-    w = Word._trusted(u.alphabet, u.text + v.text + u.text[::-1].translate(flip)
-                      + v.text[::-1].translate(flip))
-    if w.is_reduced():
-        return w
-    u, v = free_reduce(u), free_reduce(v)
-    text = u.text
-    for piece in (v.text, u.inverse().text, v.inverse().text):
-        text, _ = reduce_join(text, piece)
-    return Word._trusted(u.alphabet, text)
+    if not (u.is_reduced() and v.is_reduced()):
+        u, v = free_reduce(u), free_reduce(v)
+    ut, vt, flip = u.text, v.text, alph._flip
+    # no letter cancels at the joins u|v, v|u^-1 and u^-1|v^-1
+    if ut and vt and ord(ut[-1]) ^ 1 != ord(vt[0]) and ut[-1] != vt[-1] \
+            and ord(ut[0]) ^ 1 != ord(vt[-1]):
+        text = ut + vt + ut[::-1].translate(flip) + vt[::-1].translate(flip)
+    else:
+        text = ut
+        for piece in (vt, u.inverse().text, v.inverse().text):
+            text, _ = reduce_join(text, piece)
+    return Word._trusted(alph, text, True)
 
 
 def free_reduce(w: Word) -> Word:
@@ -219,7 +234,7 @@ def free_reduce(w: Word) -> Word:
             out.pop()
         else:
             out.append(c)
-    return Word._trusted(w.alphabet, "".join(map(chr, out)))
+    return Word._trusted(w.alphabet, "".join(map(chr, out)), True)
 
 
 def cyclically_reduce(w: Word) -> tuple[Word, Word]:
@@ -230,7 +245,7 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
     t, n, k = w.text, len(w.text), 0
     while 2 * k + 2 <= n and ord(t[k]) ^ 1 == ord(t[n - 1 - k]):
         k += 1
-    return Word._trusted(w.alphabet, t[k:n - k]), Word._trusted(w.alphabet, t[:k])
+    return Word._trusted(w.alphabet, t[k:n - k], True), Word._trusted(w.alphabet, t[:k], True)
 
 
 def apply_map(w: Word, images: Mapping[str, Word], target: Alphabet | None = None) -> Word:
@@ -265,7 +280,7 @@ def relabel(words: Iterable[Word], target: Alphabet,
     symbol i becomes `target.index(names[i])`, by default the symbol's own
     name, and its letters are deleted where names[i] is None.  The renaming
     must be injective; without deletions it then keeps freely reduced words
-    reduced.  Nothing is reduced here.
+    reduced, and unreduced ones unreduced.  Nothing is reduced here.
     """
     words = list(words)
     if not words:
@@ -280,11 +295,12 @@ def relabel(words: Iterable[Word], target: Alphabet,
         raise MalformedWordError(f"renaming onto {list(names)} is not injective")
     table = {256 + 2 * i + b: None if n is None else 256 + 2 * target.index(n) + b
              for i, n in enumerate(names) for b in (0, 1)}
+    keeps = None not in names
     out = []
     for w in words:
         if w.alphabet != src:
             raise AlphabetMismatchError("cannot relabel words over different alphabets")
-        out.append(Word._trusted(target, w.text.translate(table)))
+        out.append(Word._trusted(target, w.text.translate(table), w._reduced if keeps else None))
     return out
 
 
@@ -450,7 +466,8 @@ def _parse_word_tokens(toks: _Tokens, alphabet: Alphabet) -> str:
                 raise toks.error("exponent too large", e) from None
             if held + len(atom) * abs(n) > MAX_POWER_LETTERS:
                 raise toks.error("word too long", e)
-            atom = atom and (Word._trusted(alphabet, atom) ** n).text  # 1^n is 1
+            # 1^n is 1; one letter, as a generator name gives, is reduced
+            atom = atom and (Word._trusted(alphabet, atom, len(atom) == 1 or None) ** n).text
         if held + len(atom) > MAX_POWER_LETTERS:
             raise toks.error("word too long", t)
         held += len(atom)

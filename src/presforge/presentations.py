@@ -57,7 +57,7 @@ class FinitePresentation:
 
     def __post_init__(self):
         for r in self.relators:
-            if r.alphabet != self.alphabet:
+            if r.alphabet is not self.alphabet and r.alphabet != self.alphabet:
                 raise PresentationError("relator over a different alphabet")
             if not r.is_reduced():
                 raise PresentationError(f"relator {render_word(r)!r} is not freely reduced")

@@ -427,12 +427,13 @@ _ALPHABETS = {3: ABC, 128: Alphabet([f"g{i}" for i in range(128)]),
 
 
 @st.composite
-def _runs(draw, rank, max_runs=6):
-    """Letters as runs of up to 300 equal letters of either sign, on
+def _runs(draw, rank, max_runs=6, max_run=300):
+    """Letters as runs of up to `max_run` equal letters of either sign, on
     generators often among the first or the last three."""
     gens = st.sampled_from([0, 1, 2, rank - 3, rank - 2, rank - 1]) | st.integers(0, rank - 1)
     runs = draw(st.lists(st.tuples(gens, st.sampled_from((1, -1)),
-                                   st.integers(1, 3) | st.integers(1, 300)), max_size=max_runs))
+                                   st.integers(1, 3) | st.integers(1, max_run)),
+                         max_size=max_runs))
     return tuple(letter for i, s, k in runs for letter in [(i, s)] * k)
 
 
@@ -465,3 +466,62 @@ def test_fuzz_commutator_matches_free_reduce(rank, data):
     for x, y in ((u, other.gen(other.symbols[0])), (other.identity(), v)):
         with pytest.raises(AlphabetMismatchError):
             commutator(x, y)
+
+
+def _check_reduced_flag(w):
+    expected = oracles.tuple_is_reduced(w.letters)
+    assert w.is_reduced() == expected  # the cached flag, or a scan
+    assert w.is_reduced() == expected  # the answer the first call cached
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(rank=st.sampled_from(sorted(_ALPHABETS)), data=st.data())
+def test_fuzz_reduced_flag_matches_tuple_reference(rank, data):
+    """Whatever built a word, with its operands' flags set or not, its
+    `is_reduced` is the tuple scan's answer on the first call and the
+    second.  (Words at rank 27,530 are short, as each scan there searches
+    the text for each of 55,060 cancelling pairs.)"""
+    alph = _ALPHABETS[rank]
+    runs = _runs(rank, 3, 3) if rank > 128 else _runs(rank)
+    u = data.draw(runs)
+    v = data.draw(runs | st.just(u) | st.just(oracles.tuple_inverse(u)))
+    n = data.draw(st.integers(-4, 4))
+
+    def fresh(letters):  # a word whose flag is not yet set
+        return Word(alph, letters)
+
+    U, V = fresh(u), fresh(v)
+    R, S = free_reduce(fresh(u)), free_reduce(fresh(v))  # set flags
+    X = fresh(u).concat(fresh(v))
+    X.is_reduced()  # caches True or False
+    names = list(alph.symbols)
+    deleted = names[data.draw(st.sampled_from([i for i, _ in u] or [0]))]
+    images = {s: (V, ~V, R, alph.identity())[k % 4]
+              for k, s in enumerate(dict.fromkeys(names[i] for i, _ in u))}
+    text = f"({render_word(U)})^{n}*[{render_word(V)},{names[-1]}^{n}]*{names[0]}^{n}"
+    swapped = [names[-1]] + names[1:-1] + [names[0]]
+    words = [
+        U, parse_word(alph, render_word(U)), parse_word(alph, text),
+        Word._trusted(alph, U.text), Word._trusted(alph, U.text + V.text),
+        free_reduce(fresh(u)), R, fresh(u).inverse(), R.inverse(), X.inverse(),
+        apply_map(fresh(u), images, alph),
+        commutator(fresh(u), fresh(v)), commutator(R, S), commutator(R, S.inverse()),
+        commutator(alph.identity(), S), commutator(R, alph.identity()), commutator(R, R),
+        fresh(u) ** n, R ** n, S ** -n, fresh(u) ** 0,
+        *cyclically_reduce(fresh(u)), *cyclically_reduce(R.concat(S)),
+        *relabel([fresh(u), R, X], alph, swapped),
+        *relabel([fresh(u), R, X], alph, [None if s == deleted else s for s in names]),
+    ]
+    for w in words:
+        _check_reduced_flag(w)
+
+
+def test_reduced_flag_is_not_part_of_the_value():
+    """A word whose flag is set and one whose flag is not, with the same
+    text, are equal, hash alike and print alike."""
+    text = ABC.word("a*b^-1*c^2").text
+    flagged = free_reduce(Word._trusted(ABC, text))
+    for plain in (Word._trusted(ABC, text), Word(ABC, flagged.letters)):
+        assert flagged.is_reduced() and plain._reduced is None
+        assert plain == flagged and hash(plain) == hash(flagged)
+        assert repr(plain) == repr(flagged) and str(plain) == str(flagged)

@@ -10,6 +10,7 @@ from presforge.freewords import (
     Word,
     free_reduce,
     parse_word,
+    relabel,
     render_word,
 )
 from presforge.homology import h1
@@ -85,6 +86,19 @@ class TestGrammar:
     def test_trivial_relator_rejected(self):
         with pytest.raises(PresentationError):
             parse_presentation("< a | a*a^-1 >")
+
+    def test_unreduced_relator_rejected_however_built(self):
+        """Relators whose reducedness no constructor proved are scanned:
+        from unchecked text, from letters, and relabelled with a generator
+        deleted from a word known to be reduced."""
+        alph = Alphabet(["a", "b"])
+        aba = free_reduce(parse_word(alph, "a*b*a^-1"))
+        assert aba.is_reduced()
+        for r in (Word._trusted(alph, parse_word(alph, "a*a^-1*b").text),
+                  Word(alph, [(1, 1), (0, 1), (0, -1)]),
+                  relabel([aba], alph, ["a", None])[0]):
+            with pytest.raises(PresentationError, match="not freely reduced"):
+                FinitePresentation(alph, (r,))
 
     @pytest.mark.parametrize("text, message", [
         ("< ", "expected generator name at end of input"),

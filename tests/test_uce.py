@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -17,7 +18,13 @@ from presforge.freewords import (
     render_word,
 )
 from presforge.homology import h1, relation_matrix, solve_row_lattice
-from presforge.presentations import FinitePresentation, PresentationError, presentation
+from presforge.presentations import (
+    FinitePresentation,
+    PresentationError,
+    parse_presentation,
+    presentation,
+    render_presentation,
+)
 from presforge.quotients import BudgetExhausted, todd_coxeter
 from presforge.uce import (
     NormalClosureElement,
@@ -382,3 +389,27 @@ class TestReducedWords:
         assert all(w.is_reduced() for w in ws)
         assert len(set(ws)) == len(ws)
 
+
+def test_superperfect_uce_scans_no_commutator_relator(monkeypatch, higman_D):
+    """The 4,050 commutator relators of `miller_uce(super_perfectify(D))`
+    are built known to be reduced, so neither `commutator` nor the
+    presentation's check scans one for free reduction; parsing that input
+    scans each of its relators once, and nothing else."""
+    S = super_perfectify(higman_D).presentation
+    text = render_presentation(S)
+    scanned = collections.Counter()  # texts of the words is_reduced scans
+    is_reduced = Word.is_reduced
+
+    def counted(w):
+        if w._reduced is None:
+            scanned[w.text] += 1
+        return is_reduced(w)
+
+    monkeypatch.setattr(Word, "is_reduced", counted)
+    U = miller_uce(S).result
+    commutators = U.relators[U.alphabet.rank:]
+    assert len(commutators) == 4050
+    assert not any(r.text in scanned for r in commutators)
+    scanned.clear()
+    P = parse_presentation(text)
+    assert P == S and scanned == collections.Counter(r.text for r in P.relators)
