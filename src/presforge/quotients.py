@@ -48,16 +48,22 @@ is re-checked before it is returned, the subgroup generators fixing coset
 nontrivial.  One walk over letter codes, `_walk`, carries `evaluate`,
 `verify` and the relator pruning of `hom_search`.
 
-Both coset tables have a column per letter, numbered by its
-`freewords.letter_codes` code, so a letter's inverse has column `x ^ 1`
-(in `todd_coxeter` the same list for an involutory generator).
+Both share one coset table: a list per letter column, numbered by its
+`freewords.letter_codes` code so a letter's inverse has column `x ^ 1`
+(in `todd_coxeter` one list for an involutory generator), cosets from 1,
+0 for an undefined entry.  `_conjugates` indexes cyclic conjugates by
+first letter (every relator for the search, the short cores for
+`todd_coxeter`); `_deduce` scans them at stacked entries, defining
+nothing: it closes one-letter gaps and hands meeting cosets to
+COINCIDENCE or backs up the search.  The entries it closes are the
+search's undo list and the enumeration's `deductions`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .freewords import (Alphabet, Word, conjugacy_test, cyclically_reduce, free_reduce,
                         letter_codes, reduce_join, relabel)
@@ -239,6 +245,60 @@ def hom_search(
     return results
 
 
+def _scan(cols: list[list[int]], xs: Sequence[int]) -> tuple:
+    """The scan of the word with letter codes xs over the columns `cols`:
+    (forward columns, inverse columns, codes, last index)."""
+    return [cols[x] for x in xs], [cols[x ^ 1] for x in xs], xs, len(xs) - 1
+
+
+def _conjugates(cols: list[list[int]], words: Iterable[list[int]]) -> list[list[tuple]]:
+    """conj[x]: the scans of the distinct cyclic conjugates starting with
+    letter x of `words` (letter codes) and their inverses, in word order."""
+    rotations: list[dict[tuple[int, ...], None]] = [{} for _ in cols]
+    for c in words:
+        for w in (c, [x ^ 1 for x in reversed(c)]):
+            for k in range(len(w)):
+                rotations[w[k]][tuple(w[k:] + w[:k])] = None
+    return [[_scan(cols, w) for w in d] for d in rotations]
+
+
+def _deduce(cols: list[list[int]], conj: list[list[tuple]], rep: list[int],
+            stack: list[tuple[int, int]], closed: list[tuple[int, int]],
+            meet: Callable[[int, int], None] | None = None) -> bool:
+    """Drain `stack`: for each entry (c, x) of a live coset c, scan conj[x]
+    at c (and at c's image when x's column is shared with x^-1) while c
+    stays live, defining nothing.  A scan that meets a one-letter gap
+    closes it, appends the entry to `closed` and stacks it; a scan whose
+    ends meet at different cosets f, b calls meet(f, b), or returns False
+    at once when there is no `meet`."""
+    while stack:
+        c, x = stack.pop()
+        if rep[c] != c:
+            continue  # COINCIDENCE moved c's row and stacked what it set
+        for a in (c, cols[x][c]) if cols[x] is cols[x ^ 1] else (c,):
+            for fwd, bwd, xs, j in conj[x]:
+                if rep[a] != a:
+                    break
+                f, i, b = a, 0, a
+                while i <= j and (g := fwd[i][f]):
+                    f, i = g, i + 1
+                if i <= j:
+                    while j >= i and (g := bwd[j][b]):
+                        b, j = g, j - 1
+                    if j == i:
+                        fwd[i][f], bwd[i][b] = b, f
+                        closed.append((f, xs[i]))
+                        if conj[xs[i]]:
+                            stack.append((f, xs[i]))
+                    if j >= i:
+                        continue
+                if f != b:
+                    if meet is None:
+                        return False
+                    meet(f, b)
+    return True
+
+
 def low_index_subgroups(P: FinitePresentation, n: int, nodes: list[int] | None = None,
                         budget: int | None = None) -> Iterator[PermAssignment]:
     """Every subgroup of index <= n, each exactly once, as the action of the
@@ -253,90 +313,65 @@ def low_index_subgroups(P: FinitePresentation, n: int, nodes: list[int] | None =
     candidates (first-fail).  New cosets take the next number and the
     entry depends only on the partial table, so each subgroup has one path
     and no canonicity test is needed; a complete table is renumbered in
-    row-major order of first appearance.  After each definition
-    the cyclic conjugates of the relators and their inverses that start
-    with the defined letter are scanned at the defined coset, and each
-    single-gap fill is deduced and scanned in turn; a scan that closes on
-    the wrong coset, or a fill whose inverse slot is taken, backs up.  A
-    complete table has scanned every relator at every coset.  Each search
-    node (the root and each definition that survives its deductions) adds
-    1 to nodes[0]; BudgetExhausted is raised once nodes[0] passes `budget`.
+    row-major order of first appearance.  Each definition is deduced from
+    by `_deduce` over every relator and its inverse; meeting cosets back
+    up, undoing the entries set since the node.  A complete table has
+    scanned every relator at every coset.  The open nodes are a list, not
+    the call stack, and a row is added when a coset is first defined.
+    Each search node (the root and each definition that survives its
+    deductions) adds 1 to nodes[0]; BudgetExhausted is raised once
+    nodes[0] passes `budget`.
     """
     if n < 1:
         raise ValueError("index bound must be >= 1")
     if nodes is None:
         nodes = [0]
-    ncols = 2 * P.alphabet.rank
-    # scans[x]: the distinct cyclic conjugates starting with x of the
-    # relators and their inverses
-    scans: list[dict[tuple[int, ...], None]] = [{} for _ in range(ncols)]
-    for r in P.relators:
-        for w in (r, r.inverse()):
-            cols = letter_codes(w)
-            for k in range(len(cols)):
-                scans[cols[k]][tuple(cols[k:] + cols[:k])] = None
-    tab = [-1] * (n * ncols)  # tab[c * ncols + x]: coset c times letter x
-    trail: list[int] = []     # entries set, for undoing
-
-    def define(c: int, x: int, d: int) -> None:
-        tab[c * ncols + x] = d
-        tab[d * ncols + (x ^ 1)] = c
-        trail.extend((c * ncols + x, d * ncols + (x ^ 1)))
-
-    def deduce(c: int, x: int) -> bool:
-        todo = [(c, x)]
-        while todo:
-            c, x = todo.pop()
-            for w in scans[x]:
-                m = len(w)
-                f, i = c, 0
-                while i < m and tab[f * ncols + w[i]] >= 0:
-                    f, i = tab[f * ncols + w[i]], i + 1
-                if i == m:
-                    if f != c:
-                        return False
-                    continue
-                b, j = c, m - 1
-                while j > i and tab[b * ncols + (w[j] ^ 1)] >= 0:
-                    b, j = tab[b * ncols + (w[j] ^ 1)], j - 1
-                if j == i:
-                    if tab[b * ncols + (w[i] ^ 1)] >= 0:
-                        return False
-                    define(f, w[i], b)
-                    todo.append((f, w[i]))
-        return True
-
-    def search(ncos: int) -> Iterator[PermAssignment]:
+    cols: list[list[int]] = [[0, 0] for _ in range(2 * P.alphabet.rank)]
+    conj = _conjugates(cols, [letter_codes(r) for r in P.relators])
+    rep = [0, 1]  # every coset ever defined, each its own representative
+    closed: list[tuple[int, int]] = []  # entries set on the current path
+    path: list[list[int]] = []  # per open node: [c, x, cosets, mark, next candidate]
+    ncos = 1
+    while True:
         nodes[0] += 1
         if budget is not None and nodes[0] > budget:
             raise BudgetExhausted(
                 f"low-index search passed its budget of {budget} nodes ({nodes[0]} nodes)")
-        end = ncos * ncols
         # (free entries of column x, first free coset c of it, x)
-        best = min(((k, col.index(-1), x) for x in range(ncols)
-                    if (k := (col := tab[x:end:ncols]).count(-1))), default=None)
+        best = min(((k, col.index(0) + 1, x) for x in range(len(cols))
+                    if (k := (col := cols[x][1:ncos + 1]).count(0))), default=None)
         if best is None:
-            order = [0]  # the cosets in row-major order of first appearance
+            order = [1]  # the cosets in row-major order of first appearance
             for c in order:
-                order += [d for d in dict.fromkeys(tab[c * ncols:(c + 1) * ncols])
-                          if d not in order]
+                order += [d for d in dict.fromkeys(col[c] for col in cols) if d not in order]
             new = {c: i for i, c in enumerate(order)}
-            yield PermAssignment(ncos, tuple(
-                (g, tuple(new[tab[c * ncols + x]] for c in order))
-                for g, x in zip(P.alphabet.symbols, range(0, ncols, 2))))
-            return
-        _, c, x = best
-        for d in range(ncos + (ncos < n)):
-            if tab[d * ncols + (x ^ 1)] >= 0:
+            yield PermAssignment(ncos, tuple((g, tuple(new[cols[x][c]] for c in order))
+                                             for g, x in zip(P.alphabet.symbols,
+                                                             range(0, len(cols), 2))))
+        else:
+            path.append([best[1], best[2], ncos, len(closed), 1])
+        while path:
+            c, x, ncos, mark, d = node = path[-1]
+            while len(closed) > mark:
+                b, y = closed.pop()
+                cols[y ^ 1][cols[y][b]] = cols[y][b] = 0
+            while d <= ncos and cols[x ^ 1][d]:
+                d += 1
+            if d > ncos + (ncos < n):
+                path.pop()
                 continue
-            mark = len(trail)
-            define(c, x, d)
-            if deduce(c, x):
-                yield from search(max(ncos, d + 1))
-            while len(trail) > mark:
-                tab[trail.pop()] = -1
-
-    yield from search(1)
+            node[4] = d + 1
+            if d == len(rep):
+                rep.append(d)
+                for col in cols:
+                    col.append(0)
+            cols[x][c], cols[x ^ 1][d] = d, c
+            closed.append((c, x))
+            if _deduce(cols, conj, rep, [(c, x)], closed):
+                ncos = max(ncos, d)
+                break
+        else:
+            return
 
 
 @dataclass(frozen=True)
@@ -610,13 +645,11 @@ def todd_coxeter(
     short and the long ones are each scanned shortest first.  A generator g
     is involutory when some core is g^2 or g^-2: g and g^-1 then share one
     column, every g-edge c -> d also writes d -> c, and those relators are
-    not scanned.  After each scan and each definition, every stacked entry
-    (c, x), x starting a cyclic conjugate of a short relator or of its
-    inverse, has those conjugates scanned at c (and at c's image under an
-    involutory x): such a scan closes a one-letter gap or merges meeting
-    cosets, and defines none.  Deterministic.  The count of all cosets ever defined (including ones
-    later merged away) is capped by max_cosets; exceeding the cap returns an
-    overflow table.
+    not scanned.  After each scan and each definition `_deduce` drains the
+    stacked entries over the short relators, merging meeting cosets by
+    COINCIDENCE.  Deterministic.  The count of all cosets ever defined
+    (including ones later merged away) is capped by max_cosets; exceeding
+    the cap returns an overflow table.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
@@ -636,22 +669,11 @@ def todd_coxeter(
     rep = [0, 1]  # rep[c] == c iff coset c is live
     live = peak = 1
     stack: list[tuple[int, int]] = []  # entries (c, x) whose deductions are due
-    deductions = 0
-
-    def columns(xs: list[int]) -> tuple[list[list[int]], list[list[int]], list[int], int]:
-        return [cols[x] for x in xs], [cols[x ^ 1] for x in xs], xs, len(xs) - 1
-
-    scanned = [columns(c) for c in cores if not (len(c) == 2 and c[0] == c[1])]
+    closed: list[tuple[int, int]] = []  # the entries deductions closed
+    scanned = [_scan(cols, c) for c in cores if not (len(c) == 2 and c[0] == c[1])]
     short = [w for w in scanned if 2 * len(w[2]) <= 3 * len(cores[0])]
     long = scanned[len(short):]
-    # conj[x]: the distinct cyclic conjugates starting with letter x of the
-    # short relators and their inverses, shortest relator first
-    rotations: list[dict[tuple[int, ...], None]] = [{} for _ in cols]
-    for _, _, c, _ in short:
-        for w in (c, [x ^ 1 for x in reversed(c)]):
-            for k in range(len(w)):
-                rotations[w[k]][tuple(w[k:] + w[:k])] = None
-    conj = [[columns(list(w)) for w in d] for d in rotations]
+    conj = _conjugates(cols, [w[2] for w in short])
 
     def new_coset() -> int:
         nonlocal live, peak
@@ -702,9 +724,8 @@ def todd_coxeter(
                             stack.append((m, x))
         live -= len(dead)
 
-    def scan(a: int, w: tuple, fill: bool = True) -> None:
-        """Scan w = `columns(xs)` at coset a; without fill, define no coset."""
-        nonlocal deductions
+    def scan(a: int, w: tuple) -> None:
+        """Scan and fill w, a `_scan`, at coset a."""
         fwd, bwd, xs, j = w
         f, i, b = a, 0, a
         while True:
@@ -721,26 +742,11 @@ def todd_coxeter(
                 return
             if j == i:
                 fwd[i][f], bwd[i][b] = b, f
-                deductions += not fill
                 if conj[xs[i]]:
                     stack.append((f, xs[i]))
                 return
-            if not fill:
-                return
             n = new_coset()
             fwd[i][f], bwd[i][n] = n, f
-
-    def deduce() -> None:
-        while stack:
-            c, x = stack.pop()
-            if rep[c] != c:
-                continue  # COINCIDENCE moved c's row and stacked what it set
-            # an involutory edge c -> d is also the edge d -> c
-            for d in (c, cols[x][c]) if cols[x] is cols[x ^ 1] else (c,):
-                for w in conj[x]:
-                    if rep[d] != d:
-                        break
-                    scan(d, w, False)
 
     def scan_all(a: int, words: list) -> None:
         for w in words:
@@ -748,10 +754,10 @@ def todd_coxeter(
                 return
             scan(a, w)
             if stack:
-                deduce()
+                _deduce(cols, conj, rep, stack, closed, coincidence)
 
     try:
-        scan_all(1, [columns(letter_codes(w)) for w in subgroup_gens])
+        scan_all(1, [_scan(cols, letter_codes(w)) for w in subgroup_gens])
         a = 1
         while a < len(rep):
             scan_all(a, short)
@@ -761,12 +767,12 @@ def todd_coxeter(
                     cols[x][a], cols[x ^ 1][n] = n, a
                     if conj[x]:
                         stack.append((a, x))
-                        deduce()
+                        _deduce(cols, conj, rep, stack, closed, coincidence)
             scan_all(a, long)
             a += 1
     except _Overflow:
         return CosetTable(None, cosets_defined=len(rep) - 1, peak_live=peak,
-                          deductions=deductions)
+                          deductions=len(closed))
 
     alive = [c for c in range(1, len(rep)) if rep[c] == c]
     renum = {c: i for i, c in enumerate(alive)}
@@ -776,7 +782,7 @@ def todd_coxeter(
             raise AssertionError("incomplete table at termination (internal error)")
         images.append((name, tuple(renum[cols[x][c]] for c in alive)))
     table = CosetTable(PermAssignment(len(alive), tuple(images)),
-                       cosets_defined=len(rep) - 1, peak_live=peak, deductions=deductions)
+                       cosets_defined=len(rep) - 1, peak_live=peak, deductions=len(closed))
     if not table.verify(P, subgroup_gens):
         raise AssertionError("coset table failed verification (internal error)")
     return table

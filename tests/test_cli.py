@@ -2,7 +2,10 @@ import errno
 import hashlib
 import io
 import json
+import os
 import re
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import presforge
 from presforge.cli import main, run_command
 from presforge.constructions import super_perfectify
 from presforge.presentations import parse_presentation, render_presentation
@@ -156,6 +160,27 @@ class TestSearchAndOrder:
                             "--budget", "50"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("inconclusive") and "51 nodes" in err
+
+    def test_homsearch_deep_search_exit_2(self, workdir, capsys):
+        """Paths of more than 1,000 definitions walk a list of open nodes,
+        not Python's call stack."""
+        assert run_command(["homsearch", str(workdir / "J.pres"), "--max-degree", "2000",
+                            "--budget", "2000"]) == 2
+        assert "2001 nodes" in capsys.readouterr().err
+
+    def test_homsearch_huge_degree_bound_exit_2(self, workdir):
+        """The table grows with the cosets defined, not with --max-degree:
+        a bound of 10^8 fits in a 400 MB address space."""
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024, 400_000 * 1024))
+
+        src = str(Path(presforge.__file__).resolve().parents[1])
+        res = subprocess.run(
+            [sys.executable, "-m", "presforge.cli", "homsearch", str(workdir / "J.pres"),
+             "--max-degree", "100000000", "--budget", "50"], preexec_fn=cap,
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2, res.stderr
+        assert "51 nodes" in res.stderr
 
     def test_order(self, runner, workdir):
         res = runner.invoke(main, ["order", str(workdir / "ico.pres"),

@@ -38,6 +38,7 @@ from oracles import (
 )
 
 PSL27 = presentation(["a", "b"], ["a^2", "b^3", "(a*b)^7", "[a,b]^4"])
+_ICO = presentation(["a", "b"], ["a^2", "b^3", "(a*b)^5"])
 Z2_TIMES_Z = presentation(["a", "b"], ["a^2", "[a,b]"])
 
 
@@ -470,6 +471,24 @@ class TestToddCoxeter:
         t2 = todd_coxeter(icosahedral, ())
         assert t1.action == t2.action
         assert t1.cosets_defined == t2.cosets_defined
+
+    @pytest.mark.parametrize("build, max_cosets, counters", [
+        (lambda: _coxeter_symmetric(6), 100_000, (786, 723, 0)),
+        (lambda: _coxeter_symmetric(7), 100_000, (6086, 5044, 0)),
+        (lambda: miller_uce(_ICO).result, 100_000, (3222, 1897, 1359)),
+        (lambda: super_perfectify(presentation(["x"], ["x"])).presentation, 100_000,
+         (59, 25, 0)),
+        (lambda: miller_uce(super_perfectify(presentation(["x"], ["x^2"])).presentation).result,
+         100_000, (17723, 6785, 3697)),
+        (lambda: miller_uce(super_perfectify(_ICO).presentation).result, 100_000,
+         (100_000, 75910, 2226)),
+    ], ids=["coxeter-S6", "coxeter-S7", "uce-icosahedral", "superperfect-trivial",
+            "uce-superperfect-C2", "uce-superperfect-icosahedral-overflow"])
+    def test_work_counters(self, build, max_cosets, counters):
+        """(cosets_defined, peak_live, deductions) are pinned: the order of
+        definitions and deductions is part of the deterministic output."""
+        table = todd_coxeter(build(), (), max_cosets=max_cosets)
+        assert (table.cosets_defined, table.peak_live, table.deductions) == counters
 
 
 # a faithful action of <a, b | a^2, b^3, (a*b)^5> = A_5 on 5 points
