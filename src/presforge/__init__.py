@@ -18,19 +18,15 @@ from .presentations import (
     PresentationMorphism,
     amalgamated_product,
     direct_product_presentation,
-    free_product,
     higman_presentations,
-    hnn_extension,
     parse_presentation,
     presentation,
     render_presentation,
-    tietze_eliminate_generator,
 )
 from .homology import (
     AbelianGroupDescriptor,
     h1,
     h2_aspherical,
-    is_perfect,
     smith_normal_form,
 )
 from .uce import (
@@ -43,7 +39,6 @@ from .uce import (
 from .smallcancel import (
     DehnSolver,
     MetricCertificate,
-    dehn_word_problem,
     metric_certificate,
 )
 from .constructions import (
@@ -55,7 +50,6 @@ from .constructions import (
     conjugacy_gadget,
     delta_amalgam,
     fibre_generators,
-    fibre_membership,
     kill_finite_quotients,
     rips_wise,
     super_perfectify,

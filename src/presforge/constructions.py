@@ -1,13 +1,12 @@
 """Headline construction algorithms: the small-cancellation (Rips-type)
 transform, the finite-quotient-killing attachment, super-perfectification,
-and the fibre/subdirect-product generating sets, together with the
-conjugacy gadget and fibre-membership reduction.
+the fibre/subdirect-product generating sets, the conjugacy gadget and the
+amalgam of F x F with doubled attachments.
 
 Conventions fixed here:
 
 * Direct-product alphabets tag factors ``<name>_L`` / ``<name>_R``; a
-  :class:`PairWord` stores the two components over the factor alphabet and
-  converts canonically to an ambient word (left letters, then right).
+  :class:`PairWord` stores the two components over the factor alphabet.
 * Conjugation follows the right action x^g = g^-1 x g, so ``(w,1)``
   carries ``(a,a)`` to ``(w^-1 a w, a)``.
 * The transform's padding words use blocks of the three fresh letters with
@@ -19,13 +18,11 @@ Conventions fixed here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .freewords import (
     Alphabet,
     Word,
-    conjugacy_test,
-    cyclically_reduce,
     free_reduce,
     identity_images,
     relabel,
@@ -64,9 +61,6 @@ class PairWord:
         if self.left.alphabet != self.right.alphabet:
             raise ConstructionError("pair components over different alphabets")
 
-    def reduce(self) -> "PairWord":
-        return PairWord(free_reduce(self.left), free_reduce(self.right))
-
     def __mul__(self, other: "PairWord") -> "PairWord":
         return PairWord(self.left * other.left, self.right * other.right)
 
@@ -80,28 +74,6 @@ class PairWord:
 
     def __str__(self) -> str:
         return f"({render_word(self.left)}, {render_word(self.right)})"
-
-
-def pair_to_product_word(pw: PairWord, ambient: FinitePresentation) -> Word:
-    """Canonical image of a pair in the tagged product alphabet: left
-    letters (as *_L), then right letters (as *_R)."""
-    syms = pw.left.alphabet.symbols
-    left, = relabel([pw.left], ambient.alphabet, [s + "_L" for s in syms])
-    right, = relabel([pw.right], ambient.alphabet, [s + "_R" for s in syms])
-    return left.concat(right)
-
-
-def product_word_to_pair(w: Word, factor: Alphabet) -> PairWord:
-    """Componentwise projections of a tagged product word; interleaving is
-    not remembered (the ambient commutators justify this only inside the
-    product presentation)."""
-    syms = w.alphabet.symbols
-    left, = relabel([w], factor, [s[:-2] if s.endswith("_L") else None for s in syms])
-    right, = relabel([w], factor, [s[:-2] if s.endswith("_R") else None for s in syms])
-    if len(left) + len(right) != len(w):
-        untagged = [s for s in syms if not s.endswith(("_L", "_R"))]
-        raise ConstructionError(f"untagged generator among {untagged} in product word")
-    return PairWord(left, right)
 
 
 # --- the small-cancellation transform ----------------------------------------
@@ -173,17 +145,6 @@ def rips_wise(P: FinitePresentation, initial_blocks: int = 16) -> RipsOutput:
     raise ConstructionError(
         f"metric certificate still failing after {_RIPS_MAX_DOUBLINGS} doublings "
         f"(blocks={blocks}); input relators likely too repetitive")
-
-
-def killed_quotient(rips: RipsOutput) -> FinitePresentation:
-    """Apply the kernel-killing map to every relator and drop the kernel
-    generators; recovers a presentation of the transform's input."""
-    rels = []
-    for r in rips.gamma.relators:
-        img = rips.p.apply(r)
-        if img:
-            rels.append(img)
-    return FinitePresentation(rips.p.target.alphabet, tuple(rels))
 
 
 # --- finite-quotient killing -------------------------------------------------
@@ -385,17 +346,6 @@ def free_product_of_copies(kill: KillResult) -> FinitePresentation:
     return FinitePresentation(S.alphabet, S.relators[len(kill.v_words):], aspherical=note)
 
 
-def fibre_membership(pw: PairWord, p: PresentationMorphism,
-                     wp_oracle: Callable[[Word], bool]) -> bool:
-    """(u,v) lies in the fibre product of p iff p(u v^-1) dies in the
-    target; the caller supplies the target's word-problem oracle."""
-    diff = free_reduce(pw.left.concat(pw.right.inverse()))
-    image = p.apply(diff)
-    if not image:
-        return True
-    return wp_oracle(image)
-
-
 # --- conjugacy gadget --------------------------------------------------------
 
 def conjugacy_gadget(w: Word, a: Word) -> tuple[PairWord, PairWord]:
@@ -409,44 +359,6 @@ def conjugacy_gadget(w: Word, a: Word) -> tuple[PairWord, PairWord]:
     if second.conjugated_by(g) != first:
         raise AssertionError("gadget conjugation identity failed (internal error)")
     return first, second
-
-
-def primitive_root(w: Word) -> tuple[Word, int]:
-    """Write the cyclic core of w as z^k with z primitive; returns (z, k)."""
-    core, _ = cyclically_reduce(w)
-    t = core.text
-    if not t:
-        return core, 0
-    d = (t + t).find(t, 1)  # the least rotation fixing t: t is t[:d] repeated
-    return Word._trusted(core.alphabet, t[:d]), len(t) // d
-
-
-def gadget_conjugacy_decision(
-    w: Word,
-    kernel_word: Word,
-    p: PresentationMorphism,
-    wp_oracle: Callable[[Word], bool],
-) -> bool:
-    """Decide conjugacy of the gadget pairs inside the fibre product of p.
-
-    The componentwise free-group conjugacy test produces one conjugating
-    pair; all others differ by centralizer elements, which are powers of
-    the kernel word's primitive root.  When the kernel word is not a
-    proper power, membership of the found conjugator in the fibre product
-    settles the question, and it is equivalent to the triviality of w in
-    the target -- giving a second, independent route to that verdict.
-    """
-    root, k = primitive_root(kernel_word)
-    if k != 1:
-        raise ConstructionError(
-            f"kernel element {render_word(kernel_word)} is a proper power "
-            f"({render_word(root)})^{k}; the centralizer argument needs a primitive element")
-    first, second = conjugacy_gadget(w, kernel_word)
-    left = conjugacy_test(first.left, second.left)
-    right = conjugacy_test(first.right, second.right)
-    if left is None or right is None:
-        return False
-    return fibre_membership(PairWord(left, right), p, wp_oracle)
 
 
 # --- subdirect product with acyclic factors ---------------------------------
@@ -496,14 +408,6 @@ class DeltaResult:
     factor: FinitePresentation
     copies: tuple[tuple[str, ...], ...]
     C: GeneratingSet
-
-    def s_plus(self, S: GeneratingSet) -> GeneratingSet:
-        """S_n read as words over the amalgam, extended by the attachment
-        letters C."""
-        words = [free_reduce(pair_to_product_word(pw, self.delta)) for pw in S.elements]
-        elems = tuple(words) + self.C.elements
-        return GeneratingSet("S_plus", self.delta, elems, factor=self.factor,
-                             notes="fibre generators extended by attachment letters")
 
 
 def delta_amalgam(generators: Sequence[str] | Alphabet) -> DeltaResult:

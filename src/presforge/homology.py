@@ -2,7 +2,7 @@
 
 Smith normal form over Z by one elimination loop, with the left transform
 as sparse rows and left*M*right == D re-checked row by row; first homology
-(abelianization) of a finite presentation, the perfection test, and second
+(abelianization) of a finite presentation with generator images, and second
 homology of aspherical presentations via the rank formula (always free).
 
 Everything uses Python's arbitrary-precision integers; pivot growth is a
@@ -12,7 +12,6 @@ correctness issue, not an overflow risk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 
 from .freewords import exponent_vector
 from .presentations import FinitePresentation
@@ -171,16 +170,6 @@ class AbelianGroupDescriptor:
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
-    def direct_sum(self, other: "AbelianGroupDescriptor") -> "AbelianGroupDescriptor":
-        """Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b); applied to every pair i < j
-        in turn, this leaves each entry dividing all the entries after it."""
-        chain = list(self.torsion + other.torsion)
-        for i in range(len(chain)):
-            for j in range(i + 1, len(chain)):
-                chain[i], chain[j] = gcd(chain[i], chain[j]), lcm(chain[i], chain[j])
-        return AbelianGroupDescriptor(
-            self.rank + other.rank, tuple(t for t in chain if t > 1))
-
     def __str__(self) -> str:
         parts = []
         if self.rank == 1:
@@ -225,10 +214,6 @@ def h1(P: FinitePresentation) -> H1Result:
         coords += [row[i] for i in free_pos]
         images[name] = tuple(coords)
     return H1Result(group=group, generator_images=images, smith=form)
-
-
-def is_perfect(P: FinitePresentation) -> bool:
-    return h1(P).group.is_trivial
 
 
 @dataclass

@@ -1,6 +1,6 @@
-"""Finite presentations: data model, text grammar, Tietze moves and the
-standard builders (free products, amalgams, HNN extensions, direct
-products, Higman's group).
+"""Finite presentations: data model, text grammar, renaming and the
+builders the constructions use (amalgamated products, direct products,
+Higman's group).
 
 Grammar (bit-exact)::
 
@@ -26,7 +26,6 @@ from .freewords import (
     Word,
     _parse_word_tokens,
     _Tokens,
-    apply_map,
     commutator,
     free_reduce,
     parse_word,
@@ -37,10 +36,6 @@ from .freewords import (
 
 class PresentationError(ValueError):
     """Malformed presentation text or an invalid construction input."""
-
-
-class NotEliminableError(PresentationError):
-    """The chosen relator does not define the generator to eliminate."""
 
 
 @dataclass(frozen=True)
@@ -134,11 +129,6 @@ class PresentationMorphism:
             if self.images[s].alphabet != self.target.alphabet:
                 raise PresentationError(f"image of {s!r} over wrong alphabet")
 
-    def apply(self, w: Word) -> Word:
-        if w.alphabet != self.source.alphabet:
-            raise PresentationError("word not over the morphism's source alphabet")
-        return apply_map(w, self.images, target=self.target.alphabet)
-
 
 # --- text grammar ----------------------------------------------------------
 
@@ -186,71 +176,6 @@ def render_presentation(P: FinitePresentation) -> str:
     return f"< {gens} | {rels} >" if rels else f"< {gens} | >"
 
 
-# --- Tietze elimination ----------------------------------------------------
-
-@dataclass(frozen=True)
-class TietzeElimination:
-    """Result of eliminating a generator: the new presentation plus the
-    substitution that realizes the isomorphism on generators."""
-
-    presentation: FinitePresentation
-    eliminated: str
-    replacement: Word           # word (over the new alphabet) equal to the old generator
-    to_new: PresentationMorphism
-    to_old: PresentationMorphism
-
-
-def _eliminable_shape(r: Word, gen: Word) -> Word | None:
-    """If r or r^-1 is g*w^-1 or w^-1*g with w free of the generator
-    g = `gen`, return w."""
-    g, g_inv = gen.text, gen.inverse().text
-    for cand in (r, r.inverse()):
-        t = cand.text
-        if t[:1] == g and g not in t[1:] and g_inv not in t[1:]:
-            return Word._trusted(r.alphabet, t[1:]).inverse()
-        if t[-1:] == g and g not in t[:-1] and g_inv not in t[:-1]:
-            return Word._trusted(r.alphabet, t[:-1]).inverse()
-    return None
-
-
-def tietze_eliminate_generator(
-    P: FinitePresentation, g: str, defining: int
-) -> TietzeElimination:
-    """Remove generator g using relator P.relators[defining], which must be
-    freely equal to g*w^-1 or w^-1*g (up to inversion) with w free of g.
-
-    Every other occurrence of g is replaced by w; relators that become
-    freely trivial are dropped (they were copies of the defining relation).
-    """
-    gen = P.alphabet.gen(g)
-    if not (0 <= defining < len(P.relators)):
-        raise NotEliminableError(f"no relator with index {defining}")
-    w = _eliminable_shape(P.relators[defining], gen)
-    if w is None:
-        raise NotEliminableError(
-            f"relator {render_word(P.relators[defining])!r} does not define {g!r}")
-    new_alph = Alphabet(s for s in P.alphabet.symbols if s != g)
-    down = {s: new_alph.gen(s) for s in new_alph.symbols}
-    # w avoids g, so deleting g's letters only renames the others
-    down[g], = relabel([w], new_alph, [None if s == g else s for s in P.alphabet.symbols])
-    new_rels = []
-    for k, r in enumerate(P.relators):
-        if k == defining:
-            continue
-        img = apply_map(r, down, target=new_alph)
-        if img:
-            new_rels.append(img)
-    newP = FinitePresentation(new_alph, tuple(new_rels), aspherical=P.aspherical)
-    up = {s: P.alphabet.gen(s) for s in new_alph.symbols}
-    return TietzeElimination(
-        presentation=newP,
-        eliminated=g,
-        replacement=down[g],
-        to_new=PresentationMorphism(P, newP, down, witness="generator elimination"),
-        to_old=PresentationMorphism(newP, P, up, witness="inclusion of surviving generators"),
-    )
-
-
 def rename_generators(P: FinitePresentation, mapping: Mapping[str, str]) -> FinitePresentation:
     """Bijectively rename generators; relators carried along letterwise."""
     new_names = [mapping.get(s, s) for s in P.alphabet.symbols]
@@ -273,18 +198,6 @@ def _disjoint_names(P1: FinitePresentation, P2: FinitePresentation,
         raise PresentationError(
             f"generator name clash {sorted(clash)}; pass auto_rename=True to suffix")
     return tuple(s + "_1" for s in n1), tuple(s + "_2" for s in n2)
-
-
-def free_product(P1: FinitePresentation, P2: FinitePresentation,
-                 auto_rename: bool = False) -> FinitePresentation:
-    """Union of generators and relators (disjoint names required)."""
-    n1, n2 = _disjoint_names(P1, P2, auto_rename)
-    alph = Alphabet(n1 + n2)
-    rels = relabel(P1.relators, alph, n1) + relabel(P2.relators, alph, n2)
-    note = None
-    if P1.aspherical and P2.aspherical:
-        note = "free product of aspherical presentations"
-    return FinitePresentation(alph, tuple(rels), aspherical=note)
 
 
 def amalgamated_product(
@@ -319,33 +232,6 @@ def amalgamated_product(
     note = None
     if P1.aspherical and P2.aspherical and identified_subgroups_free:
         note = ("amalgam of aspherical presentations along subgroups "
-                "asserted free by the caller")
-    return FinitePresentation(alph, tuple(rels), aspherical=note)
-
-
-def hnn_extension(
-    P: FinitePresentation,
-    t: str,
-    pairs: Sequence[tuple[Word, Word]],
-    associated_subgroups_free: bool = False,
-) -> FinitePresentation:
-    """Add stable letter t and relators t u_i t^-1 v_i^-1."""
-    if t in P.alphabet:
-        raise PresentationError(f"stable letter {t!r} already a generator")
-    alph = Alphabet(P.alphabet.symbols + (t,))
-    rels = relabel(P.relators, alph)
-    tw = alph.gen(t)
-    for u, v in pairs:
-        if u.alphabet != P.alphabet or v.alphabet != P.alphabet:
-            raise PresentationError("associated pair over the wrong alphabet")
-        uu, vv = relabel([u, v], alph)
-        r = free_reduce(tw.concat(uu).concat(tw.inverse()).concat(vv.inverse()))
-        if not r:
-            raise PresentationError("associated pair freely cancels")
-        rels.append(r)
-    note = None
-    if P.aspherical and associated_subgroups_free:
-        note = ("HNN extension of an aspherical presentation along subgroups "
                 "asserted free by the caller")
     return FinitePresentation(alph, tuple(rels), aspherical=note)
 

@@ -45,8 +45,8 @@ subgroup.  `PermAssignment.verify` is the one checker: the generators act
 by permutations and every relator fixes every point.  A completed table
 is re-checked before it is returned, the subgroup generators fixing coset
 0 and the action transitive; so is a counterexample, which must also be
-nontrivial.  One walk over letter codes, `_walk`, carries `evaluate`,
-`verify` and the relator pruning of `hom_search`.
+nontrivial.  One walk over letter codes, `_walk`, carries `verify` and
+the relator pruning of `hom_search`.
 
 Both share one coset table: a list per letter column, numbered by its
 `freewords.letter_codes` code so a letter's inverse has column `x ^ 1`
@@ -129,9 +129,6 @@ class PermAssignment:
     degree: int
     images: tuple[tuple[str, Perm], ...]
 
-    def image_of(self, name: str) -> Perm:
-        return dict(self.images)[name]
-
     @property
     def is_trivial(self) -> bool:
         ident = identity_perm(self.degree)
@@ -149,13 +146,6 @@ class PermAssignment:
                 return None
             act += (p, inverse_perm(p))
         return act
-
-    def evaluate(self, w: Word) -> Perm:
-        """The permutation by which w acts, its letters applied left to
-        right; ValueError unless the images permute range(degree)."""
-        if (act := self._action(w.alphabet)) is None:
-            raise ValueError("generator images do not permute the points")
-        return tuple(_walk(act, letter_codes(w), range(self.degree)))
 
     def verify(self, P: FinitePresentation, fixing: Sequence[Word] = ()) -> bool:
         """Whether every generator of P has an image that is a permutation

@@ -228,14 +228,6 @@ class DehnResult:
     replacements: int
     trace: tuple[str, ...]
 
-    def closure_certificate(self, P: FinitePresentation) -> NormalClosureElement:
-        return NormalClosureElement.build(P, self.factors)
-
-    def verify_certificate(self, P: FinitePresentation, original: Word) -> bool:
-        if not self.trivial:
-            return False
-        return self.closure_certificate(P).expanded == free_reduce(original)
-
 
 class DehnSolver:
     """Reusable Dehn reducer for one certified presentation, on word
@@ -370,12 +362,3 @@ class DehnSolver:
                     return i, _agreement(cur, i, D, j, h, min(L, n - i)), sid - o + j
         return None
 
-
-def dehn_word_problem(P: FinitePresentation, w: Word,
-                      collect_trace: bool = False) -> DehnResult:
-    """Decide triviality of w in a C'(1/6)-certified presentation.
-
-    Builds (and certifies) a solver; reuse a DehnSolver instance when
-    deciding many words.
-    """
-    return DehnSolver(P).solve(w, collect_trace=collect_trace)

@@ -32,6 +32,14 @@ class PerfectionRequired(PresentationError):
     """Operation defined only for perfect presentations (H1 = 0)."""
 
 
+def _letter_times(x: Word, w: Word) -> Word:
+    """x * w freely reduced, for a letter x: one `reduce_join` onto the
+    reduced text of w, which is not scanned when w is known to be reduced."""
+    if w.alphabet != x.alphabet:
+        raise AlphabetMismatchError("cannot concatenate words over different alphabets")
+    return Word._trusted(x.alphabet, reduce_join(x.text, free_reduce(w).text)[0], True)
+
+
 @dataclass(frozen=True)
 class NormalClosureElement:
     """A product of conjugates of relators: factors (conjugator, relator
@@ -64,10 +72,12 @@ class NormalClosureElement:
     @staticmethod
     def build(P: FinitePresentation,
               factors: Sequence[tuple[Word, int, int]]) -> "NormalClosureElement":
-        """The factors with their `expand` text freely reduced, one scan
-        when every conjugator is reduced."""
-        return NormalClosureElement(tuple(factors), free_reduce(
-            Word._trusted(P.alphabet, NormalClosureElement.expand(P, factors))))
+        """The factors with their `expand` text freely reduced: as it is
+        when every conjugator is reduced, else by one scan."""
+        text = NormalClosureElement.expand(P, factors)
+        reduced = all(conj.is_reduced() for conj, _, _ in factors) or None
+        return NormalClosureElement(tuple(factors),
+                                    free_reduce(Word._trusted(P.alphabet, text, reduced)))
 
     def verify(self, P: FinitePresentation) -> bool:
         return NormalClosureElement.build(P, self.factors).expanded == self.expanded
@@ -85,8 +95,7 @@ class CommutatorWitness:
     def verify(self, P: FinitePresentation) -> bool:
         if any(exponent_vector(self.c)):
             return False
-        x = P.alphabet.gen(self.generator)
-        if free_reduce(x.concat(self.c)) != self.rho.expanded:
+        if _letter_times(P.alphabet.gen(self.generator), self.c) != self.rho.expanded:
             return False
         return self.rho.verify(P)
 
@@ -110,8 +119,7 @@ def find_commutator_witnesses(P: FinitePresentation) -> list[CommutatorWitness]:
         factors = [(empty, i, 1 if yi > 0 else -1) for i, yi in enumerate(y)
                    for _ in range(abs(yi))]
         rho = NormalClosureElement.build(P, factors)
-        x = P.alphabet.gen(name)
-        c = free_reduce(x.inverse().concat(rho.expanded))
+        c = _letter_times(P.alphabet.gen(name).inverse(), rho.expanded)
         witness = CommutatorWitness(name, c, rho)
         if not witness.verify(P):
             raise AssertionError("constructive witness failed verification (internal error)")
@@ -149,7 +157,7 @@ def miller_uce(P: FinitePresentation) -> UcePresentation:
     """
     witnesses = find_commutator_witnesses(P)
     alph = P.alphabet
-    rels = [free_reduce(alph.gen(w.generator).concat(w.c)) for w in witnesses]
+    rels = [_letter_times(alph.gen(w.generator), w.c) for w in witnesses]
     if not h1(FinitePresentation(alph, tuple(rels))).group.is_trivial:
         raise AssertionError("UCE presentation is not perfect (internal error)")
     dropped = 0

@@ -51,41 +51,72 @@ text: the reference the text implementation is fuzzed against.
 probed strided seeds: one lookup of the first k letters at every position,
 in the index `dehn_prefix_index` builds, and a letter loop for the match
 extension.
+
+The last section holds constructions and checks that no command of
+presforge calls, so they are not shipped with it:
+`tietze_eliminate_generator` (with `TietzeElimination` and
+`NotEliminableError`), `free_product` and `hnn_extension`; `direct_sum` of
+abelian groups and `is_perfect`; `morphism_image` of a word under a
+`PresentationMorphism`; `evaluate_action` and `image_of` on a
+`PermAssignment`; `dehn_word_problem`, `dehn_closure_certificate` and
+`dehn_certificate_holds`, which re-expands a Dehn verdict's factors;
+`reduce_pair`, `pair_to_product_word` and `product_word_to_pair` on pair
+words, `s_plus` of a `delta_amalgam`, `killed_quotient` of a transform and
+`fibre_membership`.  `gadget_conjugacy_decision` (over `primitive_root`)
+decides a word problem through the conjugacy gadget and fibre membership,
+the second route to a verdict that the acceptance suite compares with
+Dehn's algorithm.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
+from presforge.constructions import (
+    ConstructionError,
+    DeltaResult,
+    GeneratingSet,
+    PairWord,
+    RipsOutput,
+    conjugacy_gadget,
+)
 from presforge.freewords import (
     Alphabet,
     Word,
     _Tokens,
     apply_map,
     commutator,
+    conjugacy_test,
     cyclically_reduce,
     exponent_vector,
     free_reduce,
     identity_images,
     letter_codes,
+    relabel,
     render_word,
 )
-from presforge.homology import IntegerMatrix, SmithForm, _identity
-from presforge.presentations import FinitePresentation, PresentationError
+from presforge.homology import AbelianGroupDescriptor, IntegerMatrix, SmithForm, _identity, h1
+from presforge.presentations import (
+    FinitePresentation,
+    PresentationError,
+    PresentationMorphism,
+    _disjoint_names,
+)
 from presforge.quotients import (
     BudgetExhausted,
     CosetTable,
     Perm,
     PermAssignment,
     _Overflow,
+    _walk,
     identity_perm,
     inverse_perm,
     todd_coxeter,
 )
-from presforge.smallcancel import DehnSolver
+from presforge.smallcancel import DehnResult, DehnSolver
 from presforge.uce import CommutatorWitness, NormalClosureElement, UcePresentation
 
 
@@ -98,7 +129,7 @@ def brute_force_homs(P: FinitePresentation, k: int) -> list[PermAssignment]:
     out = []
     for combo in itertools.product(all_perms, repeat=len(gens)):
         hom = PermAssignment(k, tuple(zip(gens, combo)))
-        if all(hom.evaluate(r) == ident for r in P.relators):
+        if all(evaluate_action(hom, r) == ident for r in P.relators):
             out.append(hom)
     return out
 
@@ -110,7 +141,7 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 def compose_evaluate(hom: PermAssignment, w: Word) -> Perm:
     """The permutation by which w acts, by composing each letter's image
-    (or its inverse) onto the product so far, as `PermAssignment.evaluate`
+    (or its inverse) onto the product so far, as `evaluate_action`
     computed it before one letter-code walk carried every action."""
     table = dict(hom.images)
     neg = {name: inverse_perm(p) for name, p in table.items()}
@@ -174,7 +205,7 @@ def word_problem_oracle(P: FinitePresentation,
     ident = identity_perm(action.degree)
     # over the trivial subgroup the action is regular, so a word is trivial
     # iff it acts as the identity
-    return lambda w: action.evaluate(w) == ident
+    return lambda w: evaluate_action(action, w) == ident
 
 
 def hlt_todd_coxeter(
@@ -1055,3 +1086,256 @@ def reference_dehn_find(solver: DehnSolver, by_prefix: dict[str, list[int]], cur
                 m += 1
             return i, m, sid
     return None
+
+
+# --- constructions, checks and conveniences that only tests call -------------
+
+class NotEliminableError(PresentationError):
+    """The chosen relator does not define the generator to eliminate."""
+
+
+@dataclass(frozen=True)
+class TietzeElimination:
+    """Result of eliminating a generator: the new presentation plus the
+    substitution that realizes the isomorphism on generators."""
+
+    presentation: FinitePresentation
+    eliminated: str
+    replacement: Word           # word (over the new alphabet) equal to the old generator
+    to_new: PresentationMorphism
+    to_old: PresentationMorphism
+
+
+def _eliminable_shape(r: Word, gen: Word) -> Word | None:
+    """If r or r^-1 is g*w^-1 or w^-1*g with w free of the generator
+    g = `gen`, return w."""
+    g, g_inv = gen.text, gen.inverse().text
+    for cand in (r, r.inverse()):
+        t = cand.text
+        if t[:1] == g and g not in t[1:] and g_inv not in t[1:]:
+            return Word._trusted(r.alphabet, t[1:]).inverse()
+        if t[-1:] == g and g not in t[:-1] and g_inv not in t[:-1]:
+            return Word._trusted(r.alphabet, t[:-1]).inverse()
+    return None
+
+
+def tietze_eliminate_generator(
+    P: FinitePresentation, g: str, defining: int
+) -> TietzeElimination:
+    """Remove generator g using relator P.relators[defining], which must be
+    freely equal to g*w^-1 or w^-1*g (up to inversion) with w free of g.
+
+    Every other occurrence of g is replaced by w; relators that become
+    freely trivial are dropped (they were copies of the defining relation).
+    """
+    gen = P.alphabet.gen(g)
+    if not (0 <= defining < len(P.relators)):
+        raise NotEliminableError(f"no relator with index {defining}")
+    w = _eliminable_shape(P.relators[defining], gen)
+    if w is None:
+        raise NotEliminableError(
+            f"relator {render_word(P.relators[defining])!r} does not define {g!r}")
+    new_alph = Alphabet(s for s in P.alphabet.symbols if s != g)
+    down = {s: new_alph.gen(s) for s in new_alph.symbols}
+    # w avoids g, so deleting g's letters only renames the others
+    down[g], = relabel([w], new_alph, [None if s == g else s for s in P.alphabet.symbols])
+    new_rels = []
+    for k, r in enumerate(P.relators):
+        if k == defining:
+            continue
+        img = apply_map(r, down, target=new_alph)
+        if img:
+            new_rels.append(img)
+    newP = FinitePresentation(new_alph, tuple(new_rels), aspherical=P.aspherical)
+    up = {s: P.alphabet.gen(s) for s in new_alph.symbols}
+    return TietzeElimination(
+        presentation=newP,
+        eliminated=g,
+        replacement=down[g],
+        to_new=PresentationMorphism(P, newP, down, witness="generator elimination"),
+        to_old=PresentationMorphism(newP, P, up, witness="inclusion of surviving generators"),
+    )
+
+
+def free_product(P1: FinitePresentation, P2: FinitePresentation,
+                 auto_rename: bool = False) -> FinitePresentation:
+    """Union of generators and relators (disjoint names required)."""
+    n1, n2 = _disjoint_names(P1, P2, auto_rename)
+    alph = Alphabet(n1 + n2)
+    rels = relabel(P1.relators, alph, n1) + relabel(P2.relators, alph, n2)
+    note = None
+    if P1.aspherical and P2.aspherical:
+        note = "free product of aspherical presentations"
+    return FinitePresentation(alph, tuple(rels), aspherical=note)
+
+
+def hnn_extension(
+    P: FinitePresentation,
+    t: str,
+    pairs: Sequence[tuple[Word, Word]],
+    associated_subgroups_free: bool = False,
+) -> FinitePresentation:
+    """Add stable letter t and relators t u_i t^-1 v_i^-1."""
+    if t in P.alphabet:
+        raise PresentationError(f"stable letter {t!r} already a generator")
+    alph = Alphabet(P.alphabet.symbols + (t,))
+    rels = relabel(P.relators, alph)
+    tw = alph.gen(t)
+    for u, v in pairs:
+        if u.alphabet != P.alphabet or v.alphabet != P.alphabet:
+            raise PresentationError("associated pair over the wrong alphabet")
+        uu, vv = relabel([u, v], alph)
+        r = free_reduce(tw.concat(uu).concat(tw.inverse()).concat(vv.inverse()))
+        if not r:
+            raise PresentationError("associated pair freely cancels")
+        rels.append(r)
+    note = None
+    if P.aspherical and associated_subgroups_free:
+        note = ("HNN extension of an aspherical presentation along subgroups "
+                "asserted free by the caller")
+    return FinitePresentation(alph, tuple(rels), aspherical=note)
+
+
+def morphism_image(p: PresentationMorphism, w: Word) -> Word:
+    """The image under p of a word over p's source."""
+    if w.alphabet != p.source.alphabet:
+        raise PresentationError("word not over the morphism's source alphabet")
+    return apply_map(w, p.images, target=p.target.alphabet)
+
+
+def direct_sum(A: AbelianGroupDescriptor, B: AbelianGroupDescriptor) -> AbelianGroupDescriptor:
+    """Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b); applied to every pair i < j
+    in turn, this leaves each entry dividing all the entries after it."""
+    chain = list(A.torsion + B.torsion)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            chain[i], chain[j] = gcd(chain[i], chain[j]), lcm(chain[i], chain[j])
+    return AbelianGroupDescriptor(A.rank + B.rank, tuple(t for t in chain if t > 1))
+
+
+def is_perfect(P: FinitePresentation) -> bool:
+    return h1(P).group.is_trivial
+
+
+def evaluate_action(hom: PermAssignment, w: Word) -> Perm:
+    """The permutation by which w acts, its letters applied left to right;
+    ValueError unless the images permute range(degree)."""
+    if (act := hom._action(w.alphabet)) is None:
+        raise ValueError("generator images do not permute the points")
+    return tuple(_walk(act, letter_codes(w), range(hom.degree)))
+
+
+def image_of(hom: PermAssignment, name: str) -> Perm:
+    return dict(hom.images)[name]
+
+
+def dehn_word_problem(P: FinitePresentation, w: Word,
+                      collect_trace: bool = False) -> DehnResult:
+    """Decide triviality of w in a C'(1/6)-certified presentation with a
+    solver built (and certified) for this one word."""
+    return DehnSolver(P).solve(w, collect_trace=collect_trace)
+
+
+def dehn_closure_certificate(res: DehnResult, P: FinitePresentation) -> NormalClosureElement:
+    return NormalClosureElement.build(P, res.factors)
+
+
+def dehn_certificate_holds(res: DehnResult, P: FinitePresentation, original: Word) -> bool:
+    """Whether a Dehn verdict is "trivial" with factors that expand to the
+    free reduction of `original`."""
+    if not res.trivial:
+        return False
+    return dehn_closure_certificate(res, P).expanded == free_reduce(original)
+
+
+def reduce_pair(pw: PairWord) -> PairWord:
+    return PairWord(free_reduce(pw.left), free_reduce(pw.right))
+
+
+def pair_to_product_word(pw: PairWord, ambient: FinitePresentation) -> Word:
+    """Canonical image of a pair in the tagged product alphabet: left
+    letters (as *_L), then right letters (as *_R)."""
+    syms = pw.left.alphabet.symbols
+    left, = relabel([pw.left], ambient.alphabet, [s + "_L" for s in syms])
+    right, = relabel([pw.right], ambient.alphabet, [s + "_R" for s in syms])
+    return left.concat(right)
+
+
+def product_word_to_pair(w: Word, factor: Alphabet) -> PairWord:
+    """Componentwise projections of a tagged product word; interleaving is
+    not remembered (the ambient commutators justify this only inside the
+    product presentation)."""
+    syms = w.alphabet.symbols
+    left, = relabel([w], factor, [s[:-2] if s.endswith("_L") else None for s in syms])
+    right, = relabel([w], factor, [s[:-2] if s.endswith("_R") else None for s in syms])
+    if len(left) + len(right) != len(w):
+        untagged = [s for s in syms if not s.endswith(("_L", "_R"))]
+        raise ConstructionError(f"untagged generator among {untagged} in product word")
+    return PairWord(left, right)
+
+
+def s_plus(res: DeltaResult, S: GeneratingSet) -> GeneratingSet:
+    """S_n read as words over the amalgam, extended by the attachment
+    letters C."""
+    words = [free_reduce(pair_to_product_word(pw, res.delta)) for pw in S.elements]
+    return GeneratingSet("S_plus", res.delta, tuple(words) + res.C.elements, factor=res.factor,
+                         notes="fibre generators extended by attachment letters")
+
+
+def killed_quotient(rips: RipsOutput) -> FinitePresentation:
+    """Apply the kernel-killing map to every relator and drop the kernel
+    generators; recovers a presentation of the transform's input."""
+    rels = []
+    for r in rips.gamma.relators:
+        img = morphism_image(rips.p, r)
+        if img:
+            rels.append(img)
+    return FinitePresentation(rips.p.target.alphabet, tuple(rels))
+
+
+def fibre_membership(pw: PairWord, p: PresentationMorphism,
+                     wp_oracle: Callable[[Word], bool]) -> bool:
+    """(u,v) lies in the fibre product of p iff p(u v^-1) dies in the
+    target; the caller supplies the target's word-problem oracle."""
+    image = morphism_image(p, free_reduce(pw.left.concat(pw.right.inverse())))
+    if not image:
+        return True
+    return wp_oracle(image)
+
+
+def primitive_root(w: Word) -> tuple[Word, int]:
+    """Write the cyclic core of w as z^k with z primitive; returns (z, k)."""
+    core, _ = cyclically_reduce(w)
+    t = core.text
+    if not t:
+        return core, 0
+    d = (t + t).find(t, 1)  # the least rotation fixing t: t is t[:d] repeated
+    return Word._trusted(core.alphabet, t[:d]), len(t) // d
+
+
+def gadget_conjugacy_decision(
+    w: Word,
+    kernel_word: Word,
+    p: PresentationMorphism,
+    wp_oracle: Callable[[Word], bool],
+) -> bool:
+    """Decide conjugacy of the gadget pairs inside the fibre product of p.
+
+    The componentwise free-group conjugacy test produces one conjugating
+    pair; all others differ by centralizer elements, which are powers of
+    the kernel word's primitive root.  When the kernel word is not a
+    proper power, membership of the found conjugator in the fibre product
+    settles the question, and it is equivalent to the triviality of w in
+    the target -- giving a second, independent route to that verdict.
+    """
+    root, k = primitive_root(kernel_word)
+    if k != 1:
+        raise ConstructionError(
+            f"kernel element {render_word(kernel_word)} is a proper power "
+            f"({render_word(root)})^{k}; the centralizer argument needs a primitive element")
+    first, second = conjugacy_gadget(w, kernel_word)
+    left = conjugacy_test(first.left, second.left)
+    right = conjugacy_test(first.right, second.right)
+    if left is None or right is None:
+        return False
+    return fibre_membership(PairWord(left, right), p, wp_oracle)

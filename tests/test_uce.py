@@ -413,3 +413,24 @@ def test_superperfect_uce_scans_no_commutator_relator(monkeypatch, higman_D):
     scanned.clear()
     P = parse_presentation(text)
     assert P == S and scanned == collections.Counter(r.text for r in P.relators)
+
+
+def test_uce_witnesses_scan_no_word(monkeypatch, higman_D):
+    """Each witness is written out by joining reduced texts with
+    `reduce_join`, so `miller_uce` on a presentation, whose relators are
+    known to be reduced, scans no word for free reduction: not a closure
+    element's expansion, not c_x and not x*c_x, when found, verified or
+    written as a relator."""
+    S = super_perfectify(higman_D).presentation
+    scanned = []  # texts of the words is_reduced scans
+    is_reduced = Word.is_reduced
+
+    def counted(w):
+        if w._reduced is None:
+            scanned.append(w.text)
+        return is_reduced(w)
+
+    monkeypatch.setattr(Word, "is_reduced", counted)
+    U = miller_uce(S)
+    assert len(U.witnesses) == S.alphabet.rank == 15
+    assert scanned == []
