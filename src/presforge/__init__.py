@@ -16,7 +16,6 @@ from .freewords import (
 from .presentations import (
     FinitePresentation,
     PresentationMorphism,
-    amalgamated_product,
     direct_product_presentation,
     higman_presentations,
     parse_presentation,

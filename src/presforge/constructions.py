@@ -1,7 +1,8 @@
 """Headline construction algorithms: the small-cancellation (Rips-type)
 transform, the finite-quotient-killing attachment, super-perfectification,
 the fibre/subdirect-product generating sets, the conjugacy gadget and the
-amalgam of F x F with doubled attachments.
+amalgam of F x F with doubled attachments, which is the finite-quotient
+killing of F x F.
 
 Conventions fixed here:
 
@@ -17,7 +18,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .freewords import (
@@ -33,11 +34,9 @@ from .presentations import (
     FinitePresentation,
     PresentationError,
     PresentationMorphism,
-    amalgamated_product,
     direct_product_presentation,
     higman_presentations,
     presentation,
-    rename_generators,
 )
 from .smallcancel import MetricCertificate, metric_certificate
 from .uce import UcePresentation, miller_uce
@@ -382,13 +381,13 @@ def acyclic_subdirect(kill: KillResult) -> AcyclicSubdirectResult:
     if not isinstance(kill, KillResult):
         raise ConstructionError(
             "acyclic_subdirect consumes the KillResult of kill_finite_quotients")
-    H = free_product_of_copies(kill)
+    theta = fibre_generators("theta", kill=kill)
+    H = theta.factor
     target = kill.simplified
     images = {y: target.alphabet.gen(y) for y in H.alphabet.symbols}
     q = PresentationMorphism(
         H, target, images,
         witness="copy relators are relators of the simplified attachment form")
-    theta = fibre_generators("theta", kill=kill)
     m = len(kill.pi_prime.relators)
     n = kill.pi_prime.alphabet.rank
     predicted = AbelianGroupDescriptor(rank=m - n)
@@ -413,33 +412,18 @@ class DeltaResult:
 def delta_amalgam(generators: Sequence[str] | Alphabet) -> DeltaResult:
     """Amalgamate F x F (F free on the given letters) with 2l copies of
     Higman's group along cyclic subgroups: d_i = (x_i, 1) for i <= l and
-    d_{l+i} = (1, x_i).  C collects the three non-glued letters of every
-    copy (6l words)."""
+    d_{l+i} = (1, x_i).  This is the finite-quotient killing of F x F, whose
+    generators x_L then x_R take the copies in order.  C collects the three
+    non-glued letters of every copy (6l words)."""
     names = list(generators)
     if not names:
         raise ConstructionError("delta_amalgam needs at least one generator")
-    l = len(names)
     F = presentation(names, [], aspherical="free presentation")
-    fxf = direct_product_presentation(F, F)
-    fxf = fxf.with_asphericity("product of two free presentations (torus complex)")
-    J, _ = higman_presentations()
-    copies = _fresh_copies(J.alphabet.symbols, 2 * l, set(fxf.alphabet.symbols))
-    current = fxf
-    for i, cnames in enumerate(copies, start=1):
-        Ji = rename_generators(J, dict(zip(J.alphabet.symbols, cnames)))
-        if i <= l:
-            glue = current.alphabet.gen(names[i - 1] + "_L")
-        else:
-            glue = current.alphabet.gen(names[i - l - 1] + "_R")
-        di = Ji.alphabet.gen(cnames[3])  # the distinguished generator d
-        current = amalgamated_product(
-            current, Ji, [(glue, di)],
-            identified_subgroups_free=True)
-    c_words = []
-    for cnames in copies:
-        for g in cnames[:3]:  # a_i, b_i, c_i
-            c_words.append(current.alphabet.gen(g))
-    C = GeneratingSet("C", current, tuple(c_words), factor=F,
+    fxf = replace(direct_product_presentation(F, F),
+                  aspherical="product of two free presentations (torus complex)")
+    kill = kill_finite_quotients(fxf)
+    delta = kill.pi_prime
+    c_words = tuple(delta.alphabet.gen(g) for cnames in kill.copies for g in cnames[:3])
+    C = GeneratingSet("C", delta, c_words, factor=F,
                       notes="non-glued letters of every attachment copy")
-    return DeltaResult(delta=current, fxf=fxf, factor=F,
-                       copies=tuple(copies), C=C)
+    return DeltaResult(delta=delta, fxf=fxf, factor=F, copies=kill.copies, C=C)

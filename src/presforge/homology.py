@@ -1,9 +1,11 @@
 """Integer linear algebra for presentation homology.
 
 Smith normal form over Z by one elimination loop, with the left transform
-as sparse rows and left*M*right == D re-checked row by row; first homology
-(abelianization) of a finite presentation with generator images, and second
-homology of aspherical presentations via the rank formula (always free).
+as sparse rows and the form re-checked in both directions (left*M*right == D
+row by row, each row of M*right in the lattice of D, det(right) = +-1);
+first homology (abelianization) of a finite presentation with generator
+images, and second homology of aspherical presentations via the rank
+formula (always free).
 
 Everything uses Python's arbitrary-precision integers; pivot growth is a
 correctness issue, not an overflow risk.
@@ -32,6 +34,21 @@ def _identity(n: int) -> IntegerMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _det(A: IntegerMatrix) -> int:
+    """Exact determinant of a square matrix by fraction-free (Bareiss)
+    elimination: each division by the previous pivot is exact."""
+    A, sign, prev = [list(row) for row in A], 1, 1
+    for k in range(len(A)):
+        p = next((i for i in range(k, len(A)) if A[i][k]), None)
+        if p is None:
+            return 0
+        A[k], A[p], sign = A[p], A[k], sign if p == k else -sign
+        for i in range(k + 1, len(A)):
+            A[i] = [(a * A[k][k] - A[i][k] * b) // prev for a, b in zip(A[i], A[k])]
+        prev = A[k][k]
+    return sign * prev
+
+
 def _combine(pairs, B: IntegerMatrix, width: int) -> list[int]:
     """The sum of x * B[t] over the (t, x) pairs of a row."""
     out = [0] * width
@@ -57,16 +74,29 @@ class SmithForm:
         return len(self.diagonal)
 
     def verify(self, M: IntegerMatrix) -> bool:
-        """Row by row: left[i]*M*right == d_i*e_i, left[i]*M == 0 past the rank,
-        and no left[i] is zero (a partial check that left is unimodular)."""
+        """Whether Z^n / rows(M) is Z^n / rows(D) through `right`.  Row by row,
+        left[i]*M*right == d_i*e_i, left[i]*M == 0 past the rank, and no
+        left[i] is zero: the rows of D lie in the lattice of M*right.  Every
+        nonzero row of M*right lies in the lattice of D.  The diagonal is a
+        positive divisibility chain of at most min(m, n) entries, and
+        det(right) = +-1."""
+        d, r, n = self.diagonal, self.rank, self.cols
+        if (len(self.left) != self.rows or r > min(self.rows, n) or any(x <= 0 for x in d)
+                or any(b % a for a, b in zip(d, d[1:])) or [len(row) for row in self.right] != [n] * n):
+            return False
         for i, row in enumerate(self.left):
-            v = _combine(row.items(), M, self.cols)
-            if i < self.rank:
-                v = _combine(enumerate(v), self.right, self.cols)
-                v[i] -= self.diagonal[i]
+            v = _combine(row.items(), M, n)
+            if i < r:
+                v = _combine(enumerate(v), self.right, n)
+                v[i] -= d[i]
             if any(v) or not any(row.values()):
                 return False
-        return len(self.left) == self.rows
+        for row in M:
+            if any(row):  # a zero row, such as a commutator's, maps to zero
+                v = _combine(enumerate(row), self.right, n)
+                if any(v[r:]) or any(v[j] % d[j] for j in range(r)):
+                    return False
+        return abs(_det(self.right)) == 1
 
 
 def _pivot(rows: IntegerMatrix, k: int, m: int) -> tuple[int, int] | None:

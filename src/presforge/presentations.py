@@ -1,6 +1,5 @@
-"""Finite presentations: data model, text grammar, renaming and the
-builders the constructions use (amalgamated products, direct products,
-Higman's group).
+"""Finite presentations: data model, text grammar and the builders the
+constructions use (direct products, Higman's group).
 
 Grammar (bit-exact)::
 
@@ -19,7 +18,7 @@ provenance note, and operations that consume it echo that note.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .freewords import (
     Alphabet,
@@ -68,9 +67,6 @@ class FinitePresentation:
 
     def render(self) -> str:
         return render_presentation(self)
-
-    def with_asphericity(self, note: str) -> "FinitePresentation":
-        return FinitePresentation(self.alphabet, self.relators, aspherical=note)
 
     def __str__(self) -> str:
         return self.render()
@@ -176,65 +172,7 @@ def render_presentation(P: FinitePresentation) -> str:
     return f"< {gens} | {rels} >" if rels else f"< {gens} | >"
 
 
-def rename_generators(P: FinitePresentation, mapping: Mapping[str, str]) -> FinitePresentation:
-    """Bijectively rename generators; relators carried along letterwise."""
-    new_names = [mapping.get(s, s) for s in P.alphabet.symbols]
-    new_alph = Alphabet(new_names)
-    rels = tuple(Word._trusted(new_alph, r.text) for r in P.relators)
-    return FinitePresentation(new_alph, rels, aspherical=P.aspherical)
-
-
 # --- builders --------------------------------------------------------------
-
-def _disjoint_names(P1: FinitePresentation, P2: FinitePresentation,
-                    auto_rename: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Generator names for the two sides of a product: their own when
-    disjoint, else suffixed '_1' / '_2' (if auto_rename)."""
-    n1, n2 = P1.alphabet.symbols, P2.alphabet.symbols
-    clash = set(n1) & set(n2)
-    if not clash:
-        return n1, n2
-    if not auto_rename:
-        raise PresentationError(
-            f"generator name clash {sorted(clash)}; pass auto_rename=True to suffix")
-    return tuple(s + "_1" for s in n1), tuple(s + "_2" for s in n2)
-
-
-def amalgamated_product(
-    P1: FinitePresentation,
-    P2: FinitePresentation,
-    pairs: Sequence[tuple[Word, Word]],
-    auto_rename: bool = False,
-    identified_subgroups_free: bool = False,
-) -> FinitePresentation:
-    """Amalgam presentation: generators of both sides, both relator sets,
-    plus u_i v_i^-1 for each identified pair (u_i over P1, v_i over P2).
-
-    The asphericity flag propagates only when both inputs carry it and the
-    caller asserts the identified subgroups are free; the assertion is
-    recorded in the note.
-    """
-    if not pairs:
-        raise PresentationError("amalgamated_product needs at least one identified pair")
-    for u, v in pairs:
-        if u.alphabet != P1.alphabet or v.alphabet != P2.alphabet:
-            raise PresentationError("identified pair over the wrong alphabets")
-    n1, n2 = _disjoint_names(P1, P2, auto_rename)
-    alph = Alphabet(n1 + n2)
-    rels = relabel(P1.relators, alph, n1) + relabel(P2.relators, alph, n2)
-    us = relabel([u for u, _ in pairs], alph, n1)
-    vs = relabel([v for _, v in pairs], alph, n2)
-    for uu, vv in zip(us, vs):
-        r = free_reduce(uu.concat(vv.inverse()))
-        if not r:
-            raise PresentationError("identified pair freely cancels; not a valid amalgam relator")
-        rels.append(r)
-    note = None
-    if P1.aspherical and P2.aspherical and identified_subgroups_free:
-        note = ("amalgam of aspherical presentations along subgroups "
-                "asserted free by the caller")
-    return FinitePresentation(alph, tuple(rels), aspherical=note)
-
 
 def direct_product_presentation(
     P1: FinitePresentation, P2: FinitePresentation

@@ -55,7 +55,9 @@ extension.
 The last section holds constructions and checks that no command of
 presforge calls, so they are not shipped with it:
 `tietze_eliminate_generator` (with `TietzeElimination` and
-`NotEliminableError`), `free_product` and `hnn_extension`; `direct_sum` of
+`NotEliminableError`), `rename_generators`, `free_product`,
+`amalgamated_product` (the reference for `delta_amalgam`, built one
+amalgam at a time) and `hnn_extension`; `direct_sum` of
 abelian groups and `is_perfect`; `morphism_image` of a word under a
 `PresentationMorphism`; `evaluate_action` and `image_of` on a
 `PermAssignment`; `dehn_word_problem`, `dehn_closure_certificate` and
@@ -73,7 +75,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from presforge.constructions import (
     ConstructionError,
@@ -103,7 +105,6 @@ from presforge.presentations import (
     FinitePresentation,
     PresentationError,
     PresentationMorphism,
-    _disjoint_names,
 )
 from presforge.quotients import (
     BudgetExhausted,
@@ -1157,6 +1158,28 @@ def tietze_eliminate_generator(
     )
 
 
+def rename_generators(P: FinitePresentation, mapping: Mapping[str, str]) -> FinitePresentation:
+    """Bijectively rename generators; relators carried along letterwise."""
+    new_names = [mapping.get(s, s) for s in P.alphabet.symbols]
+    new_alph = Alphabet(new_names)
+    rels = tuple(Word._trusted(new_alph, r.text) for r in P.relators)
+    return FinitePresentation(new_alph, rels, aspherical=P.aspherical)
+
+
+def _disjoint_names(P1: FinitePresentation, P2: FinitePresentation,
+                    auto_rename: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Generator names for the two sides of a product: their own when
+    disjoint, else suffixed '_1' / '_2' (if auto_rename)."""
+    n1, n2 = P1.alphabet.symbols, P2.alphabet.symbols
+    clash = set(n1) & set(n2)
+    if not clash:
+        return n1, n2
+    if not auto_rename:
+        raise PresentationError(
+            f"generator name clash {sorted(clash)}; pass auto_rename=True to suffix")
+    return tuple(s + "_1" for s in n1), tuple(s + "_2" for s in n2)
+
+
 def free_product(P1: FinitePresentation, P2: FinitePresentation,
                  auto_rename: bool = False) -> FinitePresentation:
     """Union of generators and relators (disjoint names required)."""
@@ -1166,6 +1189,42 @@ def free_product(P1: FinitePresentation, P2: FinitePresentation,
     note = None
     if P1.aspherical and P2.aspherical:
         note = "free product of aspherical presentations"
+    return FinitePresentation(alph, tuple(rels), aspherical=note)
+
+
+def amalgamated_product(
+    P1: FinitePresentation,
+    P2: FinitePresentation,
+    pairs: Sequence[tuple[Word, Word]],
+    auto_rename: bool = False,
+    identified_subgroups_free: bool = False,
+) -> FinitePresentation:
+    """Amalgam presentation: generators of both sides, both relator sets,
+    plus u_i v_i^-1 for each identified pair (u_i over P1, v_i over P2).
+
+    The asphericity flag propagates only when both inputs carry it and the
+    caller asserts the identified subgroups are free; the assertion is
+    recorded in the note.
+    """
+    if not pairs:
+        raise PresentationError("amalgamated_product needs at least one identified pair")
+    for u, v in pairs:
+        if u.alphabet != P1.alphabet or v.alphabet != P2.alphabet:
+            raise PresentationError("identified pair over the wrong alphabets")
+    n1, n2 = _disjoint_names(P1, P2, auto_rename)
+    alph = Alphabet(n1 + n2)
+    rels = relabel(P1.relators, alph, n1) + relabel(P2.relators, alph, n2)
+    us = relabel([u for u, _ in pairs], alph, n1)
+    vs = relabel([v for _, v in pairs], alph, n2)
+    for uu, vv in zip(us, vs):
+        r = free_reduce(uu.concat(vv.inverse()))
+        if not r:
+            raise PresentationError("identified pair freely cancels; not a valid amalgam relator")
+        rels.append(r)
+    note = None
+    if P1.aspherical and P2.aspherical and identified_subgroups_free:
+        note = ("amalgam of aspherical presentations along subgroups "
+                "asserted free by the caller")
     return FinitePresentation(alph, tuple(rels), aspherical=note)
 
 

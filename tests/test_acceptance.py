@@ -26,7 +26,6 @@ from presforge.presentations import (
     PresentationMorphism,
     direct_product_presentation,
     presentation,
-    rename_generators,
 )
 from presforge.quotients import (
     conjugacy_class_reps,
@@ -48,6 +47,7 @@ from oracles import (
     killed_quotient,
     minors_gcd,
     reduce_pair,
+    rename_generators,
     tietze_eliminate_generator,
     word_problem_oracle,
 )

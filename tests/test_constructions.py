@@ -19,14 +19,17 @@ from presforge.constructions import (
 from presforge.freewords import Alphabet, Word, apply_map, free_reduce, render_word
 from presforge.homology import h1, h2_aspherical
 from presforge.presentations import (
+    FinitePresentation,
     PresentationMorphism,
     direct_product_presentation,
+    higman_presentations,
     presentation,
 )
 from presforge.quotients import finite_quotient_certificate, todd_coxeter
 from presforge.smallcancel import DehnSolver
 
 from oracles import (
+    amalgamated_product,
     divisor_primitive_root,
     fibre_membership,
     gadget_conjugacy_decision,
@@ -37,6 +40,7 @@ from oracles import (
     primitive_root,
     product_word_to_pair,
     reduce_pair,
+    rename_generators,
     s_plus,
     tietze_eliminate_generator,
     word_problem_oracle,
@@ -356,6 +360,37 @@ class TestDeltaAmalgam:
         # the three non-glued letters of a copy generate a group with the
         # two-layer relator pattern; its abelianization is infinite cyclic
         assert h1(higman_D).group.rank == 1
+
+
+def delta_by_amalgams(names):
+    """F x F, then one amalgam per copy a_i, b_i, c_i, d_i of J along
+    d_i = x_L for the first l copies and d_i = x_R for the next l: the
+    reference for `delta_amalgam`."""
+    F = presentation(names, [], aspherical="free presentation")
+    fxf = direct_product_presentation(F, F)
+    current = FinitePresentation(fxf.alphabet, fxf.relators, aspherical="torus complex")
+    J, _ = higman_presentations()
+    for i, x in enumerate(fxf.alphabet.symbols, start=1):
+        Ji = rename_generators(J, {g: f"{g}_{i}" for g in J.alphabet.symbols})
+        current = amalgamated_product(current, Ji, [(current.alphabet.gen(x), Ji.word(f"d_{i}"))],
+                                      identified_subgroups_free=True)
+    return current
+
+
+def cyclic_word_class(w):
+    """The least text among the rotations of w and of its inverse."""
+    return min(t[i:] + t[:i] for t in (w.text, w.inverse().text) for i in range(len(t)))
+
+
+@pytest.mark.parametrize("names", [["x"], ["x", "y"], ["x", "y", "z"]])
+def test_delta_amalgam_matches_amalgam_chain(names):
+    res = delta_amalgam(names)
+    ref = delta_by_amalgams(names)
+    assert res.delta.alphabet.symbols == ref.alphabet.symbols
+    assert sorted(map(cyclic_word_class, res.delta.relators)) == \
+        sorted(map(cyclic_word_class, ref.relators))
+    assert res.delta.aspherical and ref.aspherical
+    assert sum(res.copies, ()) == res.delta.alphabet.symbols[2 * len(names):]
 
 
 class TestAcyclicSubdirect:

@@ -15,6 +15,7 @@ import presforge
 from presforge.homology import (
     AbelianGroupDescriptor,
     AsphericityRequired,
+    SmithForm,
     h1,
     h2_aspherical,
     relation_matrix,
@@ -108,6 +109,14 @@ class TestSmithNormalForm:
         assert form.diagonal == [1, 1] and form.verify(M)
         left = [{t: 3 * x for t, x in form.left[0].items()}, form.left[1]]
         assert not dataclasses.replace(form, left=left).verify(M)
+
+    def test_verify_rejects_a_diagonal_the_matrix_does_not_give(self):
+        # left * M * right == D holds, but Z / (1) is trivial, not Z/2
+        assert not SmithForm([2], [{0: 2}], [[1]], 1, 1).verify([[1]])
+
+    def test_verify_rejects_a_singular_right_transform(self):
+        # left * M * right == D holds, but right has determinant 0
+        assert not SmithForm([1], [{0: 1}], [[1, 0], [0, 0]], 1, 2).verify([[1, 0]])
 
     def test_zero_rows_keep_memory_small(self):
         # a relation matrix of commutator relators: 12 random rows among
@@ -302,6 +311,29 @@ def test_fuzz_smith_form_matches_reference(M):
     """The one-loop elimination makes the reference's elementary operations
     in the reference's order, so both transforms come out identical."""
     assert_same_smith_form(M)
+
+
+def presented_group(form):
+    """Z^n / rows(D) for the diagonal D of a Smith form."""
+    return AbelianGroupDescriptor(form.cols - form.rank, tuple(d for d in form.diagonal if d > 1))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(M=badly_presented_matrices(), data=st.data())
+def test_fuzz_tampered_smith_form(M, data):
+    """One entry of `right` or of the diagonal changed: a form that still
+    verifies presents the reference's group through a unimodular `right`."""
+    form = smith_normal_form(M)
+    diagonal, right = list(form.diagonal), [list(row) for row in form.right]
+    if form.rank and data.draw(st.booleans()):
+        diagonal[data.draw(st.integers(0, form.rank - 1))] += data.draw(st.integers(-3, 3))
+    else:
+        right[data.draw(st.integers(0, form.cols - 1))][data.draw(st.integers(0, form.cols - 1))] \
+            += data.draw(st.integers(-3, 3))
+    tampered = dataclasses.replace(form, diagonal=diagonal, right=right)
+    if tampered.verify(M):
+        assert presented_group(tampered) == presented_group(reference_smith_normal_form(M))
+        assert det(tampered.right) in (1, -1)
 
 
 @pytest.mark.parametrize("name", ["higman_J", "higman_D", "icosahedral"])

@@ -17,21 +17,21 @@ from presforge.homology import h1
 from presforge.presentations import (
     FinitePresentation,
     PresentationError,
-    amalgamated_product,
     direct_product_presentation,
     parse_presentation,
     parse_relator,
     presentation,
-    rename_generators,
     render_presentation,
 )
 
 from oracles import (
     NotEliminableError,
+    amalgamated_product,
     direct_sum,
     free_product,
     hnn_extension,
     morphism_image,
+    rename_generators,
     tietze_eliminate_generator,
 )
 
