@@ -8,15 +8,16 @@ subword that repeats at two positions of the same relator counts.  The
 certificate condition C'(lambda): every piece is strictly shorter than
 lambda times the length of every relator containing it.
 
-The scanner sorts rotation slots, offsets into the doubled relator
-texts, without writing any rotation out: byte keys of 64 letters, four
-times as long only for runs still tied, and one comparison with its
-first member for a run of equal rotation words.  The longest piece
-touching a rotation is its longest common prefix with a sorted
-neighbour, where their keys first differ, so the sort yields them all.
-Memory is linear in the relator letters on C'(lambda) input, proper
-powers and repeated relators, and quadratic only in rotations that agree
-over most of their length without being equal, such as those of a^k b.
+A longest piece is reached by a pair of rotation slots, offsets into
+the doubled relator texts, one of which starts a cyclic run of equal
+letters, so the scanner sorts one slot per run, its last: on passing
+input, past the texts, its memory is linear in the runs.  Only a failing
+certificate sorts every slot, for its witness.  The sort writes no
+rotation out: byte keys of 64 letters, four times as long only for runs
+still tied, and one comparison for a run of equal rotation words;
+neighbours' keys first differ where their common prefix ends.  Sorting
+every slot is quadratic in memory only on rotations that agree over most
+of their length without being equal, such as those of a^k b.
 
 Dehn's algorithm repeatedly replaces a subword that is more than half of
 a symmetrized relator (strict inequality; leftmost match) by the inverse
@@ -35,6 +36,7 @@ closure certificate.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count, pairwise, repeat, starmap
@@ -67,20 +69,21 @@ def _doubled_texts(cores: Sequence[Word]) -> list[str]:
     return [s + s for core in cores for s in (core.text, core.inverse().text)]
 
 
-def _letter_bytes(texts: Sequence[str]) -> tuple[int, list[bytes]]:
-    """(w, the texts in w bytes a letter): code 256 + c as the byte c + 1
-    while that fits, else the code in four big-endian bytes, so byte
-    order is letter order and no letter is zero."""
-    top = max(map(ord, map(max, filter(None, texts))), default=256)
-    if top - 256 < 255:
+def _letter_bytes(texts: Sequence[str], rank: int | None) -> tuple[int, list[bytes]]:
+    """(w, the texts in w bytes a letter): below rank 128 the codes 256 + 2i
+    and 256 + 2i + 1 as the bytes 2i + 1 and 2i + 2, else (or with no rank)
+    four big-endian bytes, so byte order is letter order and none is zero."""
+    if rank is not None and rank < 128:
         plus_one = bytes(range(1, 256)) + b"\0"
         return 1, [D.encode("utf-16-be")[1::2].translate(plus_one) for D in texts]
     return 4, [D.encode("utf-32-be", "surrogatepass") for D in texts]
 
 
-def _sorted_rotations(texts: Sequence[str]) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Every rotation slot (text id, offset, length) of the doubled texts,
-    sorted by its rotation word with equal words in slot order, plus the
+def _sorted_rotations(texts: Sequence[str], slots: Sequence[tuple[int, int, int]] | None = None,
+                      rank: int | None = None) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The rotation slots (text id, offset, length) of the doubled texts,
+    every slot unless `slots` names some, sorted by rotation word with
+    equal words in the given order (by default, slot order), plus the
     common-prefix length of each sorted neighbour pair (k, k + 1), which
     is the rotation length where the two rotation words are equal.
 
@@ -94,9 +97,10 @@ def _sorted_rotations(texts: Sequence[str]) -> tuple[list[tuple[int, int, int]],
     longest member).  Every round XORs each neighbour pair of its keys;
     pairs still equal are overwritten when their run is settled or sorted.
     """
-    w, data = _letter_bytes(texts)
+    w, data = _letter_bytes(texts, rank)
     unit = 8 * w
-    slots = [(t, o, L) for t, D in enumerate(texts) for L in (len(D) // 2,) for o in range(L)]
+    slots = list(slots) if slots is not None else [
+        (t, o, L) for t, D in enumerate(texts) for L in (len(D) // 2,) for o in range(L)]
     lcp = [0] * (len(slots) - 1)
     tied = [(0, len(slots), 0, 64)]  # (lo, hi, letters all members share, K)
     while tied:
@@ -126,6 +130,50 @@ def _sorted_rotations(texts: Sequence[str]) -> tuple[list[tuple[int, int, int]],
             else:
                 tied.append((lo + a, lo + b + 1, K, 4 * K))
     return slots, lcp
+
+
+_RUN = re.compile(r"(.)\1*")
+
+
+def _run_maxes(texts: Sequence[str], rank: int) -> list[int]:
+    """Each relator's longest piece, from the last slot of each cyclic run
+    of its doubled texts, by the rule in `metric_certificate`."""
+    best = [0] * (len(texts) // 2)
+    ran: dict[tuple[int, int, int], int] = {}  # the last slot of a run -> its length
+    runs: list[tuple[str, int, int]] = []  # (letter, length, relator) of every run
+    for t, D in enumerate(texts):
+        L, r = len(D) // 2, t >> 1
+        spans = [m.span() for m in _RUN.finditer(D, 0, L)]
+        if len(spans) == 1:  # a^L: L equal slots, and one a-run of length L
+            best[r] = max(best[r], L if L > 1 else 0)
+            runs.append((D[0], L, r))
+            continue
+        if D[0] == D[L - 1]:  # the last run wraps round into the first
+            spans[0] = (spans.pop()[0] - L, spans[0][1])
+        for s, e in spans:
+            ran[t, e - 1, L] = e - s
+            runs.append((D[e - 1], e - s, r))
+    lengths: dict[str, list[int]] = {}
+    for a, m, _ in runs:
+        lengths.setdefault(a, []).append(m)
+    # the second longest a-run: min(m, it) is the longest piece with LCP 0
+    second = {a: sorted(ms)[-2] if len(ms) > 1 else 0 for a, ms in lengths.items()}
+    for a, m, r in runs:
+        best[r] = max(best[r], m - 1, min(m, second[a]))
+    order, lcp = _sorted_rotations(texts, list(ran), rank)
+    lcp.append(0)  # past either end, as where the letter changes: reach + 0 <= best[r]
+    for i, (t, o, L) in enumerate(order):
+        r, m = t >> 1, ran[t, o, L]
+        reach = min(m, second[texts[t][o]]) - 1
+        if reach + max(lcp[i - 1], lcp[i]) <= best[r]:  # no walk can gain
+            continue
+        for step, k in ((1, 0), (-1, -1)):  # lcp[j + k] joins j and j + step
+            j, h = i, L
+            while min(reach + (h := min(h, lcp[j + k])), L) > best[r]:
+                j += step
+                v = order[j]  # v's relator gains on v's own walk
+                best[r] = max(best[r], min(min(m, ran[v]) - 1 + h, L, v[2]))
+    return best
 
 
 def _agreement(a: str, i: int, b: str, j: int, lo: int, hi: int, back: bool = False) -> int:
@@ -179,9 +227,30 @@ def metric_certificate(P: FinitePresentation,
                        lam: Fraction = Fraction(1, 6)) -> MetricCertificate:
     """Exhaustive piece computation over the symmetrized relator set.
 
-    Relators are cyclically reduced first.  Reproducible: the offending
-    witness, when present, is the lexicographically first sorted neighbour
-    pair achieving the maximal piece of the first failing relator.
+    Relators are cyclically reduced first.  A slot starts a run when the
+    letter before it is not its first.  Moving two distinct slots with the
+    same letter before them one letter left never shortens their common
+    prefix, which is capped at the shorter relator, so every relator's
+    longest piece is reached by a pair in which one slot starts a run.  For
+    run starts u and v after runs of one letter a, of lengths m_u and m_v,
+    the pairs in those runs give at most min(min(m_u, m_v) + LCP(u, v),
+    L_u, L_v), LCP the common prefix of their rotations; two slots in one
+    run give m - 1; a core a^L gives L to itself when L >= 2 and is an
+    a-run with m = L.  Pairs with LCP 0 give min(m_u, the second longest
+    a-run).  The last slot of u's a-run has the rotation a + u's, so only
+    those slots are sorted: that groups the run starts by the letter before
+    them, and two neighbours' common prefix h is min(1 + LCP(u, v), L_u,
+    L_v), so the bound is min(min(m_u, m_v) - 1 + h, L_u, L_v) either way.
+    From each such slot a walk goes outward in sorted order until min(that
+    second-run bound - 1 + the running h, L_u) no longer beats u's
+    relator's best so far, at the latest where the letter changes (h = 0);
+    a pair that would raise v's relator is met on v's own walk.
+
+    A passing certificate carries no witness.  If a relator fails, every
+    slot is sorted, and that sort's longest pieces must be the run-level
+    ones, else AssertionError (internal error).  Reproducible: the witness
+    is the lexicographically first sorted neighbour pair achieving the
+    maximal piece of the first failing relator.
     """
     lam = Fraction(lam)
     cores = _cores(P)
@@ -189,28 +258,29 @@ def metric_certificate(P: FinitePresentation,
     if not cores:
         return MetricCertificate(lam, True, (), (), None, None, ())
     texts = _doubled_texts(cores)
-    slots, lcp = _sorted_rotations(texts)
-    # per relator: its longest piece and the least pair k reaching it
-    maxes, witness_for = [0] * len(cores), [-1] * len(cores)
-    rels = [t >> 1 for t, _, _ in slots]
-    for k, h, r, q in zip(count(), lcp, rels, rels[1:]):
-        if h > maxes[r]:
-            maxes[r], witness_for[r] = h, k
-        if h > maxes[q]:
-            maxes[q], witness_for[q] = h, k
-    passed = True
+    maxes = _run_maxes(texts, P.alphabet.rank)
+    # fail iff some piece has length >= lam * L, i.e. len * q >= p * L
+    failing = next((t for t, L in enumerate(lengths)
+                    if maxes[t] and maxes[t] * lam.denominator >= lam.numerator * L), None)
     offending = None
-    for t, L in enumerate(lengths):
-        # fail iff some piece has length >= lam * L, i.e. len * q >= p * L
-        if maxes[t] and maxes[t] * lam.denominator >= lam.numerator * L:
-            passed = False
-            k = witness_for[t]
-            (ta, oa, _), (tb, _, _) = slots[k], slots[k + 1]
-            piece = Word._trusted(P.alphabet, texts[ta][oa:oa + lcp[k]])
-            offending = PieceWitness(min(ta // 2, tb // 2), max(ta // 2, tb // 2),
-                                     piece, maxes[t])
-            break
-    return MetricCertificate(lam, passed, lengths, tuple(maxes), min(lengths),
+    if failing is not None:
+        slots, lcp = _sorted_rotations(texts, rank=P.alphabet.rank)
+        # per relator: its longest piece and the least pair k reaching it
+        full, witness_for = [0] * len(cores), [-1] * len(cores)
+        rels = [t >> 1 for t, _, _ in slots]
+        for k, h, r, q in zip(count(), lcp, rels, rels[1:]):
+            if h > full[r]:
+                full[r], witness_for[r] = h, k
+            if h > full[q]:
+                full[q], witness_for[q] = h, k
+        if full != maxes:
+            raise AssertionError("run-level pieces differ from the full sort's (internal error)")
+        k = witness_for[failing]
+        (ta, oa, _), (tb, _, _) = slots[k], slots[k + 1]
+        piece = Word._trusted(P.alphabet, texts[ta][oa:oa + lcp[k]])
+        offending = PieceWitness(min(ta // 2, tb // 2), max(ta // 2, tb // 2),
+                                 piece, maxes[failing])
+    return MetricCertificate(lam, failing is None, lengths, tuple(maxes), min(lengths),
                              offending, tuple(c.text for c in cores))
 
 

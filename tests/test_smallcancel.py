@@ -17,6 +17,8 @@ from presforge.freewords import (
     relabel,
     render_word,
 )
+from presforge import smallcancel
+from presforge.constructions import rips_wise, super_perfectify
 from presforge.presentations import FinitePresentation, presentation
 from presforge.smallcancel import (
     CertificateRequired,
@@ -226,7 +228,7 @@ def test_letter_bytes_keep_letter_order(rank, width):
     """Every letter of a rank-`rank` alphabet becomes `width` bytes, never
     all zero, in the order of the letter codes."""
     text = "".join(map(chr, range(256, 256 + 2 * rank)))
-    w, (data,) = _letter_bytes([text])
+    w, (data,) = _letter_bytes([text], rank)
     units = [data[i:i + w] for i in range(0, len(data), w)]
     assert w == width and len(units) == len(text)
     assert all(map(any, units)) and units == sorted(set(units))
@@ -283,6 +285,118 @@ def test_near_power_certificate_memory():
         tracemalloc.stop()
     assert cert.max_piece_by_relator == (3999,) and not cert.passed
     assert peak < 25_000_000
+
+
+_PASSING_ALPHABET = Alphabet(["a", "b", "c", "d"])
+
+
+@st.composite
+def passing_presentations(draw):
+    """Presentations that pass C'(1/6): a block word a^k b^(k(j+2))
+    c^(k(s+2)) of 17 to 22 blocks for each of up to three distinct s, the
+    exponents scaled by one k, each relator inverted or rotated at will
+    (a cut inside a run makes it wrap round), and perhaps the one-letter
+    relator d, a single run that shares no letter."""
+    k = draw(st.integers(1, 3))
+    rels = []
+    for s in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)):
+        w = _PASSING_ALPHABET.word("*".join(
+            f"a^{k}*b^{k * (j + 2)}*c^{k * (s + 2)}" for j in range(draw(st.integers(17, 22)))))
+        w = w.inverse() if draw(st.booleans()) else w
+        cut = draw(st.integers(0, len(w) - 1))
+        rels.append(Word(_PASSING_ALPHABET, w.letters[cut:] + w.letters[:cut]))
+    if draw(st.booleans()):
+        rels.insert(draw(st.integers(0, len(rels))), _PASSING_ALPHABET.word("d"))
+    return FinitePresentation(_PASSING_ALPHABET, tuple(rels))
+
+
+def _pieces_agree_with_table(P, cert):
+    """Each relator's longest piece is its longest over all pairs in
+    `piece_table`."""
+    table = piece_table(P).pair_max
+    n = len(P.relators)
+    return list(cert.max_piece_by_relator) == [
+        max(table[min(r, q), max(r, q)] for q in range(n)) for r in range(n)]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(P=passing_presentations(), rank=st.sampled_from((4, *sorted(_WIDE_ALPHABETS))),
+       data=st.data())
+def test_fuzz_passing_certificate_matches_rotation_strings(P, rank, data):
+    """A certificate that passes, found from one slot per run alone, is the
+    rotation-string scanner's field for field and agrees with
+    `piece_table`, on one-byte and four-byte letters alike."""
+    if rank in _WIDE_ALPHABETS:
+        target = _WIDE_ALPHABETS[rank]
+        names = [target.symbols[i] for i in data.draw(st.lists(
+            st.integers(target.rank - 10, target.rank - 1) | st.integers(0, target.rank - 1),
+            min_size=4, max_size=4, unique=True))]
+        P = FinitePresentation(target, tuple(relabel(P.relators, target, names)))
+    cert = metric_certificate(P)
+    assert cert.passed and cert == reference_certificate(P)
+    assert _pieces_agree_with_table(P, cert)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(P=fuzz_presentations(), runs=st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from((1, -1)), st.integers(1, 30)), max_size=3))
+def test_fuzz_single_runs_on_the_passing_path(P, runs):
+    """A relator a^L with L >= 2 has L equal rotations, so it fails C'(1/6);
+    at lambda = 2 every piece, at most its relator's length, passes, so
+    single runs among the fuzz relators take the passing path there and
+    match the rotation-string scanner and `piece_table`."""
+    P = FinitePresentation(P.alphabet, P.relators + tuple(
+        Word(P.alphabet, ((g, e),) * L) for g, e, L in runs))
+    cert = metric_certificate(P, Fraction(2))
+    assert cert.passed and cert == reference_certificate(P, Fraction(2))
+    assert not P.relators or _pieces_agree_with_table(P, cert)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(P=fuzz_presentations(), rank=st.sampled_from((3, None)), data=st.data())
+def test_fuzz_slot_subset_sorts_as_the_oracle_restricted(P, rank, data):
+    """Sorting some of the slots gives the rotation-string order of those
+    slots, equal words in slot order, and each neighbour pair's common
+    prefix is the least of the oracle's common prefixes between them."""
+    cores = _cores(P)
+    texts = _doubled_texts(cores)
+    every = [(t, o, len(D) // 2) for t, D in enumerate(texts) for o in range(len(D) // 2)]
+    words = [texts[t][o:o + L] for t, o, L in every]
+    ref_slots, ref_lcp = slots_sorted(cores)
+    where = sorted(range(len(every)), key=words.__getitem__)  # stable: the oracle's order
+    assert [words[i] for i in where] == [sl.text for sl in ref_slots]
+    at = {i: k for k, i in enumerate(where)}
+    subset = sorted(data.draw(st.sets(st.integers(0, len(every) - 1)))) if every else []
+    expected = sorted(subset, key=at.__getitem__)
+    slots, lcp = _sorted_rotations(texts, [every[i] for i in subset], rank)
+    assert slots == [every[i] for i in expected]
+    assert lcp == [min(ref_lcp[at[i]:at[j]]) for i, j in zip(expected, expected[1:])]
+
+
+def test_failing_certificate_checks_the_run_level_pieces(monkeypatch):
+    """A failing certificate sorts every slot for its witness, and the
+    longest pieces of that sort must be the run-level ones."""
+    P = presentation(["a", "b"], ["a*b*a*b"])
+    assert not metric_certificate(P).passed
+    monkeypatch.setattr(smallcancel, "_run_maxes", lambda texts, rank: [3])
+    with pytest.raises(AssertionError, match=r"\(internal error\)"):
+        metric_certificate(P)
+
+
+def test_passing_certificate_memory_is_linear_in_the_runs():
+    """rips_wise(super_perfectify(icosahedral)).gamma has 353,266 letters
+    in long runs; its passing certificate sorts one slot per run,
+    where a sort of every slot peaks at about 200 MB."""
+    ico = presentation(["a", "b"], ["a^2", "b^3", "(a*b)^5"])
+    gamma = rips_wise(super_perfectify(ico).presentation).gamma
+    tracemalloc.start()
+    try:
+        cert = metric_certificate(gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed and sum(cert.relator_lengths) == 353_266
+    assert peak < 40_000_000
 
 
 class TestPieceTable:
