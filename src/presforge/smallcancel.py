@@ -11,13 +11,13 @@ lambda times the length of every relator containing it.
 A longest piece is reached by a pair of rotation slots, offsets into
 the doubled relator texts, one of which starts a cyclic run of equal
 letters, so the scanner sorts one slot per run, its last: on passing
-input, past the texts, its memory is linear in the runs.  Only a failing
-certificate sorts every slot, for its witness.  The sort writes no
-rotation out: byte keys of 64 letters, four times as long only for runs
-still tied, and one comparison for a run of equal rotation words;
-neighbours' keys first differ where their common prefix ends.  Sorting
-every slot is quadratic in memory only on rotations that agree over most
-of their length without being equal, such as those of a^k b.
+input, past the texts, its memory is linear in the runs.  It sorts every
+slot for a failing witness, or where more than half start a run and that
+is as fast.  The sort writes no rotation out: byte keys of 64 letters,
+four times as long only for runs still tied, and one comparison for a
+run of equal rotation words.  Sorting every slot is quadratic in memory
+only on rotations that agree over most of their length without being
+equal, such as those of a^k b.
 
 Dehn's algorithm repeatedly replaces a subword that is more than half of
 a symmetrized relator (strict inequality; leftmost match) by the inverse
@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count, pairwise, repeat, starmap
-from operator import eq, itemgetter, xor
+from operator import eq, ge, itemgetter, xor
 from typing import Sequence
 
 from .freewords import (
@@ -69,23 +69,23 @@ def _doubled_texts(cores: Sequence[Word]) -> list[str]:
     return [s + s for core in cores for s in (core.text, core.inverse().text)]
 
 
-def _letter_bytes(texts: Sequence[str], rank: int | None) -> tuple[int, list[bytes]]:
+def _letter_bytes(texts: Sequence[str], rank: int) -> tuple[int, list[bytes]]:
     """(w, the texts in w bytes a letter): below rank 128 the codes 256 + 2i
-    and 256 + 2i + 1 as the bytes 2i + 1 and 2i + 2, else (or with no rank)
-    four big-endian bytes, so byte order is letter order and none is zero."""
-    if rank is not None and rank < 128:
+    and 256 + 2i + 1 as the bytes 2i + 1 and 2i + 2, else four big-endian
+    bytes, so byte order is letter order and none is zero."""
+    if rank < 128:
         plus_one = bytes(range(1, 256)) + b"\0"
         return 1, [D.encode("utf-16-be")[1::2].translate(plus_one) for D in texts]
     return 4, [D.encode("utf-32-be", "surrogatepass") for D in texts]
 
 
-def _sorted_rotations(texts: Sequence[str], slots: Sequence[tuple[int, int, int]] | None = None,
-                      rank: int | None = None) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """The rotation slots (text id, offset, length) of the doubled texts,
-    every slot unless `slots` names some, sorted by rotation word with
-    equal words in the given order (by default, slot order), plus the
-    common-prefix length of each sorted neighbour pair (k, k + 1), which
-    is the rotation length where the two rotation words are equal.
+def _sorted_rotations(texts: Sequence[str], rank: int, slots: Sequence[tuple[int, int, int]]
+                      | None = None) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The rotation slots (text id, offset, length) of the doubled texts
+    over a rank-`rank` alphabet, every slot unless `slots` names some,
+    sorted by rotation word, equal words in the given order (by default,
+    slot order), and the common-prefix length of each sorted neighbour
+    pair (k, k + 1), the rotation length where their words are equal.
 
     Slots are sorted by keys, the `_letter_bytes` of the first K letters
     of their rotations zero-padded to K, so unequal keys order their
@@ -146,21 +146,17 @@ def _run_maxes(texts: Sequence[str], rank: int) -> list[int]:
         spans = [m.span() for m in _RUN.finditer(D, 0, L)]
         if len(spans) == 1:  # a^L: L equal slots, and one a-run of length L
             best[r] = max(best[r], L if L > 1 else 0)
-            runs.append((D[0], L, r))
-            continue
-        if D[0] == D[L - 1]:  # the last run wraps round into the first
+        elif D[0] == D[L - 1]:  # the last run wraps round into the first
             spans[0] = (spans.pop()[0] - L, spans[0][1])
         for s, e in spans:
             ran[t, e - 1, L] = e - s
             runs.append((D[e - 1], e - s, r))
-    lengths: dict[str, list[int]] = {}
-    for a, m, _ in runs:
-        lengths.setdefault(a, []).append(m)
-    # the second longest a-run: min(m, it) is the longest piece with LCP 0
-    second = {a: sorted(ms)[-2] if len(ms) > 1 else 0 for a, ms in lengths.items()}
-    for a, m, r in runs:
+    top, second = {}, {}  # per letter a, its longest and second longest a-run
+    for a, m, _ in sorted(runs):  # by letter, then length
+        second[a], top[a] = top.get(a, 0), m
+    for a, m, r in runs:  # min(m, second[a]) is the longest piece with LCP 0
         best[r] = max(best[r], m - 1, min(m, second[a]))
-    order, lcp = _sorted_rotations(texts, list(ran), rank)
+    order, lcp = _sorted_rotations(texts, rank, list(ran))
     lcp.append(0)  # past either end, as where the letter changes: reach + 0 <= best[r]
     for i, (t, o, L) in enumerate(order):
         r, m = t >> 1, ran[t, o, L]
@@ -230,27 +226,27 @@ def metric_certificate(P: FinitePresentation,
     Relators are cyclically reduced first.  A slot starts a run when the
     letter before it is not its first.  Moving two distinct slots with the
     same letter before them one letter left never shortens their common
-    prefix, which is capped at the shorter relator, so every relator's
-    longest piece is reached by a pair in which one slot starts a run.  For
-    run starts u and v after runs of one letter a, of lengths m_u and m_v,
-    the pairs in those runs give at most min(min(m_u, m_v) + LCP(u, v),
-    L_u, L_v), LCP the common prefix of their rotations; two slots in one
-    run give m - 1; a core a^L gives L to itself when L >= 2 and is an
-    a-run with m = L.  Pairs with LCP 0 give min(m_u, the second longest
-    a-run).  The last slot of u's a-run has the rotation a + u's, so only
-    those slots are sorted: that groups the run starts by the letter before
-    them, and two neighbours' common prefix h is min(1 + LCP(u, v), L_u,
-    L_v), so the bound is min(min(m_u, m_v) - 1 + h, L_u, L_v) either way.
-    From each such slot a walk goes outward in sorted order until min(that
-    second-run bound - 1 + the running h, L_u) no longer beats u's
-    relator's best so far, at the latest where the letter changes (h = 0);
-    a pair that would raise v's relator is met on v's own walk.
+    prefix, capped at the shorter relator, so every relator's longest
+    piece is reached by a pair in which one slot starts a run.  Run starts
+    u and v after a-runs of lengths m_u and m_v give min(min(m_u, m_v) +
+    LCP(u, v), L_u, L_v), LCP the common prefix of their rotations; two
+    slots in one run give m - 1; a core a^L gives L to itself when L >= 2
+    and is an a-run with m = L; pairs with LCP 0 give min(m_u, the second
+    longest a-run).  The last slot of u's a-run has the rotation a + u's,
+    so sorting those slots groups the run starts by the letter before
+    them, neighbours sharing h = min(1 + LCP(u, v), L_u, L_v).  From each,
+    a walk goes outward in sorted order until min(min(m_u, the second
+    longest a-run) - 1 + the running h, L_u) no longer beats u's relator's
+    best, at the latest where the letter changes (h = 0); a pair that
+    would raise v's relator is met on v's own walk.
 
-    A passing certificate carries no witness.  If a relator fails, every
-    slot is sorted, and that sort's longest pieces must be the run-level
-    ones, else AssertionError (internal error).  Reproducible: the witness
-    is the lexicographically first sorted neighbour pair achieving the
-    maximal piece of the first failing relator.
+    Where more than half the slots start a run, every slot is sorted
+    instead, as that is then no slower.  Otherwise a failing relator has
+    every slot sorted for its witness, and that sort's longest pieces must
+    be the run-level ones, else AssertionError (internal error).  A passing
+    certificate carries no witness.  Reproducible: the witness is the
+    lexicographically first sorted neighbour pair achieving the maximal
+    piece of the first failing relator.
     """
     lam = Fraction(lam)
     cores = _cores(P)
@@ -258,13 +254,13 @@ def metric_certificate(P: FinitePresentation,
     if not cores:
         return MetricCertificate(lam, True, (), (), None, None, ())
     texts = _doubled_texts(cores)
-    maxes = _run_maxes(texts, P.alphabet.rank)
-    # fail iff some piece has length >= lam * L, i.e. len * q >= p * L
-    failing = next((t for t, L in enumerate(lengths)
-                    if maxes[t] and maxes[t] * lam.denominator >= lam.numerator * L), None)
-    offending = None
-    if failing is not None:
-        slots, lcp = _sorted_rotations(texts, rank=P.alphabet.rank)
+    # where more than half the slots start a run, the walk saves nothing over a full sort
+    short = 4 * sum(len(_RUN.findall(D, 0, len(D) // 2)) for D in texts) > sum(map(len, texts))
+    maxes = None if short else _run_maxes(texts, P.alphabet.rank)
+    # fail iff some piece has length >= lam * L, i.e. at least 1 and ceil(lam * L)
+    least = [max(1, -(-lam.numerator * L // lam.denominator)) for L in lengths]
+    if maxes is None or any(map(ge, maxes, least)):
+        slots, lcp = _sorted_rotations(texts, P.alphabet.rank)
         # per relator: its longest piece and the least pair k reaching it
         full, witness_for = [0] * len(cores), [-1] * len(cores)
         rels = [t >> 1 for t, _, _ in slots]
@@ -273,8 +269,12 @@ def metric_certificate(P: FinitePresentation,
                 full[r], witness_for[r] = h, k
             if h > full[q]:
                 full[q], witness_for[q] = h, k
-        if full != maxes:
+        if maxes is not None and full != maxes:
             raise AssertionError("run-level pieces differ from the full sort's (internal error)")
+        maxes = full
+    failing = next(compress(count(), map(ge, maxes, least)), None)
+    offending = None
+    if failing is not None:
         k = witness_for[failing]
         (ta, oa, _), (tb, _, _) = slots[k], slots[k + 1]
         piece = Word._trusted(P.alphabet, texts[ta][oa:oa + lcp[k]])

@@ -27,6 +27,7 @@ from presforge.smallcancel import (
     _doubled_texts,
     _agreement,
     _letter_bytes,
+    _run_maxes,
     _sorted_rotations,
     metric_certificate,
 )
@@ -186,7 +187,7 @@ def test_fuzz_lcp_list_matches_rotation_strings(P):
     common-prefix lengths."""
     cores = _cores(P)
     texts = _doubled_texts(cores)
-    slots, lcp = _sorted_rotations(texts)
+    slots, lcp = _sorted_rotations(texts, P.alphabet.rank)
     ref_slots, ref_lcp = slots_sorted(cores)
     assert [(texts[t][o:o + L], t // 2) for t, o, L in slots] == [
         (sl.text, sl.rel) for sl in ref_slots]
@@ -207,7 +208,7 @@ def test_deep_rounds_match_rotation_strings(gens, rels):
     P = presentation(gens, rels)
     cores = _cores(P)
     texts = _doubled_texts(cores)
-    slots, lcp = _sorted_rotations(texts)
+    slots, lcp = _sorted_rotations(texts, P.alphabet.rank)
     ref_slots, ref_lcp = slots_sorted(cores)
     assert [(texts[t][o:o + L], t // 2) for t, o, L in slots] == [
         (sl.text, sl.rel) for sl in ref_slots]
@@ -249,7 +250,7 @@ def test_fuzz_wide_alphabets_match_rotation_strings(P, rank, data, lam):
     assert metric_certificate(Q, lam) == reference_certificate(Q, lam)
     cores = _cores(Q)
     texts = _doubled_texts(cores)
-    slots, lcp = _sorted_rotations(texts)
+    slots, lcp = _sorted_rotations(texts, Q.alphabet.rank)
     ref_slots, ref_lcp = slots_sorted(cores)
     assert [(texts[t][o:o + L], t // 2) for t, o, L in slots] == [
         (sl.text, sl.rel) for sl in ref_slots]
@@ -344,20 +345,28 @@ def test_fuzz_single_runs_on_the_passing_path(P, runs):
     """A relator a^L with L >= 2 has L equal rotations, so it fails C'(1/6);
     at lambda = 2 every piece, at most its relator's length, passes, so
     single runs among the fuzz relators take the passing path there and
-    match the rotation-string scanner and `piece_table`."""
+    match the rotation-string scanner and `piece_table`, and so do the
+    run-level pieces where runs are too short for the certificate to use
+    them."""
     P = FinitePresentation(P.alphabet, P.relators + tuple(
         Word(P.alphabet, ((g, e),) * L) for g, e, L in runs))
     cert = metric_certificate(P, Fraction(2))
     assert cert.passed and cert == reference_certificate(P, Fraction(2))
     assert not P.relators or _pieces_agree_with_table(P, cert)
+    texts = _doubled_texts(_cores(P))
+    assert tuple(_run_maxes(texts, P.alphabet.rank)) == cert.max_piece_by_relator
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(P=fuzz_presentations(), rank=st.sampled_from((3, None)), data=st.data())
-def test_fuzz_slot_subset_sorts_as_the_oracle_restricted(P, rank, data):
+@given(P=fuzz_presentations(), wide=st.booleans(), data=st.data())
+def test_fuzz_slot_subset_sorts_as_the_oracle_restricted(P, wide, data):
     """Sorting some of the slots gives the rotation-string order of those
     slots, equal words in slot order, and each neighbour pair's common
-    prefix is the least of the oracle's common prefixes between them."""
+    prefix is the least of the oracle's common prefixes between them, on
+    one-byte letters and, carried onto rank 128, four-byte letters."""
+    if wide:
+        target = _WIDE_ALPHABETS[128]
+        P = FinitePresentation(target, tuple(relabel(P.relators, target, ["g0", "g126", "g127"])))
     cores = _cores(P)
     texts = _doubled_texts(cores)
     every = [(t, o, len(D) // 2) for t, D in enumerate(texts) for o in range(len(D) // 2)]
@@ -368,7 +377,7 @@ def test_fuzz_slot_subset_sorts_as_the_oracle_restricted(P, rank, data):
     at = {i: k for k, i in enumerate(where)}
     subset = sorted(data.draw(st.sets(st.integers(0, len(every) - 1)))) if every else []
     expected = sorted(subset, key=at.__getitem__)
-    slots, lcp = _sorted_rotations(texts, [every[i] for i in subset], rank)
+    slots, lcp = _sorted_rotations(texts, P.alphabet.rank, [every[i] for i in subset])
     assert slots == [every[i] for i in expected]
     assert lcp == [min(ref_lcp[at[i]:at[j]]) for i, j in zip(expected, expected[1:])]
 
@@ -376,11 +385,42 @@ def test_fuzz_slot_subset_sorts_as_the_oracle_restricted(P, rank, data):
 def test_failing_certificate_checks_the_run_level_pieces(monkeypatch):
     """A failing certificate sorts every slot for its witness, and the
     longest pieces of that sort must be the run-level ones."""
-    P = presentation(["a", "b"], ["a*b*a*b"])
-    assert not metric_certificate(P).passed
-    monkeypatch.setattr(smallcancel, "_run_maxes", lambda texts, rank: [3])
+    P = presentation(["a", "b"], ["a^3*b^3*a^3*b^3"])
+    assert metric_certificate(P).max_piece_by_relator == (12,)
+    monkeypatch.setattr(smallcancel, "_run_maxes", lambda texts, rank: [11])
     with pytest.raises(AssertionError, match=r"\(internal error\)"):
         metric_certificate(P)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(P=fuzz_presentations())
+def test_fuzz_run_maxes_match_rotation_strings(P):
+    """The run-level longest pieces are the rotation-string scanner's,
+    also on input whose runs are short, which the certificate itself
+    sorts slot by slot."""
+    texts = _doubled_texts(_cores(P))
+    assert tuple(_run_maxes(texts, P.alphabet.rank)) == (
+        reference_certificate(P).max_piece_by_relator)
+
+
+@pytest.mark.parametrize("rels,slots_sorted_counts", [
+    (["a^3*b^3*c^3*b^2", "a*b^4*c*b*a^2*c^2"], [8 + 12]),  # 20 run ends of 44 slots
+    (["a*b*c*b^2*a^-1*c", "c*a*b*a*c*b"], [14 + 12]),  # 24 run ends of 26 slots: every slot
+])
+def test_short_runs_sort_every_slot_at_once(monkeypatch, rels, slots_sorted_counts):
+    """Where more than half the slots start a run, the certificate sorts
+    every slot once and runs no walk; otherwise it sorts the run ends."""
+    P = presentation(["a", "b", "c"], rels)
+    sorted_counts = []
+
+    def counting(texts, rank, slots=None):
+        out = _sorted_rotations(texts, rank, slots)
+        sorted_counts.append(len(out[0]))
+        return out
+    monkeypatch.setattr(smallcancel, "_sorted_rotations", counting)
+    cert = metric_certificate(P, Fraction(2))
+    assert cert.passed and sorted_counts == slots_sorted_counts
+    assert cert == reference_certificate(P, Fraction(2))
 
 
 def test_passing_certificate_memory_is_linear_in_the_runs():
