@@ -37,7 +37,13 @@ each dead row into its representative at once, so scans read table entries
 with no union-find lookup.  A generator whose square is the cyclic core of
 a relator has one column for both of its letters, so it acts as an
 involution by construction and its square is never scanned; the final
-`verify` still walks every relator, the squares included.
+`verify` still walks every relator, the squares included.  A start of a
+relator's loop is a coset on it from which its scan reads the same column
+lists, on by a period or back by a mirror (of involutions); the scan at a
+is skipped when a start one lookup away, or two if none is, is a coset
+c < a.  Lemma: c, processed before a and live, closed this loop with its
+own scan, and COINCIDENCE only moves entries to smaller live cosets, so
+the loop stays closed and the scan would change nothing.
 
 Every action found is a `PermAssignment`: a coset table is the action on
 its cosets and a counterexample the action on the cosets of a least-index
@@ -97,6 +103,14 @@ def _walk(act: Sequence[Perm], codes: Iterable[int], points: Sequence[int]) -> S
     return points
 
 
+def _power(p: Sequence[int], m: int) -> Sequence[int]:
+    """p^m for m >= 1, p a permutation of range(len(p)) as its images."""
+    if m == 1:
+        return p
+    h = _power([p[x] for x in p], m >> 1)
+    return [p[x] for x in h] if m & 1 else h
+
+
 def _partitions(k: int, top: int | None = None) -> Iterator[tuple[int, ...]]:
     """Partitions of k into parts of at most `top` (default k), largest
     part first, lexicographically descending."""
@@ -150,12 +164,13 @@ class PermAssignment:
     def verify(self, P: FinitePresentation, fixing: Sequence[Word] = ()) -> bool:
         """Whether every generator of P has an image that is a permutation
         of range(degree), every relator fixes every point, and every word
-        in `fixing` fixes point 0.  Each image is inverted once and the
-        words are walked letter by letter, so this costs
-        O(degree * (gens + relator letters))."""
+        in `fixing` fixes point 0.  Each image is inverted once; a relator
+        u^m walks u letter by letter and squares its permutation up to the
+        m-th power, so this costs O(degree * (gens + relator letters))."""
         act, points = self._action(P.alphabet), list(range(self.degree))
-        return act is not None and (
-            all(_walk(act, letter_codes(r), points) == points for r in P.relators)
+        return act is not None and (  # r = u^m, u its first p letters
+            all(_power(_walk(act, letter_codes(r)[:p], points), len(r) // p) == points
+                for r in P.relators for p in [(r.text * 2).find(r.text, 1)])
             and all(_walk(act, letter_codes(w), [0]) == [0] for w in fixing))
 
     def is_transitive(self) -> bool:
@@ -250,6 +265,20 @@ def _conjugates(cols: list[list[int]], words: Iterable[list[int]]) -> list[list[
             for k in range(len(w)):
                 rotations[w[k]][tuple(w[k:] + w[:k])] = None
     return [[_scan(cols, w) for w in d] for d in rotations]
+
+
+def _with_starts(w: tuple) -> tuple:
+    """w, a `_scan`, with the columns, else the column pairs, that lead from
+    a coset a to the nearest starts of w's loop at a (see the module)."""
+    fwd, bwd, _, j = w
+    n = j + 1
+    for d in (1, 2):
+        # the offsets k, d ahead or back, from which w reads on (a period) or back (a mirror)
+        found = [fwd[:k] if k == d else bwd[:k - 1:-1] for k in dict.fromkeys((d, n - d))
+                 if 0 < k < n and (all(fwd[(k + i) % n] is f for i, f in enumerate(fwd))
+                                   or all(bwd[k - 1 - i] is f for i, f in enumerate(fwd)))]
+        if found or d == 2:
+            return (*w, [col for col, in found], []) if d == 1 else (*w, [], found)
 
 
 def _deduce(cols: list[list[int]], conj: list[list[tuple]], rep: list[int],
@@ -388,13 +417,6 @@ class QuotientCertificate:
     search_nodes: int
     killed_blocks: tuple[KilledBlock, ...]
     relators_dropped: int
-
-    def describe(self) -> str:
-        if self.certified:
-            return (f"no nontrivial homomorphism to S_k for any k <= {self.max_degree} "
-                    f"(bounded certificate, not a proof for all k)")
-        assert self.counterexample is not None
-        return f"nontrivial homomorphism into S_{self.counterexample.degree} found"
 
 
 def _candidate_blocks(supports: list[frozenset[int]], rank: int) -> list[tuple[int, ...]]:
@@ -660,7 +682,7 @@ def todd_coxeter(
     live = peak = 1
     stack: list[tuple[int, int]] = []  # entries (c, x) whose deductions are due
     closed: list[tuple[int, int]] = []  # the entries deductions closed
-    scanned = [_scan(cols, c) for c in cores if not (len(c) == 2 and c[0] == c[1])]
+    scanned = [_with_starts(_scan(cols, c)) for c in cores if len(c) != 2 or c[0] != c[1]]
     short = [w for w in scanned if 2 * len(w[2]) <= 3 * len(cores[0])]
     long = scanned[len(short):]
     conj = _conjugates(cols, [w[2] for w in short])
@@ -715,8 +737,8 @@ def todd_coxeter(
         live -= len(dead)
 
     def scan(a: int, w: tuple) -> None:
-        """Scan and fill w, a `_scan`, at coset a."""
-        fwd, bwd, xs, j = w
+        """Scan and fill w, a `_with_starts`, at coset a."""
+        fwd, bwd, xs, j, _, _ = w
         f, i, b = a, 0, a
         while True:
             while i <= j and (g := fwd[i][f]):
@@ -742,12 +764,20 @@ def todd_coxeter(
         for w in words:
             if rep[a] != a:
                 return
-            scan(a, w)
-            if stack:
-                _deduce(cols, conj, rep, stack, closed, coincidence)
+            for col in w[4]:  # skip w when a smaller start closed its loop at a
+                if 0 < col[a] < a:
+                    break
+            else:
+                for col, nxt in w[5]:
+                    if 0 < nxt[col[a]] < a:
+                        break
+                else:
+                    scan(a, w)
+                    if stack:
+                        _deduce(cols, conj, rep, stack, closed, coincidence)
 
     try:
-        scan_all(1, [_scan(cols, letter_codes(w)) for w in subgroup_gens])
+        scan_all(1, [(*_scan(cols, letter_codes(w)), (), ()) for w in subgroup_gens])
         a = 1
         while a < len(rep):
             scan_all(a, short)

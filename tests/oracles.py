@@ -60,7 +60,8 @@ presforge calls, so they are not shipped with it:
 amalgam at a time) and `hnn_extension`; `direct_sum` of
 abelian groups and `is_perfect`; `morphism_image` of a word under a
 `PresentationMorphism`; `evaluate_action` and `image_of` on a
-`PermAssignment`; `dehn_word_problem`, `dehn_closure_certificate` and
+`PermAssignment`; `describe_certificate` of a `QuotientCertificate`;
+`dehn_word_problem`, `dehn_closure_certificate` and
 `dehn_certificate_holds`, which re-expands a Dehn verdict's factors;
 `reduce_pair`, `pair_to_product_word` and `product_word_to_pair` on pair
 words, `s_plus` of a `delta_amalgam`, `killed_quotient` of a transform and
@@ -111,6 +112,7 @@ from presforge.quotients import (
     CosetTable,
     Perm,
     PermAssignment,
+    QuotientCertificate,
     _Overflow,
     _walk,
     identity_perm,
@@ -1286,6 +1288,15 @@ def evaluate_action(hom: PermAssignment, w: Word) -> Perm:
 
 def image_of(hom: PermAssignment, name: str) -> Perm:
     return dict(hom.images)[name]
+
+
+def describe_certificate(cert: QuotientCertificate) -> str:
+    """A one-line reading of a bounded finite-quotient certificate."""
+    if cert.certified:
+        return (f"no nontrivial homomorphism to S_k for any k <= {cert.max_degree} "
+                f"(bounded certificate, not a proof for all k)")
+    assert cert.counterexample is not None
+    return f"nontrivial homomorphism into S_{cert.counterexample.degree} found"
 
 
 def dehn_word_problem(P: FinitePresentation, w: Word,

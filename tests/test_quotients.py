@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 from collections import Counter
 from math import comb, factorial
@@ -30,6 +31,7 @@ from oracles import (
     compose,
     compose_evaluate,
     compose_verify,
+    describe_certificate,
     evaluate_action,
     group_order,
     hlt_todd_coxeter,
@@ -40,6 +42,8 @@ from oracles import (
 )
 
 PSL27 = presentation(["a", "b"], ["a^2", "b^3", "(a*b)^7", "[a,b]^4"])
+H3 = presentation(["a", "b", "c"], ["a^2", "b^2", "c^2", "(a*b)^5", "(b*c)^3", "(a*c)^2"])
+DIHEDRAL_14 = presentation(["a", "b"], ["a^2", "b^2", "(a*b)^7"])
 _ICO = presentation(["a", "b"], ["a^2", "b^3", "(a*b)^5"])
 Z2_TIMES_Z = presentation(["a", "b"], ["a^2", "[a,b]"])
 
@@ -154,7 +158,7 @@ class TestCertificate:
     def test_higman(self, higman_J):
         cert = finite_quotient_certificate(higman_J, 5)
         assert cert.certified and cert.degrees_checked == [2, 3, 4, 5]
-        assert "bounded" in cert.describe()
+        assert "bounded" in describe_certificate(cert)
 
     def test_counterexample(self):
         cert = finite_quotient_certificate(presentation(["a"], ["a^2"]), 2)
@@ -477,6 +481,7 @@ class TestToddCoxeter:
     @pytest.mark.parametrize("build, max_cosets, counters", [
         (lambda: _coxeter_symmetric(6), 100_000, (786, 723, 0)),
         (lambda: _coxeter_symmetric(7), 100_000, (6086, 5044, 0)),
+        (lambda: _coxeter_symmetric(8), 100_000, (53012, 40326, 0)),
         (lambda: miller_uce(_ICO).result, 100_000, (3222, 1897, 1359)),
         (lambda: super_perfectify(presentation(["x"], ["x"])).presentation, 100_000,
          (59, 25, 0)),
@@ -484,13 +489,45 @@ class TestToddCoxeter:
          100_000, (17723, 6785, 3697)),
         (lambda: miller_uce(super_perfectify(_ICO).presentation).result, 100_000,
          (100_000, 75910, 2226)),
-    ], ids=["coxeter-S6", "coxeter-S7", "uce-icosahedral", "superperfect-trivial",
-            "uce-superperfect-C2", "uce-superperfect-icosahedral-overflow"])
+    ], ids=["coxeter-S6", "coxeter-S7", "coxeter-S8", "uce-icosahedral",
+            "superperfect-trivial", "uce-superperfect-C2",
+            "uce-superperfect-icosahedral-overflow"])
     def test_work_counters(self, build, max_cosets, counters):
         """(cosets_defined, peak_live, deductions) are pinned: the order of
         definitions and deductions is part of the deterministic output."""
         table = todd_coxeter(build(), (), max_cosets=max_cosets)
         assert (table.cosets_defined, table.peak_live, table.deductions) == counters
+
+    @pytest.mark.parametrize("build, max_cosets, digest", [
+        (lambda: _coxeter_symmetric(4), 100_000,
+         "b801b5adf546afdaf33ad0542ec67349578aba508e9c387b2d432f3da4d6d3e5"),
+        (lambda: _coxeter_symmetric(5), 100_000,
+         "a50ec7d3de6c2cd2d7ed0ee7add02002cd24a636782e101aa90cf057fdfa4a85"),
+        (lambda: _coxeter_symmetric(6), 100_000,
+         "0e4e320407ce101f015d62cf28c5299bc025c2f0f6e563cadbeaf97af421517a"),
+        (lambda: _coxeter_symmetric(7), 100_000,
+         "57e489b5de8e6f5447aacac220e66f682f38555fc5654d1ced5736bb7c3b2d7a"),
+        (lambda: H3, 100_000,
+         "6f04c516dcc6146024028de87ad38ec2156d12fa587c390a775b259199b6e847"),
+        (lambda: DIHEDRAL_14, 100_000,
+         "d49590eaa5b646a92ae74d0697eb079668d873cca10952725c446a09814606ba"),
+        (lambda: presentation(["a"], ["a^6"]), 100_000,
+         "9041eb5031bca97f125ef9d5e58521bd3915539eb7465fe7b469149293cb4298"),
+        (lambda: presentation(["a", "b"], ["a^4", "b^2", "(a*b)^3"]), 100_000,
+         "efbe30542f2520192966af4b882d72b0a42811a1222ad22a394a80bee8acd296"),
+        (lambda: presentation(["a", "b"], ["a^3", "b^3", "(a*b)^3"]), 500,
+         "5d2bfe4b784f13374e1d91c6fdb187098254872689e693a4dca21cc601a83bfa"),
+    ], ids=["coxeter-S4", "coxeter-S5", "coxeter-S6", "coxeter-S7", "H3", "dihedral-14",
+            "cyclic-6", "S4-by-a-fourth-power", "triangle-333-overflow"])
+    def test_tables_pinned(self, build, max_cosets, digest):
+        """The SHA-256 of the repr of (the generator images in generator
+        order, cosets_defined, peak_live, deductions) is pinned, so a
+        skipped scan that would have changed the table, a counter or the
+        numbering shows; none of it depends on str hashes."""
+        table = todd_coxeter(build(), (), max_cosets=max_cosets)
+        images = tuple(p for _, p in table.action.images) if table.complete else None
+        key = (images, table.cosets_defined, table.peak_live, table.deductions)
+        assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
 
 
 # a faithful action of <a, b | a^2, b^3, (a*b)^5> = A_5 on 5 points
@@ -588,10 +625,15 @@ def test_no_short_relator_means_no_deductions():
 def _finite_presentations():
     """Finite groups mixing squares, short and long relators: the triangle
     groups <a, b | a^2, b^3, (a*b)^k> for k = 2..5 (with a^2 also spelled
-    a^-2), PSL(2, 7), and Miller's UCE of A_5 and of PSL(2, 7)."""
+    a^-2), PSL(2, 7), and Miller's UCE of A_5 and of PSL(2, 7).  The
+    Coxeter S_4, H_3 and the dihedral group of order 14 have relators
+    whose loops are read alike from their mirror starts, A_4 as
+    <a, b | a^3, b^3, (a*b)^2> from period starts with no involution."""
     tri = [presentation(["a", "b"], [sq, "b^3", f"(a*b)^{k}"])
            for k in (2, 3, 4, 5) for sq in ("a^2", "a^-2")]
-    return tri + [PSL27, miller_uce(tri[-1]).result, miller_uce(PSL27).result]
+    return tri + [PSL27, miller_uce(tri[-1]).result, miller_uce(PSL27).result,
+                  _coxeter_symmetric(4), H3, DIHEDRAL_14,
+                  presentation(["a", "b"], ["a^3", "b^3", "(a*b)^2"])]
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -5,11 +5,15 @@ Every module-level function and class and every method of a module-level
 class must be referenced somewhere in `src/presforge` (as a name or an
 attribute) outside its own definition, outside `__init__.py` and outside
 every definition that fails this test itself, so a helper whose only
-caller is unreached is named too.  A definition needs no reference when it
-is a name that `perfbench/tracing.py` `TARGETS` pins, one of the paper's
-constructions in `LIBRARY`, a dunder, or a command registered with
-`cli._command`.  Code that only tests call belongs in `tests/oracles.py`
-or in the test module that uses it.
+caller is unreached is named too.  A reference is a bare name, whatever
+it is called on: a method counts as reached when any reached code uses
+its name, even as another class's method or a local variable, so a
+test-only method that shares its name with a used one is not named here.
+A definition needs no reference when it is a name that
+`perfbench/tracing.py` `TARGETS` pins, one of the paper's constructions in
+`LIBRARY`, a dunder, or a command registered with `cli._command`.  Code
+that only tests call belongs in `tests/oracles.py` or in the test module
+that uses it.
 """
 
 from __future__ import annotations
